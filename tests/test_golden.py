@@ -1,0 +1,105 @@
+"""Golden CLI outputs: a fixed set of commands must reproduce byte for byte.
+
+Each command runs in-process through ``normlab.cli.main``; its stdout plus a
+trailing ``# exit <code>`` line is compared with ``tests/golden/<name>.out``.
+The set covers ``report`` on every family, ``search`` on closed-form and
+numeric-limit relations, ``analyze-map``, and ``eval`` of all seven
+functionals on each family (the lp:inf eval is the pinned false-convergence
+reproducer x = 1,1,1).
+
+The goldens are tied to x86 80-bit extended precision, which the numeric
+limit uses for its difference quotients; elsewhere the test is skipped.
+A change that alters numerics on purpose rewrites them with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from normlab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+REPORT_NORMS = {
+    "lp1": "lp:p=1:dim=2",
+    "lp2.5": "lp:p=2.5:dim=4",
+    "lpinf": "lp:p=inf:dim=3",
+    "wl1": "wl1:w=0.5,1.0,2.0:dim=3",
+    "pd": "pd:gram=I:dim=3",
+    "poly": "poly:f=1,0;0,1;0.5+0.5i,0.5:dim=2",
+}
+
+# (norm, x, y) per family; lp:inf is the pinned reproducer
+EVAL_PAIRS = {
+    "lp1": ("lp:p=1:dim=2", "1,0", "0.3-0.7i,1+1i"),
+    "lp2.5": ("lp:p=2.5:dim=4", "1,0+1i,0.5,-0.25", "0.25,1,-1,0.5+0.5i"),
+    "lpinf": ("lp:p=inf:dim=3", "1,1,1", "0.8+0.9i,-0.4+0.1i,-1.5-0.8i"),
+    "wl1": ("wl1:w=0.5,1.0,2.0:dim=3", "1,0,-0.5+0.5i", "0.2+0.1i,-1,0+0.7i"),
+    "pd": ("pd:gram=I:dim=3", "1,0+1i,0.5", "0.25,1,-1"),
+    "poly": ("poly:f=1,0;0,1;0.5+0.5i,0.5:dim=2", "1,0.5-0.5i", "0.3+0.2i,-1"),
+}
+
+FUNCTIONALS = {
+    "rho_plus": [],
+    "rho_minus": [],
+    "rho": [],
+    "rho_lambda": ["--lam", "0.25"],
+    "rho_lambda_upsilon": ["--lam", "0.25", "--k", "2"],
+    "rho_n": ["--n", "12"],
+    "rho_inf": [],
+}
+
+
+def commands() -> dict[str, list[str]]:
+    cmds = {}
+    for key, text in REPORT_NORMS.items():
+        cmds[f"report-{key}"] = ["report", "--norm", text, "--samples", "6",
+                                 "--seed", "7", "--format", "jsonl"]
+    for a, b, norm, samples in (("rho_inf", "bj", "lp:p=1:dim=2", 200),
+                                ("bj", "rho_inf", "lp:p=1:dim=2", 200),
+                                ("rho_plus", "semi", "lp:p=3:dim=3", 100)):
+        tag = norm.split(":")[1].replace("p=", "lp")
+        cmds[f"search-{tag}-{a}-{b}"] = [
+            "search", "--norm", norm, "--a", a, "--b", b,
+            "--samples", str(samples), "--seed", "42", "--format", "jsonl"]
+    cmds["analyze-map-lp1-diag12"] = [
+        "analyze-map", "--norm", "lp:p=1:dim=2",
+        "--matrix", str(GOLDEN / "diag_1_2.txt"), "--samples", "100",
+        "--seed", "42", "--format", "jsonl"]
+    for key, (norm, x, y) in EVAL_PAIRS.items():
+        for name, extra in FUNCTIONALS.items():
+            cmds[f"eval-{key}-{name}"] = [
+                "eval", "--norm", norm, "--x", x, "--y", y,
+                "--functional", name, *extra, "--format", "jsonl"]
+    return cmds
+
+
+def run(argv: list[str]) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return buf.getvalue() + f"# exit {code}\n"
+
+
+COMMANDS = commands()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                    reason="goldens were captured with x86 80-bit long double")
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_output(name):
+    expected = (GOLDEN / f"{name}.out").read_text(encoding="ascii")
+    assert run(COMMANDS[name]) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in COMMANDS.items():
+        (GOLDEN / f"{name}.out").write_text(run(argv), encoding="ascii")
+    print(f"wrote {len(COMMANDS)} goldens to {GOLDEN}", file=sys.stderr)
