@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 from .errors import DimensionMismatchError, RUnknownError, ZeroMapError
 from .orthogonality import decomposition_alpha, perp_rho_inf
 from .rho_infinity import rho_inf
-from .sampling import complex_gaussian, sample_unit
+from .sampling import complex_gaussian, rng_for, sample_unit
 from .spaces import NormSpec, dual_segment_constant, format_cvector, norm
 
 UNIVERSAL_4_OVER_PI = "4_over_pi"
@@ -26,10 +26,6 @@ DUAL_CONSTANT = "dual_constant"
 CONJECTURE_ONE = "conjecture_one"
 
 BOUNDS = (UNIVERSAL_4_OVER_PI, DUAL_CONSTANT, CONJECTURE_ONE)
-
-
-def _rng(seed: int, stream: int, index: int) -> np.random.Generator:
-    return np.random.default_rng((int(seed), int(stream), int(index)))
 
 
 def _check_dim(spec: NormSpec, dim: int) -> None:
@@ -64,7 +60,7 @@ def symmetry_defect(spec: NormSpec, dim: int, samples: int,
     raw = conj = para = -1.0
     worst = None
     for i in range(int(samples)):
-        rng = _rng(seed, 0, i)
+        rng = rng_for(seed, 0, i)
         x = sample_unit(spec, rng)
         y = sample_unit(spec, rng)
         f = complex(rho_inf(spec, x, y).value)
@@ -122,7 +118,7 @@ def cs_bound_audit(spec: NormSpec, dim: int, samples: int, seed: int,
     max_ratio = -1.0
     worst = None
     for i in range(int(samples)):
-        rng = _rng(seed, 1, i)
+        rng = rng_for(seed, 1, i)
         x = sample_unit(spec, rng)
         y = sample_unit(spec, rng)
         ratio = abs(rho_inf(spec, x, y).value)
@@ -162,7 +158,7 @@ def norm_equivalence_constant(spec1: NormSpec, spec2: NormSpec, dim: int,
     m_est = np.inf
     big_m_est = 0.0
     for i in range(int(samples)):
-        rng = _rng(seed, 2, i)
+        rng = rng_for(seed, 2, i)
         x = complex_gaussian(rng, dim)
         y = complex_gaussian(rng, dim)
         n1 = (norm(spec1, x), norm(spec1, y))
@@ -262,7 +258,7 @@ def operator_norm_estimate(spec_dom: NormSpec, spec_cod: NormSpec, t,
 
     candidates = [np.eye(d, dtype=np.complex128)[j] for j in range(d)]
     for i in range(int(samples)):
-        candidates.append(sample_unit(spec_dom, _rng(seed, 3, i)))
+        candidates.append(sample_unit(spec_dom, rng_for(seed, 3, i)))
     values = [ratio(c) for c in candidates]
     k = int(np.argmax(values))
     best, best_vec = values[k], candidates[k]
@@ -294,12 +290,12 @@ def map_preservation_analysis(spec_dom: NormSpec, spec_cod: NormSpec, t,
 
     iso_defect = 0.0
     for i in range(int(samples)):
-        x = sample_unit(spec_dom, _rng(seed, 4, i))
+        x = sample_unit(spec_dom, rng_for(seed, 4, i))
         iso_defect = max(iso_defect, abs(norm(spec_cod, t @ x) - est))
 
     scale_defect = 0.0
     for i in range(int(samples)):
-        rng = _rng(seed, 5, i)
+        rng = rng_for(seed, 5, i)
         x = sample_unit(spec_dom, rng)
         y = sample_unit(spec_dom, rng)
         lhs = complex(rho_inf(spec_cod, t @ x, t @ y).value)
@@ -308,7 +304,7 @@ def map_preservation_analysis(spec_dom: NormSpec, spec_cod: NormSpec, t,
 
     witnesses: list[MapWitness] = []
     for i in range(int(samples)):
-        rng = _rng(seed, 6, i)
+        rng = rng_for(seed, 6, i)
         x = complex_gaussian(rng, spec_dom.dim)
         y = complex_gaussian(rng, spec_dom.dim)
         if norm(spec_dom, x) < 1e-8:

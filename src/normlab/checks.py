@@ -20,6 +20,7 @@ from .derivatives import (
     rho_plus,
 )
 from .orthogonality import (
+    DEFAULT_TOL,
     decomposition_alpha,
     perp_birkhoff_james,
     perp_rho_inf,
@@ -33,6 +34,7 @@ from .spaces import (
     NormSpec,
     dual_segment_constant,
     gram_inner,
+    is_inner_product_family,
     is_smooth_family,
     lp,
     pd_inner,
@@ -51,8 +53,7 @@ def _pair(spec: NormSpec, seed: int, index: int):
     return sample_unit(spec, rng), sample_unit(spec, rng), rng
 
 
-def check_nd_properties(spec: NormSpec, samples: int, seed: int,
-                        tol: float) -> list[dict]:
+def check_nd_properties(spec: NormSpec, samples: int, seed: int) -> list[dict]:
     """(nd1)-(nd4) plus convexity monotonicity of the quotient steps."""
     suite = "nd-properties"
     nd1 = nd2 = nd3 = nd4 = mono = 0.0
@@ -92,13 +93,12 @@ def check_nd_properties(spec: NormSpec, samples: int, seed: int,
     ]
 
 
-def check_rho_n_props(spec: NormSpec, samples: int, seed: int,
-                      tol: float) -> list[dict]:
+def check_rho_n_props(spec: NormSpec, samples: int, seed: int) -> list[dict]:
     """rho_n properties for n in {3,4,7,16}: norm recovery, bound, inner product."""
     suite = "rho-n-props"
     ns = (3, 4, 7, 16)
     d_self = d_bound = 0.0
-    pd_spec = spec if spec.family == PD_INNER else pd_inner(np.eye(spec.dim))
+    pd_spec = spec if spec.gram is not None else pd_inner(np.eye(spec.dim))
     d_ip = 0.0
     for i in range(samples):
         x, y, _ = _pair(spec, seed, i)
@@ -145,22 +145,19 @@ def _translation_defect(spec: NormSpec, samples: int, seed: int) -> float:
     return worst
 
 
-def check_homogeneity(spec: NormSpec, samples: int, seed: int,
-                      tol: float) -> list[dict]:
+def check_homogeneity(spec: NormSpec, samples: int, seed: int) -> list[dict]:
     d = _homogeneity_defect(spec, samples, seed)
     return [record("homogeneity", "rho-inf-homogeneity", d, 1.0, 0.0,
                    d <= 1.0, seed)]
 
 
-def check_translation(spec: NormSpec, samples: int, seed: int,
-                      tol: float) -> list[dict]:
+def check_translation(spec: NormSpec, samples: int, seed: int) -> list[dict]:
     d = _translation_defect(spec, samples, seed)
     return [record("translation", "rho-inf-translation", d, 1.0, 0.0,
                    d <= 1.0, seed)]
 
 
-def check_bounds(spec: NormSpec, samples: int, seed: int,
-                 tol: float) -> list[dict]:
+def check_bounds(spec: NormSpec, samples: int, seed: int) -> list[dict]:
     """Universal 4/pi bound, plus the dual-constant bound when R(X*) is known."""
     suite = "bounds"
     audit = analysis.cs_bound_audit(spec, spec.dim, samples, seed,
@@ -176,8 +173,7 @@ def check_bounds(spec: NormSpec, samples: int, seed: int,
     return out
 
 
-def check_lp1_closed_form(spec: NormSpec, samples: int, seed: int,
-                          tol: float) -> list[dict]:
+def check_lp1_closed_form(spec: NormSpec, samples: int, seed: int) -> list[dict]:
     """Numeric limit and quadrature against the l1 closed forms."""
     suite = "lp1-closed-form"
     l1 = lp(1.0, spec.dim)
@@ -198,8 +194,7 @@ def check_lp1_closed_form(spec: NormSpec, samples: int, seed: int,
     ]
 
 
-def check_smooth_equivalence(spec: NormSpec, samples: int, seed: int,
-                             tol: float) -> list[dict]:
+def check_smooth_equivalence(spec: NormSpec, samples: int, seed: int) -> list[dict]:
     """At smooth points perp_rho_inf and perp_bj agree; quadrature matches
     the smooth fast path."""
     suite = "smooth-equivalence"
@@ -229,18 +224,13 @@ def check_smooth_equivalence(spec: NormSpec, samples: int, seed: int,
     ]
 
 
-def _is_inner_product_family(spec: NormSpec) -> bool:
-    return spec.family == PD_INNER or (spec.family == LP and spec.p == 2.0)
-
-
-def check_symmetry_detector(spec: NormSpec, samples: int, seed: int,
-                            tol: float) -> list[dict]:
+def check_symmetry_detector(spec: NormSpec, samples: int, seed: int) -> list[dict]:
     """Inner-product families show ~0 defect (conjugate reading); the
     others separate with a raw defect of at least 0.1."""
     suite = "symmetry-detector"
     rep = analysis.symmetry_defect(spec, spec.dim, samples, seed)
     out = []
-    if _is_inner_product_family(spec):
+    if is_inner_product_family(spec):
         best = min(rep.raw_defect, rep.conj_defect)
         out.append(record(suite, "ips-defect-small", best, 0.0, 1e-7,
                           best <= 1e-7, seed))
@@ -276,10 +266,10 @@ def _isometry_for(spec: NormSpec, seed: int) -> np.ndarray:
     return phases[0] * np.eye(d, dtype=np.complex128)
 
 
-def check_preservation(spec: NormSpec, samples: int, seed: int,
-                       tol: float) -> list[dict]:
+def check_preservation(spec: NormSpec, samples: int, seed: int) -> list[dict]:
     """Both directions of the preservation theorem on generated maps."""
     suite = "preservation"
+    tol = DEFAULT_TOL
     iso = _isometry_for(spec, seed)
     ma = analysis.map_preservation_analysis(spec, spec, iso,
                                             samples=samples, seed=seed, tol=tol)
@@ -329,8 +319,7 @@ def suite_applies(name: str, spec: NormSpec) -> bool:
     return True
 
 
-def run_suite(name: str, spec: NormSpec, samples: int, seed: int,
-              tol: float) -> list[dict]:
+def run_suite(name: str, spec: NormSpec, samples: int, seed: int) -> list[dict]:
     if name not in SUITES:
         raise KeyError(name)
-    return SUITES[name](spec, samples, seed, tol)
+    return SUITES[name](spec, samples, seed)

@@ -18,7 +18,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from . import checks
 from .analysis import map_preservation_analysis
 from .derivatives import rho_lambda, rho_lambda_upsilon, rho_milicic, rho_minus, rho_plus
 from .errors import NormLabError, SpecParseError
-from .orthogonality import RELATIONS, SamplerConfig, relation_compare
+from .orthogonality import DEFAULT_TOL, RELATIONS, SamplerConfig, relation_compare
 from .rho_infinity import DEFAULT_N_MAX, DEFAULT_QUAD_TOL, rho_inf_traced, rho_n
 from .spaces import format_complex, parse_cvector, parse_norm_spec
 
@@ -43,18 +42,9 @@ JSON_LINES = "jsonl"
 DEFAULT_NORM = "lp:p=2.5:dim=4"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    norm_spec_text: str
-    dim: int
-    samples: int
-    seed: int
-    tol: float
-    output_format: str
-
-
-def _default_seed() -> int:
+def _seed(args: argparse.Namespace) -> int:
+    if args.seed is not None:
+        return args.seed
     return int(os.environ.get("NORMLAB_SEED", "42"))
 
 
@@ -96,14 +86,6 @@ def render(records: list[dict], fmt: str) -> str:
             out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
         return "\n".join(out) + "\n"
     raise SpecParseError(f"unknown output format {fmt!r}")
-
-
-def _config_from(args: argparse.Namespace, command: str) -> RunConfig:
-    spec = parse_norm_spec(args.norm)
-    dim = args.dim if args.dim is not None else spec.dim
-    seed = args.seed if args.seed is not None else _default_seed()
-    return RunConfig(command, args.norm, dim, args.samples, seed, args.tol,
-                     args.format)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -149,10 +131,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.suite not in checks.SUITES:
         raise SpecParseError(f"unknown suite {args.suite!r}; choose from "
                              + ", ".join(sorted(checks.SUITES)))
-    cfg = _config_from(args, "check")
-    spec = parse_norm_spec(cfg.norm_spec_text)
-    records = checks.run_suite(args.suite, spec, cfg.samples, cfg.seed, cfg.tol)
-    out = render(records, cfg.output_format)
+    spec = parse_norm_spec(args.norm)
+    records = checks.run_suite(args.suite, spec, args.samples, _seed(args))
+    out = render(records, args.format)
     passed = sum(1 for r in records if r["pass"])
     sys.stdout.write(out)
     sys.stdout.write(f"passed {passed}/{len(records)}\n")
@@ -160,14 +141,13 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    cfg = _config_from(args, "search")
-    spec = parse_norm_spec(cfg.norm_spec_text)
-    sampler = SamplerConfig(dim=spec.dim, samples=cfg.samples, seed=cfg.seed,
-                            tol=cfg.tol, max_witnesses=args.max_witnesses)
+    spec = parse_norm_spec(args.norm)
+    sampler = SamplerConfig(dim=spec.dim, samples=args.samples, seed=_seed(args),
+                            tol=args.tol, max_witnesses=args.max_witnesses)
     witnesses = relation_compare(spec, args.a, args.b, sampler)
     records = [w.to_record() for w in witnesses]
-    sys.stdout.write(render(records, cfg.output_format))
-    sys.stdout.write(f"witnesses {len(witnesses)}/{cfg.samples}\n")
+    sys.stdout.write(render(records, args.format))
+    sys.stdout.write(f"witnesses {len(witnesses)}/{args.samples}\n")
     return EXIT_OK
 
 
@@ -182,13 +162,12 @@ def _read_matrix(path: str) -> np.ndarray:
 
 
 def cmd_analyze_map(args: argparse.Namespace) -> int:
-    cfg = _config_from(args, "analyze-map")
-    spec_dom = parse_norm_spec(cfg.norm_spec_text)
+    spec_dom = parse_norm_spec(args.norm)
     spec_cod = parse_norm_spec(args.cod_norm) if args.cod_norm else spec_dom
     t = _read_matrix(args.matrix)
     ma = map_preservation_analysis(spec_dom, spec_cod, t,
-                                   samples=cfg.samples, seed=cfg.seed,
-                                   tol=cfg.tol)
+                                   samples=args.samples, seed=_seed(args),
+                                   tol=args.tol)
     rec = {
         "operator_norm_est": ma.operator_norm_est,
         "isometry_defect": ma.isometry_defect,
@@ -198,36 +177,34 @@ def cmd_analyze_map(args: argparse.Namespace) -> int:
         "samples": ma.samples,
         "seed": ma.seed,
     }
-    sys.stdout.write(render([rec], cfg.output_format))
+    sys.stdout.write(render([rec], args.format))
     if ma.witnesses:
         sys.stdout.write(render([w.to_record() for w in ma.witnesses],
-                                cfg.output_format))
+                                args.format))
     return EXIT_OK if ma.preserves else EXIT_VIOLATION
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    cfg = _config_from(args, "report")
-    spec = parse_norm_spec(cfg.norm_spec_text)
+    spec = parse_norm_spec(args.norm)
+    seed = _seed(args)
     records: list[dict] = []
     for name in checks.SUITES:
         if not checks.suite_applies(name, spec):
             continue
-        records.extend(checks.run_suite(name, spec, cfg.samples, cfg.seed,
-                                        cfg.tol))
-    sys.stdout.write(render(records, cfg.output_format))
+        records.extend(checks.run_suite(name, spec, args.samples, seed))
+    sys.stdout.write(render(records, args.format))
     passed = sum(1 for r in records if r["pass"])
     sys.stdout.write(f"passed {passed}/{len(records)}\n")
     return EXIT_OK if passed == len(records) else EXIT_VIOLATION
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, sampling: bool = True) -> None:
     p.add_argument("--norm", default=DEFAULT_NORM,
                    help="norm spec record, e.g. lp:p=1:dim=2")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=None,
-                   help="default 42, overridable via NORMLAB_SEED")
-    p.add_argument("--tol", type=float, default=1e-6)
+    if sampling:
+        p.add_argument("--samples", type=int, default=200)
+        p.add_argument("--seed", type=int, default=None,
+                       help="default 42, overridable via NORMLAB_SEED")
     p.add_argument("--format", choices=[TABLE, CSV, JSON_LINES], default=TABLE)
 
 
@@ -238,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate a functional")
-    _add_common(p_eval)
+    _add_common(p_eval, sampling=False)
     p_eval.add_argument("--x", required=True, help="vector, e.g. 1,0+1i")
     p_eval.add_argument("--y", required=True)
     p_eval.add_argument("--functional", required=True,
@@ -263,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_search)
     p_search.add_argument("--a", required=True, choices=list(RELATIONS))
     p_search.add_argument("--b", required=True, choices=list(RELATIONS))
+    p_search.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_search.add_argument("--max-witnesses", type=int, default=None)
     p_search.set_defaults(func=cmd_search)
 
@@ -273,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="file of row-major complex entries, one row per line")
     p_map.add_argument("--cod-norm", default=None,
                        help="codomain norm spec (default: same as --norm)")
+    p_map.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_map.set_defaults(func=cmd_analyze_map)
 
     p_report = sub.add_parser("report", help="run every applicable suite")

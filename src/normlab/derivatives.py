@@ -22,12 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import LP, PD_INNER, WEIGHTED_L1, NormSpec, check_dim, norm_rows, vector
-
-CLOSED_FORM = "closed_form"
-NUMERIC_LIMIT = "numeric_limit"
-QUADRATURE = "quadrature"
-SMOOTH_FAST_PATH = "smooth_fast_path"
+# all four path names stay importable from here, next to FunctionalValue.path
+from .spaces import (
+    CLOSED_FORM,
+    NUMERIC_LIMIT,
+    QUADRATURE,
+    SMOOTH_FAST_PATH,
+    NormSpec,
+    check_dim,
+    norm_rows,
+    vector,
+)
 
 # step schedule t_j = 0.1 * 4^-j; quartic shrinking balances cancellation
 # (~eps/t) against truncation (~t); the last step stays above ~5e-9
@@ -62,6 +67,21 @@ def _merge_path(a: str, b: str) -> str:
     return a if a == b else NUMERIC_LIMIT
 
 
+def _quotient_table(spec: NormSpec, x_unit: np.ndarray, y_units: np.ndarray,
+                    dtype) -> np.ndarray:
+    """(|x + t_j y| - |x|) / t_j for every step t_j (rows) and every row y
+    of y_units (columns), evaluated in dtype."""
+    xs = x_unit.astype(dtype)
+    ys = y_units.astype(dtype)
+    base = norm_rows(spec, xs[None, :])[0]
+    m = ys.shape[0]
+    ts = STEPS.astype(np.real(np.zeros(0, dtype)).dtype)
+    # one flattened (steps x rows) norm evaluation instead of a step loop
+    shifted = xs[None, None, :] + ts[:, None, None] * ys[None, :, :]
+    norms = norm_rows(spec, shifted.reshape(STEPS.size * m, -1))
+    return (norms.reshape(STEPS.size, m) - base) / ts[:, None]
+
+
 def _limit_quotients(spec: NormSpec, x_unit: np.ndarray, y_units: np.ndarray,
                      dtype=None):
     """Difference quotients of the norm along each row of y_units.
@@ -74,17 +94,8 @@ def _limit_quotients(spec: NormSpec, x_unit: np.ndarray, y_units: np.ndarray,
     best estimate (every quotient lies above the limit).
     """
     dtype = _XDTYPE if dtype is None else dtype
-    xs = x_unit.astype(dtype)
-    ys = y_units.astype(dtype)
-    base = norm_rows(spec, xs[None, :])[0]
-    m = ys.shape[0]
-    ts = STEPS.astype(np.real(np.zeros(0, dtype)).dtype)
-    # one flattened (steps x rows) norm evaluation instead of a step loop
-    shifted = xs[None, None, :] + ts[:, None, None] * ys[None, :, :]
-    norms = norm_rows(spec, shifted.reshape(STEPS.size * m, -1))
-    g = (norms.reshape(STEPS.size, m) - base) / ts[:, None]
-
-    g64 = np.asarray(g, dtype=float)
+    m = y_units.shape[0]
+    g64 = np.asarray(_quotient_table(spec, x_unit, y_units, dtype), dtype=float)
     gaps = np.abs(np.diff(g64, axis=0))
     hit = gaps < GAP_TOL
     stopped = hit.any(axis=0)
@@ -99,28 +110,6 @@ def _limit_quotients(spec: NormSpec, x_unit: np.ndarray, y_units: np.ndarray,
     errs = trunc + cancel_floor
     conv = stopped | (gaps[-1] <= NONCONVERGED_GAP)
     return vals, errs, conv
-
-
-def _l1_rho_plus_rows(spec: NormSpec, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """l1-type closed form, weights inserted for wl1:
-
-    rho_plus(x,y) = |x| ( sum_{x_k != 0} w_k Re(conj(x_k) y_k)/|x_k|
-                          + sum_{x_k == 0} w_k |y_k| ).
-    """
-    w = spec.weights if spec.family == WEIGHTED_L1 else np.ones(spec.dim)
-    ax = np.abs(x)
-    nx = float((w * ax).sum())
-    support = ax > 0
-    coef = np.zeros(spec.dim, dtype=np.complex128)
-    coef[support] = w[support] * x[support].conj() / ax[support]
-    main = (ys @ coef).real
-    off = (w[~support] * np.abs(ys[:, ~support])).sum(axis=-1)
-    return nx * (main + off)
-
-
-def _pd_rho_plus_rows(spec: NormSpec, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    gx = spec.gram @ x
-    return (ys.conj() @ gx).real
 
 
 def rho_plus_rows(spec: NormSpec, x, ys, *, force_path: str | None = None,
@@ -138,25 +127,13 @@ def rho_plus_rows(spec: NormSpec, x, ys, *, force_path: str | None = None,
     check_dim(spec, ys)
     m = ys.shape[0]
 
-    path = force_path
-    if path is None:
-        if spec.family == PD_INNER:
-            path = CLOSED_FORM
-        elif spec.family == LP and spec.p == 1.0:
-            path = CLOSED_FORM
-        elif spec.family == WEIGHTED_L1:
-            path = CLOSED_FORM
-        else:
-            path = NUMERIC_LIMIT
-
+    kernel = spec.kernel
+    path = kernel.rho_plus_path if force_path is None else force_path
     if path == CLOSED_FORM:
-        if spec.family == PD_INNER:
-            vals = _pd_rho_plus_rows(spec, x, ys)
-        elif spec.family == WEIGHTED_L1 or (spec.family == LP and spec.p == 1.0):
-            vals = _l1_rho_plus_rows(spec, x, ys)
-        else:
+        if kernel.rho_plus_rows is None:
             raise ValueError(f"no closed form for family {spec.family!r}")
-        return vals, np.zeros(m), np.ones(m, dtype=bool), CLOSED_FORM
+        return (kernel.rho_plus_rows(x, ys), np.zeros(m), np.ones(m, dtype=bool),
+                CLOSED_FORM)
 
     if path != NUMERIC_LIMIT:
         raise ValueError(f"unknown path {path!r}")
@@ -200,13 +177,8 @@ def limit_quotient_table(spec: NormSpec, x, y) -> np.ndarray:
     ny = float(norm_rows(spec, y[None, :])[0])
     if nx == 0.0 or ny == 0.0:
         return np.zeros(STEPS.size)
-    xs = (x / nx).astype(_XDTYPE)
-    ys = (y / ny).astype(_XDTYPE)[None, :]
-    base = norm_rows(spec, xs[None, :])[0]
-    ts = STEPS.astype(np.real(np.zeros(0, _XDTYPE)).dtype)
-    shifted = xs[None, None, :] + ts[:, None, None] * ys[None, :, :]
-    norms = norm_rows(spec, shifted.reshape(STEPS.size, -1))
-    return np.asarray((norms.reshape(STEPS.size) - base) / ts, dtype=float)
+    g = _quotient_table(spec, x / nx, (y / ny)[None, :], _XDTYPE)
+    return np.asarray(g[:, 0], dtype=float)
 
 
 # rounding allowance for monotonicity checks of the quotient table: the

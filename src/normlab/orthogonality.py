@@ -30,7 +30,6 @@ from .spaces import (
     format_cvector,
     is_smooth_family,
     norm,
-    norm_fn,
     norm_rows,
     vector,
 )
@@ -211,10 +210,11 @@ def birkhoff_minimize(spec: NormSpec, x, y) -> tuple[float, complex]:
     grid_val = float(vals[k])
     z0 = zs[k]
 
-    nf = norm_fn(spec)
+    # the kernel's norm on single vectors skips norm_rows' dimension check
+    kernel_norm = spec.kernel.norm
     step = max(0.25 * abs(z0), 1e-3)
-    best_val, best_z = _simplex_2d(lambda z: nf(xu + z * yu), z0, step,
-                                   BJ_REFINE_DIAMETER)
+    best_val, best_z = _simplex_2d(lambda z: float(kernel_norm(xu + z * yu)),
+                                   z0, step, BJ_REFINE_DIAMETER)
     if grid_val < best_val:
         best_val, best_z = grid_val, z0
     m_star = nx * best_val

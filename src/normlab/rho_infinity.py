@@ -7,10 +7,11 @@ makes rho_n recover the inner product when there is one.  The limit
     rho_inf(x, y) = (1/pi) Integral_0^{2pi} e^{i theta}
                     rho_plus(x, e^{i theta} y) d theta
 
-is computed by closed form (pd and l1-type families), by the smooth
-identity rho_plus(x,y) + i*rho_plus(x,iy) (lp with 1 < p < inf), or by
-periodic trapezoidal quadrature, which with N equispaced nodes is exactly
-rho_N.  Doubling N reuses all previously evaluated nodes.
+is computed, as the spec's kernel selects, by closed form (pd and l1-type
+families), by the smooth identity rho_plus(x,y) + i*rho_plus(x,iy) (lp
+with 1 < p < inf), or by periodic trapezoidal quadrature, which with N
+equispaced nodes is exactly rho_N.  Doubling N reuses all previously
+evaluated nodes.
 """
 
 from __future__ import annotations
@@ -27,16 +28,7 @@ from .derivatives import (
     rho_plus_rows,
 )
 from .errors import NTooSmallError
-from .spaces import (
-    LP,
-    PD_INNER,
-    WEIGHTED_L1,
-    NormSpec,
-    check_dim,
-    gram_inner,
-    norm,
-    vector,
-)
+from .spaces import NormSpec, check_dim, norm, vector
 
 DEFAULT_QUAD_TOL = 1e-7
 DEFAULT_N_MAX = 4096
@@ -157,16 +149,6 @@ def quadrature_rho_inf(spec: NormSpec, x, y, *, tol: float = DEFAULT_QUAD_TOL,
     return fv, trace
 
 
-def _l1_rho_inf(spec: NormSpec, x: np.ndarray, y: np.ndarray) -> complex:
-    # |x|_w * sum over the support of x of w_k x_k conj(y_k) / |x_k|
-    w = spec.weights if spec.family == WEIGHTED_L1 else np.ones(spec.dim)
-    ax = np.abs(x)
-    nx = (w * ax).sum()
-    support = ax > 0
-    s = np.sum(w[support] * x[support] * y[support].conj() / ax[support])
-    return complex(nx * s)
-
-
 def rho_inf_traced(spec: NormSpec, x, y, *, tol: float = DEFAULT_QUAD_TOL,
                    n_max: int = DEFAULT_N_MAX,
                    force_path: str | None = None
@@ -180,25 +162,12 @@ def rho_inf_traced(spec: NormSpec, x, y, *, tol: float = DEFAULT_QUAD_TOL,
         # forced by homogeneity: rho_inf(a x, b y) = a conj(b) rho_inf(x, y)
         return FunctionalValue(0j, 0.0, CLOSED_FORM, True), None
 
-    path = force_path
-    if path is None:
-        if spec.family == PD_INNER:
-            path = CLOSED_FORM
-        elif spec.family == WEIGHTED_L1 or (spec.family == LP and spec.p == 1.0):
-            path = CLOSED_FORM
-        elif spec.family == LP and 1.0 < spec.p < np.inf:
-            path = SMOOTH_FAST_PATH
-        else:
-            path = QUADRATURE
-
+    kernel = spec.kernel
+    path = kernel.rho_inf_path if force_path is None else force_path
     if path == CLOSED_FORM:
-        if spec.family == PD_INNER:
-            return FunctionalValue(gram_inner(spec, x, y), 0.0, CLOSED_FORM,
-                                   True), None
-        if spec.family == WEIGHTED_L1 or (spec.family == LP and spec.p == 1.0):
-            return FunctionalValue(_l1_rho_inf(spec, x, y), 0.0, CLOSED_FORM,
-                                   True), None
-        raise ValueError(f"no rho_inf closed form for family {spec.family!r}")
+        if kernel.rho_inf is None:
+            raise ValueError(f"no rho_inf closed form for family {spec.family!r}")
+        return FunctionalValue(kernel.rho_inf(x, y), 0.0, CLOSED_FORM, True), None
 
     if path == SMOOTH_FAST_PATH:
         # at smooth points rho_plus is real-linear in y, so the angular

@@ -13,8 +13,9 @@ import numpy as np
 from .spaces import NormSpec, norm
 
 
-def rng_for(seed: int, index: int = 0) -> np.random.Generator:
-    return np.random.default_rng((int(seed), int(index)))
+def rng_for(seed: int, *keys: int) -> np.random.Generator:
+    """The generator of stream (seed, *keys), e.g. (seed, index)."""
+    return np.random.default_rng((int(seed), *map(int, keys)))
 
 
 def complex_gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -28,7 +29,3 @@ def sample_unit(spec: NormSpec, rng: np.random.Generator) -> np.ndarray:
         n = norm(spec, z)
         if n > 1e-8:  # guards the normalization; rejection is astronomically rare
             return z / n
-
-
-def sample_unit_pair(spec: NormSpec, rng: np.random.Generator):
-    return sample_unit(spec, rng), sample_unit(spec, rng)

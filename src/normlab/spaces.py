@@ -8,6 +8,10 @@ Four norm families are supported:
 * ``poly`` -- polyhedral norms max_j |f_j(x)| over a separating family of
   complex covectors
 
+Each spec carries one of four kernels (abs-sum, max-modulus, smooth lp,
+pd), picked once by its factory; every other module takes its
+computation paths from the kernel instead of branching on the family.
+
 Every spec is immutable after construction and all functions here are pure,
 so everything is safe to share across threads.
 """
@@ -15,6 +19,7 @@ so everything is safe to share across threads.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +35,12 @@ FAMILIES = (LP, WEIGHTED_L1, PD_INNER, POLYHEDRAL)
 
 # construction-time validation tolerance (PD eigenvalue check, rank check)
 VALIDATION_TOL = 1e-10
+
+# computation paths of rho_plus and rho_inf
+CLOSED_FORM = "closed_form"
+NUMERIC_LIMIT = "numeric_limit"
+QUADRATURE = "quadrature"
+SMOOTH_FAST_PATH = "smooth_fast_path"
 
 
 def vector(data) -> np.ndarray:
@@ -52,13 +63,138 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class Kernel:
+    """The computations of one norm family, bound to a spec's parameters.
+
+    norm(xs) is the norm over the last axis of xs, for any leading shape,
+    in the precision of the input (complex128 or extended).
+    rho_plus_rows(x, ys) and rho_inf(x, y) are the closed forms of the
+    right derivative over the rows of ys and of the angular average, or
+    None where the family has none.  smooth says whether the family is
+    smooth in every dimension; r_dual is R(X*), None when unknown.
+    """
+
+    norm: Callable[[np.ndarray], np.ndarray]
+    rho_plus_rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
+    rho_inf: Callable[[np.ndarray, np.ndarray], complex] | None
+    smooth: bool
+    r_dual: float | None
+
+    @property
+    def rho_plus_path(self) -> str:
+        """Default rho_plus path: the closed form, else the numeric limit."""
+        return NUMERIC_LIMIT if self.rho_plus_rows is None else CLOSED_FORM
+
+    @property
+    def rho_inf_path(self) -> str:
+        """Default rho_inf path: the closed form, else the smooth identity
+        rho_plus(x,y) + i rho_plus(x,iy) on smooth families, else quadrature."""
+        if self.rho_inf is not None:
+            return CLOSED_FORM
+        return SMOOTH_FAST_PATH if self.smooth else QUADRATURE
+
+
+# --- the four kernels; each factory below picks one of them -----------------
+
+
+def _abs_sum_kernel(w: np.ndarray | None, dim: int) -> Kernel:
+    """sum_k w_k |x_k|: weighted l1, and lp with p = 1, where w = None
+    stands for unit weights and the norm skips the product."""
+    if w is None:
+        w = np.ones(dim)
+
+        def norm(xs):
+            return np.abs(xs).sum(axis=-1)
+    else:
+        def norm(xs):
+            return (w * np.abs(xs)).sum(axis=-1)
+
+    def rho_plus_rows(x, ys):
+        # rho_plus(x,y) = |x| ( sum_{x_k != 0} w_k Re(conj(x_k) y_k)/|x_k|
+        #                       + sum_{x_k == 0} w_k |y_k| )
+        ax = np.abs(x)
+        nx = float((w * ax).sum())
+        support = ax > 0
+        coef = np.zeros(x.size, dtype=np.complex128)
+        coef[support] = w[support] * x[support].conj() / ax[support]
+        main = (ys @ coef).real
+        off = (w[~support] * np.abs(ys[:, ~support])).sum(axis=-1)
+        return nx * (main + off)
+
+    def rho_inf(x, y):
+        # |x|_w * sum over the support of x of w_k x_k conj(y_k) / |x_k|
+        ax = np.abs(x)
+        nx = (w * ax).sum()
+        support = ax > 0
+        s = np.sum(w[support] * x[support] * y[support].conj() / ax[support])
+        return complex(nx * s)
+
+    return Kernel(norm, rho_plus_rows, rho_inf, smooth=False, r_dual=2.0)
+
+
+def _max_modulus_kernel(f: np.ndarray | None) -> Kernel:
+    """max_j |f_j(x)|: polyhedral, and lp with p = inf, where F = I and the
+    product is skipped.  R(X*) is 2 for lp inf and unknown for polyhedral."""
+    if f is None:
+        def norm(xs):
+            return np.abs(xs).max(axis=-1)
+    else:
+        ft = f.T
+
+        def norm(xs):
+            return np.abs(xs @ ft).max(axis=-1)
+
+    return Kernel(norm, None, None, smooth=False,
+                  r_dual=2.0 if f is None else None)
+
+
+def _smooth_lp_kernel(p: float) -> Kernel:
+    """The p-norm for 1 < p < inf, scaled by the largest modulus."""
+
+    def norm(xs):
+        a = np.abs(xs)
+        m = a.max(axis=-1)
+        # m + (m == 0) is exactly m, or 1 on zero rows; unlike np.where it
+        # stays a scalar on single vectors, the Birkhoff-James simplex's case
+        scaled = a / (m + (m == 0))[..., None]
+        return m * (scaled**p).sum(axis=-1) ** (1.0 / p)
+
+    return Kernel(norm, None, None, smooth=True, r_dual=0.0)
+
+
+def _pd_kernel(g: np.ndarray) -> Kernel:
+    """sqrt(<x,x>) for a Hermitian positive-definite Gram matrix."""
+    gt = g.T
+
+    def norm(xs):
+        # <x,x> = sum_a (G x)_a conj(x_a), real and >= 0 up to rounding;
+        # scaling by the largest coordinate keeps the quadratic form from
+        # overflowing for very large vectors
+        m = np.abs(xs).max(axis=-1)
+        safe = np.where(m > 0, m, 1)
+        scaled = xs / safe[..., None]
+        gx = scaled @ gt
+        q = (gx * scaled.conj()).sum(axis=-1).real
+        return m * np.sqrt(np.maximum(q, 0))
+
+    def rho_plus_rows(x, ys):
+        return (ys.conj() @ (g @ x)).real
+
+    def rho_inf(x, y):
+        return complex(np.sum((g @ x) * y.conj()))
+
+    return Kernel(norm, rho_plus_rows, rho_inf, smooth=True, r_dual=0.0)
+
+
 @dataclass(frozen=True, eq=False)
 class NormSpec:
     """A tagged description of one norm on C^dim.
 
-    Exactly one of the parameter fields is populated, according to family.
-    Use the factory functions :func:`lp`, :func:`weighted_l1`,
-    :func:`pd_inner`, :func:`polyhedral` instead of the raw constructor.
+    Exactly one of the parameter fields is populated, according to family;
+    kernel holds the family's computations.  Use the factory functions
+    :func:`lp`, :func:`weighted_l1`, :func:`pd_inner`, :func:`polyhedral`
+    instead of the raw constructor: each picks the spec's kernel.
     """
 
     family: str
@@ -67,6 +203,7 @@ class NormSpec:
     weights: np.ndarray | None = field(default=None, repr=False)
     gram: np.ndarray | None = field(default=None, repr=False)
     functionals: np.ndarray | None = field(default=None, repr=False)
+    kernel: Kernel | None = field(default=None, repr=False)
 
     def __repr__(self) -> str:
         return f"NormSpec({format_norm_spec(self)!r})"
@@ -80,7 +217,13 @@ def lp(p: float, dim: int) -> NormSpec:
         raise ValueError("dim must be >= 1")
     if not (p >= 1.0):
         raise ValueError("lp norm requires p >= 1")
-    return NormSpec(LP, dim, p=p)
+    if p == 1.0:
+        kernel = _abs_sum_kernel(None, dim)
+    elif np.isinf(p):
+        kernel = _max_modulus_kernel(None)
+    else:
+        kernel = _smooth_lp_kernel(p)
+    return NormSpec(LP, dim, p=p, kernel=kernel)
 
 
 def weighted_l1(weights) -> NormSpec:
@@ -90,11 +233,9 @@ def weighted_l1(weights) -> NormSpec:
         raise ValueError("weights must have dimension >= 1")
     if not np.all(np.isfinite(w)) or np.any(w <= 0):
         raise ValueError("weights must be finite and strictly positive")
-    spec = NormSpec(WEIGHTED_L1, w.size)
     wc = w.copy()
     wc.setflags(write=False)
-    object.__setattr__(spec, "weights", wc)
-    return spec
+    return NormSpec(WEIGHTED_L1, w.size, weights=wc, kernel=_abs_sum_kernel(wc, w.size))
 
 
 def pd_inner(gram) -> NormSpec:
@@ -108,9 +249,8 @@ def pd_inner(gram) -> NormSpec:
     eigs = np.linalg.eigvalsh(g)
     if eigs.min() <= VALIDATION_TOL * max(eigs.max(), 1.0):
         raise ValueError("gram must be positive definite")
-    spec = NormSpec(PD_INNER, g.shape[0])
-    object.__setattr__(spec, "gram", _frozen(g))
-    return spec
+    g = _frozen(g)
+    return NormSpec(PD_INNER, g.shape[0], gram=g, kernel=_pd_kernel(g))
 
 
 def polyhedral(functionals) -> NormSpec:
@@ -128,9 +268,9 @@ def polyhedral(functionals) -> NormSpec:
     rank = int(np.sum(s > VALIDATION_TOL * s[0]))
     if rank < f.shape[1]:
         raise ValueError("functionals do not separate points (rank deficient)")
-    spec = NormSpec(POLYHEDRAL, f.shape[1])
-    object.__setattr__(spec, "functionals", _frozen(f))
-    return spec
+    f = _frozen(f)
+    return NormSpec(POLYHEDRAL, f.shape[1], functionals=f,
+                    kernel=_max_modulus_kernel(f))
 
 
 def check_dim(spec: NormSpec, x: np.ndarray) -> None:
@@ -147,69 +287,13 @@ def norm_rows(spec: NormSpec, xs: np.ndarray) -> np.ndarray:
     precision; this is what the norm-derivative limit relies on.
     """
     check_dim(spec, xs)
-    if spec.family == LP:
-        a = np.abs(xs)
-        if np.isinf(spec.p):
-            return a.max(axis=-1)
-        if spec.p == 1.0:
-            return a.sum(axis=-1)
-        m = a.max(axis=-1)
-        safe = np.where(m > 0, m, 1)
-        scaled = a / safe[..., None]
-        return m * (scaled**spec.p).sum(axis=-1) ** (1.0 / spec.p)
-    if spec.family == WEIGHTED_L1:
-        return (spec.weights * np.abs(xs)).sum(axis=-1)
-    if spec.family == PD_INNER:
-        # <x,x> = sum_a (G x)_a conj(x_a), real and >= 0 up to rounding;
-        # scaling by the largest coordinate keeps the quadratic form from
-        # overflowing for very large vectors
-        m = np.abs(xs).max(axis=-1)
-        safe = np.where(m > 0, m, 1)
-        scaled = xs / safe[..., None]
-        gx = scaled @ spec.gram.T
-        q = (gx * scaled.conj()).sum(axis=-1).real
-        return m * np.sqrt(np.maximum(q, 0))
-    if spec.family == POLYHEDRAL:
-        return np.abs(xs @ spec.functionals.T).max(axis=-1)
-    raise ValueError(f"unknown family {spec.family!r}")
+    return spec.kernel.norm(xs)
 
 
 def norm(spec: NormSpec, x) -> float:
     """Evaluate the norm of a single vector."""
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     return float(norm_rows(spec, x[None, :])[0])
-
-
-def norm_fn(spec: NormSpec):
-    """A low-overhead single-vector norm closure for hot loops.
-
-    The returned callable skips dimension checks; callers validate once.
-    """
-    if spec.family == LP:
-        p = spec.p
-        if np.isinf(p):
-            return lambda v: float(np.abs(v).max())
-        if p == 1.0:
-            return lambda v: float(np.abs(v).sum())
-
-        def _lp(v):
-            a = np.abs(v)
-            m = a.max()
-            if m == 0.0:
-                return 0.0
-            return float(m * ((a / m) ** p).sum() ** (1.0 / p))
-
-        return _lp
-    if spec.family == WEIGHTED_L1:
-        w = spec.weights
-        return lambda v: float((w * np.abs(v)).sum())
-    if spec.family == PD_INNER:
-        g = spec.gram
-        return lambda v: float(np.sqrt(max(((g @ v) * v.conj()).sum().real, 0.0)))
-    if spec.family == POLYHEDRAL:
-        f = spec.functionals
-        return lambda v: float(np.abs(f @ v).max())
-    raise ValueError(f"unknown family {spec.family!r}")
 
 
 def gram_inner(spec: NormSpec, x, y) -> complex:
@@ -220,13 +304,12 @@ def gram_inner(spec: NormSpec, x, y) -> complex:
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
     check_dim(spec, x)
     check_dim(spec, y)
-    return complex(np.sum((spec.gram @ x) * y.conj()))
+    return spec.kernel.rho_inf(x, y)
 
 
 # --- dual geometry -----------------------------------------------------------
 
 TABLE = "table"
-COMPUTED = "computed"
 UNKNOWN = "unknown"
 
 
@@ -240,7 +323,6 @@ class DualInfo:
 
     r_dual: float | None
     is_smooth: bool | None
-    is_rotund: bool | None
     provenance: str
 
     def __post_init__(self):
@@ -249,29 +331,25 @@ class DualInfo:
 
 
 def dual_segment_constant(spec: NormSpec) -> DualInfo:
-    """Look up R(X*), smoothness and rotundity for the spec's family.
+    """Look up R(X*) and smoothness for the spec's family.
 
     This is a lookup table, not a computation: the duals of the supported
     families are standard.  Polyhedral duals are reported unknown (except
     in dimension one, where every norm is a multiple of the modulus).
     """
     if spec.dim == 1:
-        return DualInfo(0.0, True, True, TABLE)
-    if spec.family == PD_INNER:
-        return DualInfo(0.0, True, True, TABLE)
-    if spec.family == LP:
-        if spec.p == 1.0 or np.isinf(spec.p):
-            return DualInfo(2.0, False, False, TABLE)
-        return DualInfo(0.0, True, True, TABLE)
-    if spec.family == WEIGHTED_L1:
-        return DualInfo(2.0, False, False, TABLE)
-    if spec.family == POLYHEDRAL:
-        return DualInfo(None, False, False, UNKNOWN)
-    raise ValueError(f"unknown family {spec.family!r}")
+        return DualInfo(0.0, True, TABLE)
+    k = spec.kernel
+    return DualInfo(k.r_dual, k.smooth, UNKNOWN if k.r_dual is None else TABLE)
 
 
 def is_smooth_family(spec: NormSpec) -> bool:
     return bool(dual_segment_constant(spec).is_smooth)
+
+
+def is_inner_product_family(spec: NormSpec) -> bool:
+    """Whether the norm comes from an inner product: pd, and lp with p = 2."""
+    return spec.family == PD_INNER or (spec.family == LP and spec.p == 2.0)
 
 
 # --- text formats ------------------------------------------------------------

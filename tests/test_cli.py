@@ -95,6 +95,16 @@ def test_eval_lambda_upsilon_flags(capsys):
     assert out.splitlines()[0].startswith("functional,value")
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--norm", "lp:p=1:dim=2", "--x", "1,0", "--y", "0,1",
+     "--functional", "rho_plus", "--dim", "7"),
+    ("report", "--norm", "lp:p=1:dim=2", "--samples", "2", "--tol", "1"),
+], ids=["eval-dim", "report-tol"])
+def test_ignored_flags_are_rejected(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+
+
 def test_check_suite_passes(capsys):
     code, out, _ = run_cli(capsys, "check", "--suite", "rho-n-props",
                            "--norm", "lp:p=3:dim=3", "--samples", "10")

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import normlab as nl
-from normlab.spaces import norm_fn, norm_rows
+from normlab.spaces import norm_rows
 
 from conftest import family_specs, gaussian_pair, random_pd_gram
 
@@ -51,12 +51,18 @@ def test_pd_norm_matches_quadratic_form(rng):
         assert nl.gram_inner(spec, x, x) == pytest.approx(q, rel=1e-12)
 
 
-def test_norm_fn_matches_norm(rng):
+def test_kernel_norm_matches_norm_rows(rng):
+    # the kernel evaluates over the last axis: single vectors (as in the
+    # Birkhoff-James simplex) and extended-precision rows (as in the
+    # numeric limit) must agree with the float64 batch
     for spec in family_specs():
-        nf = norm_fn(spec)
-        for _ in range(10):
-            x, _ = gaussian_pair(rng, spec.dim)
-            assert nf(x) == pytest.approx(nl.norm(spec, x), rel=1e-14)
+        xs = rng.standard_normal((5, spec.dim)) + 1j * rng.standard_normal((5, spec.dim))
+        batched = norm_rows(spec, xs)
+        wide = spec.kernel.norm(xs.astype(np.clongdouble))
+        assert wide.dtype == np.longdouble
+        for i in range(5):
+            assert float(spec.kernel.norm(xs[i])) == pytest.approx(batched[i], rel=1e-14)
+            assert float(wide[i]) == pytest.approx(batched[i], rel=1e-14)
 
 
 def test_norm_rows_batches(rng):
