@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DimensionMismatchError, RUnknownError, ZeroMapError
 from .orthogonality import decomposition_alpha, perp_rho_inf
@@ -32,6 +31,12 @@ def _check_dim(spec: NormSpec, dim: int) -> None:
     if spec.dim != int(dim):
         raise DimensionMismatchError(
             f"requested dim {dim} does not match spec dim {spec.dim}")
+
+
+def _check_samples(samples: int) -> None:
+    # a sampled maximum over no samples would report its -1 start value
+    if int(samples) < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,7 @@ class SymmetryReport:
 def symmetry_defect(spec: NormSpec, dim: int, samples: int,
                     seed: int) -> SymmetryReport:
     _check_dim(spec, dim)
+    _check_samples(samples)
     raw = conj = para = -1.0
     worst = None
     for i in range(int(samples)):
@@ -102,6 +108,7 @@ def cs_bound_audit(spec: NormSpec, dim: int, samples: int, seed: int,
     or the conjectured constant 1.
     """
     _check_dim(spec, dim)
+    _check_samples(samples)
     if bound == UNIVERSAL_4_OVER_PI:
         bound_used = 4.0 / np.pi
     elif bound == DUAL_CONSTANT:
@@ -153,6 +160,7 @@ def norm_equivalence_constant(spec1: NormSpec, spec2: NormSpec, dim: int,
                               samples: int, seed: int) -> EquivalenceReport:
     _check_dim(spec1, dim)
     _check_dim(spec2, dim)
+    _check_samples(samples)
     max_c = -1.0
     worst = None
     m_est = np.inf
@@ -247,6 +255,10 @@ def operator_norm_estimate(spec_dom: NormSpec, spec_cod: NormSpec, t,
     best one seeds a Nelder-Mead ascent of the scale-invariant ratio.
     Returns (estimate, attaining unit vector).
     """
+    # imported here, not at module level: scipy.optimize is the heaviest
+    # import of the package in time and memory, and only this needs it
+    from scipy.optimize import minimize
+
     t = _check_map(spec_dom, spec_cod, t)
     d = spec_dom.dim
 

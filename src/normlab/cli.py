@@ -42,6 +42,16 @@ JSON_LINES = "jsonl"
 DEFAULT_NORM = "lp:p=2.5:dim=4"
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
         return args.seed
@@ -202,7 +212,7 @@ def _add_common(p: argparse.ArgumentParser, sampling: bool = True) -> None:
     p.add_argument("--norm", default=DEFAULT_NORM,
                    help="norm spec record, e.g. lp:p=1:dim=2")
     if sampling:
-        p.add_argument("--samples", type=int, default=200)
+        p.add_argument("--samples", type=_positive_int, default=200)
         p.add_argument("--seed", type=int, default=None,
                        help="default 42, overridable via NORMLAB_SEED")
     p.add_argument("--format", choices=[TABLE, CSV, JSON_LINES], default=TABLE)

@@ -9,11 +9,11 @@ which exists for every norm by convexity.  The left derivative, the
 Milicic mean, the lambda blend and its odd-root generalization are all
 derived from it.
 
-Closed forms are used where the family admits one (pd inner products,
-l1-type norms); everything else goes through a convexity-exploiting
-numeric limit on a fixed step schedule.  The difference quotient is
-evaluated in extended precision when the platform provides it, because
-|x + t y| - |x| loses roughly eps/t to cancellation.
+Every family's closed form (its kernel's rho_plus_rows) is the default
+path.  The convexity-exploiting numeric limit on a fixed step schedule
+stays as an independent oracle behind force_path=NUMERIC_LIMIT.  Its
+difference quotient is evaluated in extended precision when the platform
+provides it, because |x + t y| - |x| loses roughly eps/t to cancellation.
 """
 
 from __future__ import annotations
@@ -127,13 +127,10 @@ def rho_plus_rows(spec: NormSpec, x, ys, *, force_path: str | None = None,
     check_dim(spec, ys)
     m = ys.shape[0]
 
-    kernel = spec.kernel
-    path = kernel.rho_plus_path if force_path is None else force_path
+    path = CLOSED_FORM if force_path is None else force_path
     if path == CLOSED_FORM:
-        if kernel.rho_plus_rows is None:
-            raise ValueError(f"no closed form for family {spec.family!r}")
-        return (kernel.rho_plus_rows(x, ys), np.zeros(m), np.ones(m, dtype=bool),
-                CLOSED_FORM)
+        return (spec.kernel.rho_plus_rows(x, ys), np.zeros(m),
+                np.ones(m, dtype=bool), CLOSED_FORM)
 
     if path != NUMERIC_LIMIT:
         raise ValueError(f"unknown path {path!r}")

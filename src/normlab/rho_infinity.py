@@ -7,11 +7,11 @@ makes rho_n recover the inner product when there is one.  The limit
     rho_inf(x, y) = (1/pi) Integral_0^{2pi} e^{i theta}
                     rho_plus(x, e^{i theta} y) d theta
 
-is computed, as the spec's kernel selects, by closed form (pd and l1-type
-families), by the smooth identity rho_plus(x,y) + i*rho_plus(x,iy) (lp
-with 1 < p < inf), or by periodic trapezoidal quadrature, which with N
-equispaced nodes is exactly rho_N.  Doubling N reuses all previously
-evaluated nodes.
+is computed by the closed form of the spec's kernel.  Two independent
+oracles stay behind force_path=: the smooth identity
+rho_plus(x,y) + i*rho_plus(x,iy), valid only on smooth norms, and
+periodic trapezoidal quadrature, which with N equispaced nodes is exactly
+rho_N.  Doubling N reuses all previously evaluated nodes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,14 @@ from .derivatives import (
     rho_plus_rows,
 )
 from .errors import NTooSmallError
-from .spaces import NormSpec, check_dim, norm, vector
+from .spaces import (
+    NormSpec,
+    check_dim,
+    format_norm_spec,
+    is_smooth_family,
+    norm,
+    vector,
+)
 
 DEFAULT_QUAD_TOL = 1e-7
 DEFAULT_N_MAX = 4096
@@ -158,18 +165,18 @@ def rho_inf_traced(spec: NormSpec, x, y, *, tol: float = DEFAULT_QUAD_TOL,
     y = vector(y)
     check_dim(spec, x)
     check_dim(spec, y)
+    path = CLOSED_FORM if force_path is None else force_path
+    if path == CLOSED_FORM:  # exact, and 0 when x or y is 0
+        return FunctionalValue(spec.kernel.rho_inf(x, y), 0.0, CLOSED_FORM,
+                               True), None
     if norm(spec, x) == 0.0 or norm(spec, y) == 0.0:
         # forced by homogeneity: rho_inf(a x, b y) = a conj(b) rho_inf(x, y)
         return FunctionalValue(0j, 0.0, CLOSED_FORM, True), None
 
-    kernel = spec.kernel
-    path = kernel.rho_inf_path if force_path is None else force_path
-    if path == CLOSED_FORM:
-        if kernel.rho_inf is None:
-            raise ValueError(f"no rho_inf closed form for family {spec.family!r}")
-        return FunctionalValue(kernel.rho_inf(x, y), 0.0, CLOSED_FORM, True), None
-
     if path == SMOOTH_FAST_PATH:
+        if not is_smooth_family(spec):
+            raise ValueError("the smooth identity does not hold on the "
+                             f"non-smooth norm {format_norm_spec(spec)}")
         # at smooth points rho_plus is real-linear in y, so the angular
         # integral collapses to rho_plus(x,y) + i rho_plus(x,iy)
         vals, errs, conv, _ = rho_plus_rows(spec, x, np.stack([y, 1j * y]))

@@ -9,8 +9,9 @@ Four norm families are supported:
   complex covectors
 
 Each spec carries one of four kernels (abs-sum, max-modulus, smooth lp,
-pd), picked once by its factory; every other module takes its
-computation paths from the kernel instead of branching on the family.
+pd), picked once by its factory.  Every kernel gives the norm and the
+closed forms of rho_plus and rho_inf, so no other module branches on the
+family to compute them.
 
 Every spec is immutable after construction and all functions here are pure,
 so everything is safe to share across threads.
@@ -35,6 +36,14 @@ FAMILIES = (LP, WEIGHTED_L1, PD_INNER, POLYHEDRAL)
 
 # construction-time validation tolerance (PD eigenvalue check, rank check)
 VALIDATION_TOL = 1e-10
+
+# A(x), the functionals a max-modulus norm treats as attaining the maximum:
+# |f_j x| >= (1 - TIE_RTOL) N(x).  This is far above the rounding of
+# |f_j x| (a few ulps, also for ties built by 3x3 solves) and far below the
+# gap between the two largest |f_j x| of any Gaussian draw.  Within it the
+# one-sided limit sees both functionals at every step a numeric limit can
+# resolve, so the near-tie is treated as a tie.
+TIE_RTOL = 1e-12
 
 # computation paths of rho_plus and rho_inf
 CLOSED_FORM = "closed_form"
@@ -70,29 +79,16 @@ class Kernel:
     norm(xs) is the norm over the last axis of xs, for any leading shape,
     in the precision of the input (complex128 or extended).
     rho_plus_rows(x, ys) and rho_inf(x, y) are the closed forms of the
-    right derivative over the rows of ys and of the angular average, or
-    None where the family has none.  smooth says whether the family is
-    smooth in every dimension; r_dual is R(X*), None when unknown.
+    right derivative over the rows of ys and of the angular average; they
+    are the default path of every functional.  smooth says whether the
+    family is smooth in every dimension; r_dual is R(X*), None when unknown.
     """
 
     norm: Callable[[np.ndarray], np.ndarray]
-    rho_plus_rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
-    rho_inf: Callable[[np.ndarray, np.ndarray], complex] | None
+    rho_plus_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    rho_inf: Callable[[np.ndarray, np.ndarray], complex]
     smooth: bool
     r_dual: float | None
-
-    @property
-    def rho_plus_path(self) -> str:
-        """Default rho_plus path: the closed form, else the numeric limit."""
-        return NUMERIC_LIMIT if self.rho_plus_rows is None else CLOSED_FORM
-
-    @property
-    def rho_inf_path(self) -> str:
-        """Default rho_inf path: the closed form, else the smooth identity
-        rho_plus(x,y) + i rho_plus(x,iy) on smooth families, else quadrature."""
-        if self.rho_inf is not None:
-            return CLOSED_FORM
-        return SMOOTH_FAST_PATH if self.smooth else QUADRATURE
 
 
 # --- the four kernels; each factory below picks one of them -----------------
@@ -135,22 +131,81 @@ def _abs_sum_kernel(w: np.ndarray | None, dim: int) -> Kernel:
 
 def _max_modulus_kernel(f: np.ndarray | None) -> Kernel:
     """max_j |f_j(x)|: polyhedral, and lp with p = inf, where F = I and the
-    product is skipped.  R(X*) is 2 for lp inf and unknown for polyhedral."""
+    product is skipped.  R(X*) is 2 for lp inf and unknown for polyhedral.
+
+    With A(x) the active functionals (see TIE_RTOL) and u_j the phase of
+    f_j x, rho_plus(x, y) = N(x) max_{j in A(x)} Re(conj(u_j) f_j y).  Along
+    y -> e^{it} y the integrand of rho_inf is the upper envelope of the
+    sinusoids Re(c_j e^{it}), c_j = conj(u_j) f_j y, and integrates exactly.
+    """
     if f is None:
         def norm(xs):
             return np.abs(xs).max(axis=-1)
+
+        def apply(v):
+            return v
     else:
         ft = f.T
 
         def norm(xs):
             return np.abs(xs @ ft).max(axis=-1)
 
-    return Kernel(norm, None, None, smooth=False,
+        def apply(v):
+            return v @ ft
+
+    def active(x):
+        """N(x), the indices of A(x) and conj(u_j) over A(x)."""
+        fx = apply(x)
+        mod = np.abs(fx)
+        nx = mod.max()
+        idx = np.flatnonzero(mod >= nx * (1.0 - TIE_RTOL))
+        # at x = 0 every phase is taken as 0, so both closed forms give 0
+        return nx, idx, fx[idx].conj() / (mod[idx] + (nx == 0))
+
+    def rho_plus_rows(x, ys):
+        nx, idx, cu = active(x)
+        return nx * (apply(ys)[:, idx] * cu).real.max(axis=-1)
+
+    def rho_inf(x, y):
+        nx, idx, cu = active(x)
+        c = cu * apply(y)[idx]
+        return complex(nx * _envelope_integral(c) / np.pi)
+
+    return Kernel(norm, rho_plus_rows, rho_inf, smooth=False,
                   r_dual=2.0 if f is None else None)
 
 
+def _envelope_integral(c: np.ndarray) -> complex:
+    """Integral over [0, 2 pi] of e^{it} max_j Re(c_j e^{it}) dt, exactly.
+
+    Re(c_j e^{it}) and Re(c_k e^{it}) cross where Re((c_j - c_k) e^{it})
+    = 0, at t = pi/2 - arg(c_j - c_k) and pi apart, which the ordered pair
+    (k, j) gives.  Between consecutive crossings one sinusoid is on top,
+    and over [a, b] e^{it} Re(c e^{it}) integrates to
+    conj(c) (b - a)/2 + c (e^{2ib} - e^{2ia})/(4i).  With one active
+    functional the integral is pi conj(c).
+    """
+    if c.size == 1:
+        return np.pi * c[0].conjugate()
+    d = (c[:, None] - c[None, :]).ravel()
+    two_pi = 2.0 * np.pi
+    # repeated cuts only add pieces of length 0, which integrate to 0
+    cuts = np.sort(np.concatenate(
+        ([0.0, two_pi], (0.5 * np.pi - np.angle(d[d != 0])) % two_pi)))
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    top = c[np.argmax((np.exp(1j * mids)[:, None] * c).real, axis=1)]
+    return (0.5 * (top.conj() @ np.diff(cuts))
+            + (top @ np.diff(np.exp(2j * cuts))) / 4j)
+
+
 def _smooth_lp_kernel(p: float) -> Kernel:
-    """The p-norm for 1 < p < inf, scaled by the largest modulus."""
+    """The p-norm for 1 < p < inf, scaled by the largest modulus.
+
+    The norm is differentiable away from 0, with gradient functional w:
+    w_k = m |u|^(2-p) |u_k|^(p-1) sgn(x_k), u = x/m, m = max_k |x_k|, so
+    rho_plus(x, y) = Re sum_k conj(w_k) y_k and rho_inf(x, y) =
+    sum_k w_k conj(y_k).  The scaling by m keeps every power in range.
+    """
 
     def norm(xs):
         a = np.abs(xs)
@@ -160,7 +215,22 @@ def _smooth_lp_kernel(p: float) -> Kernel:
         scaled = a / (m + (m == 0))[..., None]
         return m * (scaled**p).sum(axis=-1) ** (1.0 / p)
 
-    return Kernel(norm, None, None, smooth=True, r_dual=0.0)
+    def gradient(x):
+        a = np.abs(x)
+        m = a.max()
+        if m == 0.0:  # both functionals vanish at x = 0
+            return np.zeros_like(x)
+        u = a / m
+        sgn = x / np.where(a > 0, a, 1.0)  # 0 on zero coordinates
+        return m * (u**p).sum() ** ((2.0 - p) / p) * u ** (p - 1.0) * sgn
+
+    def rho_plus_rows(x, ys):
+        return (ys @ gradient(x).conj()).real
+
+    def rho_inf(x, y):
+        return complex(np.sum(gradient(x) * y.conj()))
+
+    return Kernel(norm, rho_plus_rows, rho_inf, smooth=True, r_dual=0.0)
 
 
 def _pd_kernel(g: np.ndarray) -> Kernel:

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -214,3 +217,23 @@ def test_map_analysis_rejects_bad_input():
         nl.map_preservation_analysis(L1, L1, np.eye(3))
     with pytest.raises(nl.DimensionMismatchError):
         nl.symmetry_defect(L1, 3, 10, 42)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_sampled_audits_reject_empty_samples(samples):
+    # a maximum over no samples would report its start value as evidence
+    with pytest.raises(ValueError, match="samples"):
+        nl.cs_bound_audit(L1, 2, samples, 42, nl.UNIVERSAL_4_OVER_PI)
+    with pytest.raises(ValueError, match="samples"):
+        nl.symmetry_defect(L1, 2, samples, 42)
+    with pytest.raises(ValueError, match="samples"):
+        nl.norm_equivalence_constant(L1, nl.lp(2, 2), 2, samples, 42)
+
+
+def test_import_leaves_scipy_optimize_out():
+    # only operator_norm_estimate needs scipy.optimize, and imports it itself
+    code = ("import sys, normlab; "
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -213,3 +213,26 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "closed_form" in proc.stdout
+
+
+def test_forced_smooth_path_on_kinked_norm_exits_2(capsys):
+    # the smooth identity is wrong at a tie of lp inf, so forcing it is refused
+    code, out, err = run_cli(capsys, "eval", "--norm", "lp:p=inf:dim=3",
+                             "--x", "1,1,1", "--y", "0.8+0.9i,-0.4+0.1i,-1.5-0.8i",
+                             "--functional", "rho_inf",
+                             "--force-path", "smooth_fast_path")
+    assert code == 2 and out == ""
+    assert "smooth identity" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ("check", "--suite", "bounds", "--norm", "lp:p=1:dim=2"),
+    ("report", "--norm", "lp:p=1:dim=2"),
+    ("search", "--norm", "lp:p=1:dim=2", "--a", "rho_inf", "--b", "bj"),
+    ("analyze-map", "--norm", "lp:p=1:dim=2", "--matrix", "unread.txt"),
+], ids=["check", "report", "search", "analyze-map"])
+def test_sample_count_below_one_exits_2(capsys, argv, samples):
+    code, out, err = run_cli(capsys, *argv, "--samples", samples)
+    assert code == 2 and out == ""
+    assert "--samples" in err

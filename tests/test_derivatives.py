@@ -148,8 +148,9 @@ def test_quotient_monotone_in_step(rng):
 def test_nonconvergence_flag_on_extreme_curvature():
     # p = 200 with tied components: the quotient still moves at the last
     # step, so the value must come back flagged instead of silently wrong
+    # (the flag belongs to the limit, so the limit is forced)
     spec = nl.lp(200, 2)
-    v = nl.rho_plus(spec, [1, 1], [1, -1])
+    v = nl.rho_plus(spec, [1, 1], [1, -1], force_path=NUMERIC_LIMIT)
     assert not v.converged
     assert v.abs_error > 1e-6
 

@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
 import normlab as nl
+from normlab import orthogonality
 from normlab.orthogonality import SamplerConfig, relation_compare
 
 from conftest import family_specs, gaussian_pair, unit_pair
@@ -175,9 +178,15 @@ def test_perp_semi_zero_direction_is_orthogonal():
     assert nl.perp_semi(PD2, [1, 0], [0, 0]).orthogonal
 
 
-def test_nonconverged_becomes_unknown_verdict():
-    spec = nl.lp(200, 2)
-    v = nl.perp_rho_inf(spec, [1, 1], [1, -1])
+def test_nonconverged_becomes_unknown_verdict(monkeypatch):
+    # every default path is a closed form, so a nonconverged value is fed
+    # in: quadrature capped at 16 nodes at a three-way tie of lp inf
+    spec = nl.lp(np.inf, 3)
+    x = [1.0, 1.0j, -1.0]
+    y = [0.3 + 0.2j, -1.1 + 0.7j, 0.4 - 0.9j]
+    capped = functools.partial(nl.rho_inf, force_path=nl.QUADRATURE, n_max=16)
+    monkeypatch.setattr(orthogonality, "rho_inf", capped)
+    v = nl.perp_rho_inf(spec, x, y)
     assert not v.converged  # treat as unknown, not as a definite verdict
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import normlab as nl
-from normlab.derivatives import CLOSED_FORM, NUMERIC_LIMIT, QUADRATURE, SMOOTH_FAST_PATH
+from normlab.derivatives import CLOSED_FORM, QUADRATURE, SMOOTH_FAST_PATH
 
 from conftest import family_specs, gaussian_pair, unit_pair
 
@@ -96,31 +96,30 @@ def test_rho_inf_zero_inputs():
 
 
 def test_dispatch_paths(rng):
-    # default (rho_plus, rho_inf) path per kernel, the same in every dimension
-    table = [
-        (lambda d: nl.lp(1, d), CLOSED_FORM, CLOSED_FORM),
-        (lambda d: nl.lp(2.5, d), NUMERIC_LIMIT, SMOOTH_FAST_PATH),
-        (lambda d: nl.lp(np.inf, d), NUMERIC_LIMIT, QUADRATURE),
-        (lambda d: nl.weighted_l1(np.arange(1.0, d + 1)), CLOSED_FORM, CLOSED_FORM),
-        (lambda d: nl.pd_inner(np.eye(d)), CLOSED_FORM, CLOSED_FORM),
-        (lambda d: nl.polyhedral(np.vstack([np.eye(d), np.full((1, d), 0.5 + 0.5j)])),
-         NUMERIC_LIMIT, QUADRATURE),
+    # every kernel's default path is its closed form, in every dimension;
+    # the smooth identity can be forced only where the norm is smooth
+    makers = [
+        lambda d: nl.lp(1, d),
+        lambda d: nl.lp(2.5, d),
+        lambda d: nl.lp(np.inf, d),
+        lambda d: nl.weighted_l1(np.arange(1.0, d + 1)),
+        lambda d: nl.pd_inner(np.eye(d)),
+        lambda d: nl.polyhedral(np.vstack([np.eye(d), np.full((1, d), 0.5 + 0.5j)])),
     ]
     for dim in (3, 1):
         x, y = gaussian_pair(rng, dim)
-        for make, plus_path, inf_path in table:
+        for make in makers:
             spec = make(dim)
-            assert nl.rho_plus(spec, x, y).path == plus_path, spec
-            assert nl.rho_inf(spec, x, y).path == inf_path, spec
-            # every 1-D norm is smooth, yet lp inf and poly stay on
-            # quadrature: the default comes from the kernel, not smoothness
-            assert nl.is_smooth_family(spec) or dim > 1
-            if plus_path != CLOSED_FORM:
-                with pytest.raises(ValueError, match="no closed form"):
-                    nl.rho_plus(spec, x, y, force_path=CLOSED_FORM)
-            if inf_path != CLOSED_FORM:
-                with pytest.raises(ValueError, match="no rho_inf closed form"):
-                    nl.rho_inf(spec, x, y, force_path=CLOSED_FORM)
+            assert nl.rho_plus(spec, x, y).path == CLOSED_FORM, spec
+            assert nl.rho_inf(spec, x, y).path == CLOSED_FORM, spec
+            # every 1-D norm is smooth, so the identity holds there
+            if nl.is_smooth_family(spec):
+                forced = nl.rho_inf(spec, x, y, force_path=SMOOTH_FAST_PATH)
+                assert forced.path == SMOOTH_FAST_PATH
+            else:
+                assert dim > 1
+                with pytest.raises(ValueError, match="smooth identity"):
+                    nl.rho_inf(spec, x, y, force_path=SMOOTH_FAST_PATH)
 
 
 def test_forced_quadrature_agrees_with_closed_form(rng):
