@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, RUnknownError, ZeroMapError
-from .orthogonality import decomposition_alpha, perp_rho_inf
+from .orthogonality import _nelder_mead, decomposition_alpha, perp_rho_inf
 from .rho_infinity import rho_inf
 from .sampling import complex_gaussian, rng_for, sample_unit
 from .spaces import NormSpec, dual_segment_constant, format_cvector, norm
@@ -34,7 +34,7 @@ def _check_dim(spec: NormSpec, dim: int) -> None:
 
 
 def _check_samples(samples: int) -> None:
-    # a sampled maximum over no samples would report its -1 start value
+    # an audit over no samples would report its start value as evidence
     if int(samples) < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
 
@@ -252,13 +252,11 @@ def operator_norm_estimate(spec_dom: NormSpec, spec_cod: NormSpec, t,
     """Estimate |T| = sup |Tx| / |x| by sampling plus local ascent.
 
     Candidates are the basis vectors and seeded unit-sphere samples; the
-    best one seeds a Nelder-Mead ascent of the scale-invariant ratio.
-    Returns (estimate, attaining unit vector).
+    best one seeds a Nelder-Mead ascent of the scale-invariant ratio over
+    C^d, whose initial edges step 5% along each nonzero real and
+    imaginary coordinate (2.5e-4 along a zero one).  Returns (estimate,
+    attaining unit vector).
     """
-    # imported here, not at module level: scipy.optimize is the heaviest
-    # import of the package in time and memory, and only this needs it
-    from scipy.optimize import minimize
-
     t = _check_map(spec_dom, spec_cod, t)
     d = spec_dom.dim
 
@@ -275,15 +273,13 @@ def operator_norm_estimate(spec_dom: NormSpec, spec_cod: NormSpec, t,
     k = int(np.argmax(values))
     best, best_vec = values[k], candidates[k]
 
-    def objective(u):
-        return -ratio(u[:d] + 1j * u[d:])
-
-    start = np.concatenate([best_vec.real, best_vec.imag])
-    res = minimize(objective, start, method="Nelder-Mead",
-                   options={"xatol": 1e-9, "fatol": 1e-14, "maxfev": 8000})
-    if -res.fun > best:
-        best = -res.fun
-        best_vec = res.x[:d] + 1j * res.x[d:]
+    coords = np.concatenate([best_vec.real, best_vec.imag])
+    steps = np.where(coords != 0.0, 0.05 * coords, 2.5e-4)
+    edges = steps[:, None] * np.concatenate([np.eye(d), 1j * np.eye(d)])
+    neg_max, vec = _nelder_mead(lambda x: -ratio(x), best_vec, edges,
+                                xatol=1e-9, maxfev=8000)
+    if -neg_max > best:
+        best, best_vec = -neg_max, vec
     return float(best), best_vec / norm(spec_dom, best_vec)
 
 
@@ -298,6 +294,7 @@ def map_preservation_analysis(spec_dom: NormSpec, spec_cod: NormSpec, t,
     fail orthogonality at tol becomes a witness.
     """
     t = _check_map(spec_dom, spec_cod, t)
+    _check_samples(samples)
     est, _ = operator_norm_estimate(spec_dom, spec_cod, t, samples, seed)
 
     iso_defect = 0.0

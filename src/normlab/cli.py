@@ -27,7 +27,7 @@ from .derivatives import rho_lambda, rho_lambda_upsilon, rho_milicic, rho_minus,
 from .errors import NormLabError, SpecParseError
 from .orthogonality import DEFAULT_TOL, RELATIONS, SamplerConfig, relation_compare
 from .rho_infinity import DEFAULT_N_MAX, DEFAULT_QUAD_TOL, rho_inf_traced, rho_n
-from .spaces import format_complex, parse_cvector, parse_norm_spec
+from .spaces import QUADRATURE, format_complex, parse_cvector, parse_norm_spec
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -98,7 +98,31 @@ def render(records: list[dict], fmt: str) -> str:
     raise SpecParseError(f"unknown output format {fmt!r}")
 
 
+def _eval_options(args: argparse.Namespace) -> dict:
+    """The eval options, defaulted; one the functional does not read exits 2."""
+    name = args.functional
+    quadrature = name == "rho_inf" and args.force_path == QUADRATURE
+    # option: (default, whether the functional reads it); of the rho_inf
+    # paths only the quadrature oracle has a tolerance and a node budget
+    options = {
+        "lam": (0.5, name in ("rho_lambda", "rho_lambda_upsilon")),
+        "k": (1, name == "rho_lambda_upsilon"),
+        "n": (8, name == "rho_n"),
+        "quad_tol": (DEFAULT_QUAD_TOL, quadrature),
+        "nmax": (DEFAULT_N_MAX, quadrature),
+    }
+    unread = ["--" + dest.replace("_", "-") for dest, (_, read) in options.items()
+              if getattr(args, dest) is not None and not read]
+    if unread:
+        raise SpecParseError(
+            f"--functional {name} does not read {', '.join(unread)}"
+            + (" without --force-path quadrature" if name == "rho_inf" else ""))
+    return {dest: default if getattr(args, dest) is None else getattr(args, dest)
+            for dest, (default, _) in options.items()}
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
+    opt = _eval_options(args)
     spec = parse_norm_spec(args.norm)
     x = parse_cvector(args.x)
     y = parse_cvector(args.y)
@@ -111,15 +135,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     elif name == "rho":
         value = rho_milicic(spec, x, y, force_path=args.force_path)
     elif name == "rho_lambda":
-        value = rho_lambda(spec, x, y, args.lam, force_path=args.force_path)
+        value = rho_lambda(spec, x, y, opt["lam"], force_path=args.force_path)
     elif name == "rho_lambda_upsilon":
-        value = rho_lambda_upsilon(spec, x, y, args.lam, args.k,
+        value = rho_lambda_upsilon(spec, x, y, opt["lam"], opt["k"],
                                    force_path=args.force_path)
     elif name == "rho_n":
-        value = rho_n(spec, x, y, args.n, force_path=args.force_path)
+        value = rho_n(spec, x, y, opt["n"], force_path=args.force_path)
     elif name == "rho_inf":
-        value, trace = rho_inf_traced(spec, x, y, tol=args.quad_tol,
-                                      n_max=args.nmax,
+        value, trace = rho_inf_traced(spec, x, y, tol=opt["quad_tol"],
+                                      n_max=opt["nmax"],
                                       force_path=args.force_path)
     else:
         raise SpecParseError(f"unknown functional {name!r}")
@@ -231,14 +255,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--functional", required=True,
                         choices=["rho_plus", "rho_minus", "rho", "rho_lambda",
                                  "rho_lambda_upsilon", "rho_n", "rho_inf"])
-    p_eval.add_argument("--lam", type=float, default=0.5)
-    p_eval.add_argument("--k", type=int, default=1)
-    p_eval.add_argument("--n", type=int, default=8)
+    # None marks an option left out; _eval_options supplies its default
+    p_eval.add_argument("--lam", type=float, default=None)
+    p_eval.add_argument("--k", type=int, default=None)
+    p_eval.add_argument("--n", type=int, default=None)
     p_eval.add_argument("--force-path", default=None,
                         choices=["closed_form", "numeric_limit", "quadrature",
                                  "smooth_fast_path"])
-    p_eval.add_argument("--quad-tol", type=float, default=DEFAULT_QUAD_TOL)
-    p_eval.add_argument("--nmax", type=int, default=DEFAULT_N_MAX)
+    p_eval.add_argument("--quad-tol", type=float, default=None)
+    p_eval.add_argument("--nmax", type=int, default=None)
     p_eval.set_defaults(func=cmd_eval)
 
     p_check = sub.add_parser("check", help="run a named theorem suite")

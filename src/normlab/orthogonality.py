@@ -17,6 +17,7 @@ construction and reports the ones violating another.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -137,51 +138,54 @@ def perp_semi(spec: NormSpec, x, y, tol: float = DEFAULT_TOL) -> OrthoVerdict:
                         value.converged)
 
 
-def _simplex_2d(f, start: complex, step: float, xatol: float,
-                maxfev: int = 2000) -> tuple[float, complex]:
-    """Nelder-Mead on the complex plane, terminated by simplex diameter.
+def _nelder_mead(f, start, edges, xatol: float, maxfev: int = 2000):
+    """Nelder-Mead over a complex scalar or a complex vector.
 
-    Standard reflection/expansion/contraction/shrink coefficients.  A
-    function-value criterion is deliberately absent: at the kinked minima
-    of non-smooth norms the value spread never collapses.
+    The initial simplex is start and start + e for each edge e, one edge
+    per real dimension: (s, 1j s) on the complex plane.  Standard
+    reflection/expansion/inside-contraction/shrink coefficients; the run
+    stops once every vertex lies within xatol of the best one (largest
+    coordinate modulus) or after maxfev evaluations.  A function-value
+    criterion is deliberately absent: at the kinked minima of non-smooth
+    norms the value spread never collapses.  Returns the best
+    (value, vertex).
     """
-    pts = [start, start + step, start + 1j * step]
-    vals = [f(z) for z in pts]
-    fev = 3
+    # plain abs on scalars: np.abs(d).max() there slows the Birkhoff-James
+    # minimizer by about a third
+    size = abs if np.ndim(start) == 0 else (lambda d: np.abs(d).max())
+    value = itemgetter(0)
+    n = len(edges)
+    simplex = [(f(p), p) for p in [start] + [start + e for e in edges]]
+    fev = n + 1
     while fev < maxfev:
-        order = sorted(range(3), key=lambda i: vals[i])
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-        diam = max(abs(pts[1] - pts[0]), abs(pts[2] - pts[0]))
-        if diam <= xatol:
+        simplex.sort(key=value)  # stable: ties keep their order
+        f_best, best = simplex[0]
+        f_worst, worst = simplex[n]
+        if max([size(p - best) for _, p in simplex[1:]]) <= xatol:
             break
-        centroid = (pts[0] + pts[1]) / 2.0
-        refl = centroid + (centroid - pts[2])
+        centroid = sum([p for _, p in simplex[1:n]], best) / n
+        refl = centroid + (centroid - worst)
         f_refl = f(refl)
         fev += 1
-        if vals[0] <= f_refl < vals[1]:
-            pts[2], vals[2] = refl, f_refl
-        elif f_refl < vals[0]:
-            exp = centroid + 2.0 * (centroid - pts[2])
+        if f_best <= f_refl < simplex[n - 1][0]:
+            simplex[n] = (f_refl, refl)
+        elif f_refl < f_best:
+            exp = centroid + 2.0 * (centroid - worst)
             f_exp = f(exp)
             fev += 1
-            if f_exp < f_refl:
-                pts[2], vals[2] = exp, f_exp
-            else:
-                pts[2], vals[2] = refl, f_refl
+            simplex[n] = (f_exp, exp) if f_exp < f_refl else (f_refl, refl)
         else:
-            contr = centroid + 0.5 * (pts[2] - centroid)
+            contr = centroid + 0.5 * (worst - centroid)
             f_contr = f(contr)
             fev += 1
-            if f_contr < vals[2]:
-                pts[2], vals[2] = contr, f_contr
+            if f_contr < f_worst:
+                simplex[n] = (f_contr, contr)
             else:  # shrink toward the best vertex
-                for i in (1, 2):
-                    pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
-                    vals[i] = f(pts[i])
-                fev += 2
-    k = int(np.argmin(vals))
-    return vals[k], pts[k]
+                for i in range(1, n + 1):
+                    p = best + 0.5 * (simplex[i][1] - best)
+                    simplex[i] = (f(p), p)
+                fev += n
+    return min(simplex, key=value)
 
 
 def birkhoff_minimize(spec: NormSpec, x, y) -> tuple[float, complex]:
@@ -213,8 +217,8 @@ def birkhoff_minimize(spec: NormSpec, x, y) -> tuple[float, complex]:
     # the kernel's norm on single vectors skips norm_rows' dimension check
     kernel_norm = spec.kernel.norm
     step = max(0.25 * abs(z0), 1e-3)
-    best_val, best_z = _simplex_2d(lambda z: float(kernel_norm(xu + z * yu)),
-                                   z0, step, BJ_REFINE_DIAMETER)
+    best_val, best_z = _nelder_mead(lambda z: float(kernel_norm(xu + z * yu)),
+                                    z0, (step, 1j * step), BJ_REFINE_DIAMETER)
     if grid_val < best_val:
         best_val, best_z = grid_val, z0
     m_star = nx * best_val

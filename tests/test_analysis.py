@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +155,17 @@ def test_operator_norm_l1_column_formula(rng):
         assert nl.norm(spec, argmax) == pytest.approx(1.0, rel=1e-9)
 
 
+def test_operator_norm_ascent_reaches_spectral_norm(rng):
+    # on the Euclidean norm the maximizer is a top singular vector, which
+    # no basis vector or sample hits: the ascent has to find it
+    spec = nl.pd_inner(np.eye(3))
+    for _ in range(5):
+        t = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        est, argmax = nl.operator_norm_estimate(spec, spec, t, samples=50, seed=1)
+        assert est == pytest.approx(np.linalg.norm(t, 2), rel=1e-9)
+        assert nl.norm(spec, argmax) == pytest.approx(1.0, rel=1e-9)
+
+
 def test_map_analysis_l1_phase_permutation(rng):
     perm = np.zeros((3, 3), dtype=complex)
     order = [2, 0, 1]
@@ -228,12 +240,27 @@ def test_sampled_audits_reject_empty_samples(samples):
         nl.symmetry_defect(L1, 2, samples, 42)
     with pytest.raises(ValueError, match="samples"):
         nl.norm_equivalence_constant(L1, nl.lp(2, 2), 2, samples, 42)
+    with pytest.raises(ValueError, match="samples"):
+        nl.map_preservation_analysis(L1, L1, np.diag([1.0, 2.0]),
+                                     samples=samples)
 
 
 def test_import_leaves_scipy_optimize_out():
-    # only operator_norm_estimate needs scipy.optimize, and imports it itself
     code = ("import sys, normlab; "
             "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+    # numpy is the only runtime dependency: a report and a map audit, both
+    # of which run the operator-norm ascent, load no scipy module at all
+    matrix = Path(__file__).parent / "golden" / "diag_1_2.txt"
+    code = ("import sys, normlab; from normlab.cli import main; "
+            "assert main(['report', '--norm', 'lp:p=1:dim=2', '--samples', '2']) == 0; "
+            f"assert main(['analyze-map', '--norm', 'lp:p=1:dim=2', '--matrix', {str(matrix)!r}, "
+            "'--samples', '20']) == 4; "
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "assert not loaded, loaded")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

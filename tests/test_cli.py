@@ -95,11 +95,27 @@ def test_eval_lambda_upsilon_flags(capsys):
     assert out.splitlines()[0].startswith("functional,value")
 
 
+EVAL_L1 = ("eval", "--norm", "lp:p=1:dim=2", "--x", "1,2", "--y", "1,1")
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "--norm", "lp:p=1:dim=2", "--x", "1,0", "--y", "0,1",
      "--functional", "rho_plus", "--dim", "7"),
     ("report", "--norm", "lp:p=1:dim=2", "--samples", "2", "--tol", "1"),
-], ids=["eval-dim", "report-tol"])
+    (*EVAL_L1, "--functional", "rho_plus", "--lam", "0.3", "--nmax", "3",
+     "--quad-tol", "5"),
+    (*EVAL_L1, "--functional", "rho_n", "--lam", "0.3"),
+    (*EVAL_L1, "--functional", "rho_lambda", "--k", "2"),
+    (*EVAL_L1, "--functional", "rho_inf", "--n", "12"),
+    (*EVAL_L1, "--functional", "rho_inf", "--quad-tol", "1e-3"),
+    (*EVAL_L1, "--functional", "rho_inf", "--force-path", "closed_form",
+     "--nmax", "16"),
+    (*EVAL_L1, "--functional", "rho_n", "--force-path", "quadrature",
+     "--nmax", "16"),
+], ids=["eval-dim", "report-tol", "eval-rho_plus-lam-nmax-quad_tol",
+        "eval-rho_n-lam", "eval-rho_lambda-k", "eval-rho_inf-n",
+        "eval-rho_inf-quad_tol", "eval-rho_inf-closed_form-nmax",
+        "eval-rho_n-quadrature-nmax"])
 def test_ignored_flags_are_rejected(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 2 and out == ""
