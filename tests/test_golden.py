@@ -2,8 +2,9 @@
 
 Each command runs in-process through ``normlab.cli.main``; its stdout plus a
 trailing ``# exit <code>`` line is compared with ``tests/golden/<name>.out``.
-The set covers ``report`` on every family, ``search`` on closed-form and
-numeric-limit relations, ``analyze-map``, and ``eval`` of all seven
+The set covers ``report`` on every family, ``search`` between the
+Birkhoff-James and rho_inf relations on lp1, lp:inf and poly and from
+rho_plus to semi on lp3, ``analyze-map``, and ``eval`` of all seven
 functionals on each family (the lp:inf eval is the pinned false-convergence
 reproducer x = 1,1,1).
 
@@ -12,6 +13,9 @@ limit uses for its difference quotients; elsewhere the test is skipped.
 A change that alters numerics on purpose rewrites them with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which lists on stderr the goldens whose bytes changed and those that did
+not (a new golden counts as changed).
 """
 
 import contextlib
@@ -45,6 +49,19 @@ EVAL_PAIRS = {
     "poly": ("poly:f=1,0;0,1;0.5+0.5i,0.5:dim=2", "1,0.5-0.5i", "0.3+0.2i,-1"),
 }
 
+SEARCH_NORMS = {**REPORT_NORMS, "lp3": "lp:p=3:dim=3"}
+
+# (relation a, relation b, key in SEARCH_NORMS, samples)
+SEARCHES = (
+    ("rho_inf", "bj", "lp1", 200),
+    ("bj", "rho_inf", "lp1", 200),
+    ("rho_plus", "semi", "lp3", 100),
+    ("rho_inf", "bj", "lpinf", 200),
+    ("bj", "rho_inf", "lpinf", 200),
+    ("rho_inf", "bj", "poly", 200),
+    ("bj", "rho_inf", "poly", 200),
+)
+
 FUNCTIONALS = {
     "rho_plus": [],
     "rho_minus": [],
@@ -61,12 +78,9 @@ def commands() -> dict[str, list[str]]:
     for key, text in REPORT_NORMS.items():
         cmds[f"report-{key}"] = ["report", "--norm", text, "--samples", "6",
                                  "--seed", "7", "--format", "jsonl"]
-    for a, b, norm, samples in (("rho_inf", "bj", "lp:p=1:dim=2", 200),
-                                ("bj", "rho_inf", "lp:p=1:dim=2", 200),
-                                ("rho_plus", "semi", "lp:p=3:dim=3", 100)):
-        tag = norm.split(":")[1].replace("p=", "lp")
-        cmds[f"search-{tag}-{a}-{b}"] = [
-            "search", "--norm", norm, "--a", a, "--b", b,
+    for a, b, key, samples in SEARCHES:
+        cmds[f"search-{key}-{a}-{b}"] = [
+            "search", "--norm", SEARCH_NORMS[key], "--a", a, "--b", b,
             "--samples", str(samples), "--seed", "42", "--format", "jsonl"]
     cmds["analyze-map-lp1-diag12"] = [
         "analyze-map", "--norm", "lp:p=1:dim=2",
@@ -100,6 +114,15 @@ def test_golden_output(name):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in COMMANDS.items():
-        (GOLDEN / f"{name}.out").write_text(run(argv), encoding="ascii")
+    changed, same = [], []
+    for name, argv in sorted(COMMANDS.items()):
+        path = GOLDEN / f"{name}.out"
+        text = run(argv)
+        old = path.read_text(encoding="ascii") if path.exists() else None
+        (same if text == old else changed).append(name)
+        path.write_text(text, encoding="ascii")
     print(f"wrote {len(COMMANDS)} goldens to {GOLDEN}", file=sys.stderr)
+    print(f"changed ({len(changed)}): {' '.join(changed) or '-'}",
+          file=sys.stderr)
+    print(f"unchanged ({len(same)}): {' '.join(same) or '-'}",
+          file=sys.stderr)
