@@ -11,11 +11,12 @@ reproducibility.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import DimensionMismatchError, RUnknownError, ZeroMapError
-from .orthogonality import _nelder_mead, decomposition_alpha, perp_rho_inf
+from .orthogonality import decomposition_alpha, perp_rho_inf
 from .rho_infinity import rho_inf
 from .sampling import complex_gaussian, rng_for, sample_unit
 from .spaces import NormSpec, dual_segment_constant, format_cvector, norm
@@ -244,6 +245,52 @@ def _check_map(spec_dom: NormSpec, spec_cod: NormSpec, t: np.ndarray) -> np.ndar
     if np.abs(t).max() == 0.0:
         raise ZeroMapError("the zero map has no operator norm direction")
     return t
+
+
+def _nelder_mead(f, start, edges, xatol: float, maxfev: int = 2000):
+    """Nelder-Mead over a complex vector, for the operator-norm ascent.
+
+    The initial simplex is start and start + e for each edge e, one edge
+    per real dimension.  Standard reflection/expansion/inside-contraction/
+    shrink coefficients; the run stops once every vertex lies within xatol
+    of the best one (largest coordinate modulus) or after maxfev
+    evaluations.  A function-value criterion is deliberately absent: at
+    the kinked maxima of norm ratios the value spread never collapses.
+    Returns the best (value, vertex).
+    """
+    value = itemgetter(0)
+    n = len(edges)
+    simplex = [(f(p), p) for p in [start] + [start + e for e in edges]]
+    fev = n + 1
+    while fev < maxfev:
+        simplex.sort(key=value)  # stable: ties keep their order
+        f_best, best = simplex[0]
+        f_worst, worst = simplex[n]
+        if max([np.abs(p - best).max() for _, p in simplex[1:]]) <= xatol:
+            break
+        centroid = sum([p for _, p in simplex[1:n]], best) / n
+        refl = centroid + (centroid - worst)
+        f_refl = f(refl)
+        fev += 1
+        if f_best <= f_refl < simplex[n - 1][0]:
+            simplex[n] = (f_refl, refl)
+        elif f_refl < f_best:
+            exp = centroid + 2.0 * (centroid - worst)
+            f_exp = f(exp)
+            fev += 1
+            simplex[n] = (f_exp, exp) if f_exp < f_refl else (f_refl, refl)
+        else:
+            contr = centroid + 0.5 * (worst - centroid)
+            f_contr = f(contr)
+            fev += 1
+            if f_contr < f_worst:
+                simplex[n] = (f_contr, contr)
+            else:  # shrink toward the best vertex
+                for i in range(1, n + 1):
+                    p = best + 0.5 * (simplex[i][1] - best)
+                    simplex[i] = (f(p), p)
+                fev += n
+    return min(simplex, key=value)
 
 
 def operator_norm_estimate(spec_dom: NormSpec, spec_cod: NormSpec, t,

@@ -196,7 +196,13 @@ def check_lp1_closed_form(spec: NormSpec, samples: int, seed: int) -> list[dict]
 
 def check_smooth_equivalence(spec: NormSpec, samples: int, seed: int) -> list[dict]:
     """At smooth points perp_rho_inf and perp_bj agree; quadrature matches
-    the smooth fast path."""
+    the smooth fast path.
+
+    A smooth kernel's BJ criterion is min_t rho_plus(x, e^{it} y) =
+    -|rho_inf(x, y)|, so both verdicts read the same first-order residual:
+    the agreement records check the BJ verdict's wiring and the
+    decomposition's construction, not an independent minimization.
+    """
     suite = "smooth-equivalence"
     if not is_smooth_family(spec):
         raise ValueError("smooth-equivalence requires a smooth norm family")

@@ -63,10 +63,6 @@ class FunctionalValue:
         return self.value.real
 
 
-def _merge_path(a: str, b: str) -> str:
-    return a if a == b else NUMERIC_LIMIT
-
-
 def _quotient_table(spec: NormSpec, x_unit: np.ndarray, y_units: np.ndarray,
                     dtype) -> np.ndarray:
     """(|x + t_j y| - |x|) / t_j for every step t_j (rows) and every row y
@@ -189,16 +185,21 @@ def rho_minus(spec: NormSpec, x, y, *, force_path: str | None = None) -> Functio
     return FunctionalValue(complex(-v.value.real, 0.0), v.abs_error, v.path, v.converged)
 
 
+def _plus_minus(spec: NormSpec, x, y, force_path: str | None):
+    """rho_plus(x, y), rho_minus(x, y) = -rho_plus(x, -y) and their two
+    abs_errors from one engine pass over the rows y and -y, with their
+    joint convergence and the path."""
+    y = vector(y)
+    vals, errs, conv, path = rho_plus_rows(spec, x, np.stack([y, -y]),
+                                           force_path=force_path)
+    return float(vals[0]), -float(vals[1]), errs, bool(conv.all()), path
+
+
 def rho_milicic(spec: NormSpec, x, y, *, force_path: str | None = None) -> FunctionalValue:
     """Mean of the two one-sided derivatives."""
-    p = rho_plus(spec, x, y, force_path=force_path)
-    m = rho_minus(spec, x, y, force_path=force_path)
-    return FunctionalValue(
-        complex((p.value.real + m.value.real) / 2.0, 0.0),
-        p.abs_error + m.abs_error,
-        _merge_path(p.path, m.path),
-        p.converged and m.converged,
-    )
+    p, m, errs, conv, path = _plus_minus(spec, x, y, force_path)
+    return FunctionalValue(complex((p + m) / 2.0, 0.0), float(errs.sum()),
+                           path, conv)
 
 
 def rho_lambda(spec: NormSpec, x, y, lam: float, *,
@@ -207,14 +208,10 @@ def rho_lambda(spec: NormSpec, x, y, lam: float, *,
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
-    p = rho_plus(spec, x, y, force_path=force_path)
-    m = rho_minus(spec, x, y, force_path=force_path)
-    return FunctionalValue(
-        complex(lam * m.value.real + (1.0 - lam) * p.value.real, 0.0),
-        lam * m.abs_error + (1.0 - lam) * p.abs_error,
-        _merge_path(p.path, m.path),
-        p.converged and m.converged,
-    )
+    p, m, errs, conv, path = _plus_minus(spec, x, y, force_path)
+    return FunctionalValue(complex(lam * m + (1.0 - lam) * p, 0.0),
+                           float(lam * errs[1] + (1.0 - lam) * errs[0]),
+                           path, conv)
 
 
 def rho_lambda_upsilon(spec: NormSpec, x, y, lam: float, k: int, *,
@@ -233,16 +230,9 @@ def rho_lambda_upsilon(spec: NormSpec, x, y, lam: float, k: int, *,
     k = int(k)
     if k < 1:
         raise ValueError("k must be a positive integer")
-    p = rho_plus(spec, x, y, force_path=force_path)
-    m = rho_minus(spec, x, y, force_path=force_path)
+    a, b, errs, conv, path = _plus_minus(spec, x, y, force_path)
     ups = 1.0 / (2 * k - 1)
-    a = p.value.real
-    b = m.value.real
     term1 = np.sign(b) * abs(b) ** ups * abs(a) ** (1.0 - ups)
     term2 = np.sign(a) * abs(a) ** ups * abs(b) ** (1.0 - ups)
-    return FunctionalValue(
-        complex(lam * term1 + (1.0 - lam) * term2, 0.0),
-        p.abs_error + m.abs_error,
-        _merge_path(p.path, m.path),
-        p.converged and m.converged,
-    )
+    return FunctionalValue(complex(lam * term1 + (1.0 - lam) * term2, 0.0),
+                           float(errs.sum()), path, conv)

@@ -4,7 +4,8 @@ Four relations are decided numerically:
 
 * ``rho_inf``:  rho_inf(x, y) = 0
 * ``rho_plus``: rho_plus(x, y) = 0
-* ``bj``:       Birkhoff-James, |x| <= |x + xi y| for all complex xi
+* ``bj``:       Birkhoff-James, |x| <= |x + xi y| for all complex xi,
+  decided by min over t of rho_plus(x, e^{it} y) >= 0
 * ``semi``:     [y, x] = 0 for the unique semi-inner product of a smooth
   norm (refused on non-smooth families, where the s.i.p. is not unique)
 
@@ -17,11 +18,10 @@ construction and reports the ones violating another.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
-from .derivatives import FunctionalValue, rho_plus
+from .derivatives import CLOSED_FORM, FunctionalValue, rho_plus
 from .errors import DimensionMismatchError, NotSmoothError, ZeroBaseError
 from .rho_infinity import rho_inf
 from .sampling import complex_gaussian, rng_for
@@ -31,7 +31,6 @@ from .spaces import (
     format_cvector,
     is_smooth_family,
     norm,
-    norm_rows,
     vector,
 )
 
@@ -43,12 +42,10 @@ SEMI = "semi"
 RELATIONS = (RHO_INF, RHO_PLUS, BIRKHOFF_JAMES, SEMI)
 
 DEFAULT_TOL = 1e-6  # one order above the worst-case functional error
-EPS_FLOOR = 1e-300  # guards division in the zero-vector case
 
-# Birkhoff-James minimizer: coarse polar grid, then simplex refinement
-BJ_GRID_ANGLES = 64
-BJ_GRID_MODULI = np.logspace(-6.0, 6.0, 25)
-BJ_REFINE_DIAMETER = 1e-10
+# a coordinate of a Birkhoff-James minimizer x + xi y at most this fraction
+# of |x_k| + |xi y_k| is a cancellation, i.e. an exact zero lost to rounding
+BJ_CANCEL_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -138,63 +135,14 @@ def perp_semi(spec: NormSpec, x, y, tol: float = DEFAULT_TOL) -> OrthoVerdict:
                         value.converged)
 
 
-def _nelder_mead(f, start, edges, xatol: float, maxfev: int = 2000):
-    """Nelder-Mead over a complex scalar or a complex vector.
-
-    The initial simplex is start and start + e for each edge e, one edge
-    per real dimension: (s, 1j s) on the complex plane.  Standard
-    reflection/expansion/inside-contraction/shrink coefficients; the run
-    stops once every vertex lies within xatol of the best one (largest
-    coordinate modulus) or after maxfev evaluations.  A function-value
-    criterion is deliberately absent: at the kinked minima of non-smooth
-    norms the value spread never collapses.  Returns the best
-    (value, vertex).
-    """
-    # plain abs on scalars: np.abs(d).max() there slows the Birkhoff-James
-    # minimizer by about a third
-    size = abs if np.ndim(start) == 0 else (lambda d: np.abs(d).max())
-    value = itemgetter(0)
-    n = len(edges)
-    simplex = [(f(p), p) for p in [start] + [start + e for e in edges]]
-    fev = n + 1
-    while fev < maxfev:
-        simplex.sort(key=value)  # stable: ties keep their order
-        f_best, best = simplex[0]
-        f_worst, worst = simplex[n]
-        if max([size(p - best) for _, p in simplex[1:]]) <= xatol:
-            break
-        centroid = sum([p for _, p in simplex[1:n]], best) / n
-        refl = centroid + (centroid - worst)
-        f_refl = f(refl)
-        fev += 1
-        if f_best <= f_refl < simplex[n - 1][0]:
-            simplex[n] = (f_refl, refl)
-        elif f_refl < f_best:
-            exp = centroid + 2.0 * (centroid - worst)
-            f_exp = f(exp)
-            fev += 1
-            simplex[n] = (f_exp, exp) if f_exp < f_refl else (f_refl, refl)
-        else:
-            contr = centroid + 0.5 * (worst - centroid)
-            f_contr = f(contr)
-            fev += 1
-            if f_contr < f_worst:
-                simplex[n] = (f_contr, contr)
-            else:  # shrink toward the best vertex
-                for i in range(1, n + 1):
-                    p = best + 0.5 * (simplex[i][1] - best)
-                    simplex[i] = (f(p), p)
-                fev += n
-    return min(simplex, key=value)
-
-
 def birkhoff_minimize(spec: NormSpec, x, y) -> tuple[float, complex]:
     """min over complex xi of |x + xi y|, with the minimizing xi.
 
-    Two stages: a polar grid (64 angles x log-spaced moduli, plus xi = 0)
-    to localize, then simplex refinement to 1e-10 diameter.  The grid
-    stage guards the simplex against stalling on the kinks of a
-    non-smooth norm.
+    The spec's kernel finds xi on the unit-normalized pair: the orthogonal
+    projection for pd, the weighted 1-center of the points -f_j x / f_j y
+    for max-modulus norms, a data point -x_k/y_k where the criterion holds
+    for weighted l1, and otherwise (smooth lp, interior l1 minima) damped
+    Newton on sum_k w_k |x_k + xi y_k|^p.
     """
     x = vector(x)
     y = vector(y)
@@ -206,43 +154,27 @@ def birkhoff_minimize(spec: NormSpec, x, y) -> tuple[float, complex]:
         return nx, 0j
     xu = x / nx
     yu = y / ny
+    z = spec.kernel.bj_argmin(xu, yu)
+    return nx * float(spec.kernel.norm(xu + z * yu)), z * nx / ny
 
-    angles = np.exp(2j * np.pi * np.arange(BJ_GRID_ANGLES) / BJ_GRID_ANGLES)
-    zs = np.concatenate([[0j], (BJ_GRID_MODULI[:, None] * angles[None, :]).ravel()])
-    vals = norm_rows(spec, xu[None, :] + zs[:, None] * yu[None, :])
-    k = int(np.argmin(vals))
-    grid_val = float(vals[k])
-    z0 = zs[k]
 
-    # the kernel's norm on single vectors skips norm_rows' dimension check
-    kernel_norm = spec.kernel.norm
-    step = max(0.25 * abs(z0), 1e-3)
-    best_val, best_z = _nelder_mead(lambda z: float(kernel_norm(xu + z * yu)),
-                                    z0, (step, 1j * step), BJ_REFINE_DIAMETER)
-    if grid_val < best_val:
-        best_val, best_z = grid_val, z0
-    m_star = nx * best_val
-    xi_star = best_z * nx / ny
-    return m_star, xi_star
+def _bj_defect(spec: NormSpec, x, y) -> FunctionalValue:
+    """How far rho_plus(x, e^{it} y) dips below zero over t."""
+    return FunctionalValue(complex(max(0.0, -spec.kernel.bj_slope(x, y))),
+                           0.0, CLOSED_FORM)
 
 
 def perp_birkhoff_james(spec: NormSpec, x, y,
                         tol: float = DEFAULT_TOL) -> OrthoVerdict:
-    """x perp_B y iff xi = 0 already minimizes |x + xi y|.
+    """x perp_B y iff min over t of rho_plus(x, e^{it} y) >= 0.
 
-    The residual is the relative drop (|x| - min)/|x|, clamped at zero:
-    every evaluated point only over-estimates the true minimum, so a
-    residual below tol certifies the verdict at that tolerance.
+    By convexity of s -> |x + s e^{it} y| (James 1947), xi = 0 minimizes
+    |x + xi y| iff no one-sided slope from it is negative.  The residual
+    is max(0, -min_t rho_plus(x, e^{it} y)) / (|x| |y|), first order in
+    the distance from orthogonality like the other relations' residuals,
+    and each kernel gives the minimum in closed form.
     """
-    x = vector(x)
-    y = vector(y)
-    nx = norm(spec, x)
-    ny = norm(spec, y)
-    if nx == 0.0 or ny == 0.0:
-        return OrthoVerdict(True, 0.0, tol, BIRKHOFF_JAMES, True)
-    m_star, _ = birkhoff_minimize(spec, x, y)
-    residual = max(0.0, (nx - m_star)) / max(nx, EPS_FLOOR)
-    return OrthoVerdict(residual <= tol, residual, tol, BIRKHOFF_JAMES, True)
+    return _relative(spec, _bj_defect, x, y, tol, BIRKHOFF_JAMES)
 
 
 def decomposition_alpha(spec: NormSpec, x, y) -> complex:
@@ -318,7 +250,9 @@ def _construct_pair(spec: NormSpec, relation: str, x: np.ndarray,
     rho_plus uses the real translation shift, rho_inf the decomposition
     scalar, semi the first-slot linearity of the s.i.p., and bj moves x
     to the minimizer of |x + xi y| (the minimizer is then orthogonal to
-    the direction it was minimized along).
+    the direction it was minimized along).  A weighted l1 minimizer often
+    has exact zeros, where its criterion is decided, so coordinates that
+    cancel to rounding are set to 0.
     """
     nx2 = norm(spec, x) ** 2
     if relation == RHO_PLUS:
@@ -331,7 +265,9 @@ def _construct_pair(spec: NormSpec, relation: str, x: np.ndarray,
         return x, y - c * x
     if relation == BIRKHOFF_JAMES:
         _, xi = birkhoff_minimize(spec, x, y)
-        return x + xi * y, y
+        a = x + xi * y
+        a[np.abs(a) <= BJ_CANCEL_RTOL * (np.abs(x) + np.abs(xi * y))] = 0
+        return a, y
     raise ValueError(f"unknown relation {relation!r}")
 
 

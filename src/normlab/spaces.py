@@ -9,8 +9,9 @@ Four norm families are supported:
   complex covectors
 
 Each spec carries one of four kernels (abs-sum, max-modulus, smooth lp,
-pd), picked once by its factory.  Every kernel gives the norm and the
-closed forms of rho_plus and rho_inf, so no other module branches on the
+pd), picked once by its factory.  Every kernel gives the norm, the closed
+forms of rho_plus and rho_inf, the Birkhoff-James criterion in closed form
+and a minimizer of |x + xi y| over xi, so no other module branches on the
 family to compute them.
 
 Every spec is immutable after construction and all functions here are pure,
@@ -22,6 +23,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -44,6 +46,11 @@ VALIDATION_TOL = 1e-10
 # one-sided limit sees both functionals at every step a numeric limit can
 # resolve, so the near-tie is treated as a tie.
 TIE_RTOL = 1e-12
+
+# cap on each of the two Newton loops of the Birkhoff-James minimizer where
+# the norm is smooth at the minimum (damped descent, then gradient polish);
+# from the starts the kernels give, both stop after a few dozen steps
+BJ_NEWTON_STEPS = 100
 
 # computation paths of rho_plus and rho_inf
 CLOSED_FORM = "closed_form"
@@ -80,13 +87,20 @@ class Kernel:
     in the precision of the input (complex128 or extended).
     rho_plus_rows(x, ys) and rho_inf(x, y) are the closed forms of the
     right derivative over the rows of ys and of the angular average; they
-    are the default path of every functional.  smooth says whether the
-    family is smooth in every dimension; r_dual is R(X*), None when unknown.
+    are the default path of every functional.  bj_slope(x, y) is
+    min over t of rho_plus(x, e^{it} y), which is >= 0 iff x is
+    Birkhoff-James orthogonal to y (James 1947: t -> |x + t e^{is} y| is
+    convex, so x minimizes along every complex direction iff no one-sided
+    slope is negative).  bj_argmin(x, y), for x and y of unit norm, is a
+    complex xi minimizing |x + xi y|.  smooth says whether the family is
+    smooth in every dimension; r_dual is R(X*), None when unknown.
     """
 
     norm: Callable[[np.ndarray], np.ndarray]
     rho_plus_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
     rho_inf: Callable[[np.ndarray, np.ndarray], complex]
+    bj_slope: Callable[[np.ndarray, np.ndarray], float]
+    bj_argmin: Callable[[np.ndarray, np.ndarray], complex]
     smooth: bool
     r_dual: float | None
 
@@ -126,7 +140,34 @@ def _abs_sum_kernel(w: np.ndarray | None, dim: int) -> Kernel:
         s = np.sum(w[support] * x[support] * y[support].conj() / ax[support])
         return complex(nx * s)
 
-    return Kernel(norm, rho_plus_rows, rho_inf, smooth=False, r_dual=2.0)
+    def bj_slope(x, y):
+        # rotating y turns the support sum of rho_plus, whose modulus is
+        # |rho_inf|, against the off-support sum, which stays
+        off = x == 0
+        return (float((w * np.abs(x)).sum() * (w[off] * np.abs(y[off])).sum())
+                - abs(rho_inf(x, y)))
+
+    def bj_argmin(x, y):
+        # |x + xi y| = sum_k w_k |y_k| |xi - z_k| + const, z_k = -x_k/y_k: a
+        # weighted Fermat-Weber problem, minimized at a data point z_k
+        # exactly when the criterion holds there with x_k + z_k y_k = 0
+        live = np.flatnonzero(y)
+        zs = -x[live] / y[live]
+        points = x + zs[:, None] * y
+        points[np.arange(live.size), live] = 0
+        vals = norm(points)
+        k = int(np.argmin(vals))
+        if bj_slope(points[k], y) >= -TIE_RTOL * vals[k]:
+            return complex(zs[k])
+        # the minimizer is interior, where the norm is smooth; start just
+        # off the kink at z_k, downhill: there the other terms have the
+        # gradient rho_inf(x', y)/|x'|, and it outweighs the k-th term
+        g = rho_inf(points[k], y)
+        start = zs[k] - 1e-8 * (1.0 + abs(zs[k])) * g / abs(g)
+        return _power_sum_argmin(x, y, w, 1.0, start)
+
+    return Kernel(norm, rho_plus_rows, rho_inf, bj_slope, bj_argmin,
+                  smooth=False, r_dual=2.0)
 
 
 def _max_modulus_kernel(f: np.ndarray | None) -> Kernel:
@@ -137,6 +178,8 @@ def _max_modulus_kernel(f: np.ndarray | None) -> Kernel:
     f_j x, rho_plus(x, y) = N(x) max_{j in A(x)} Re(conj(u_j) f_j y).  Along
     y -> e^{it} y the integrand of rho_inf is the upper envelope of the
     sinusoids Re(c_j e^{it}), c_j = conj(u_j) f_j y, and integrates exactly.
+    The envelope's minimum, -dist(0, conv{c_j}) when 0 lies outside the
+    hull, is the Birkhoff-James slope.
     """
     if f is None:
         def norm(xs):
@@ -171,8 +214,60 @@ def _max_modulus_kernel(f: np.ndarray | None) -> Kernel:
         c = cu * apply(y)[idx]
         return complex(nx * _envelope_integral(c) / np.pi)
 
-    return Kernel(norm, rho_plus_rows, rho_inf, smooth=False,
-                  r_dual=2.0 if f is None else None)
+    def bj_slope(x, y):
+        # on each piece of the envelope one sinusoid is on top, so its
+        # minimum is at a trough pi - arg(c_j) or at a crossing
+        nx, idx, cu = active(x)
+        c = cu * apply(y)[idx]
+        t = np.concatenate((np.pi - np.angle(c), _crossings(c)))
+        return float(nx * (np.exp(1j * t)[:, None] * c).real.max(axis=1).min())
+
+    def bj_argmin(x, y):
+        a = apply(x)
+        b = apply(y)
+        live = b != 0  # f_j x + xi f_j y does not move with xi elsewhere
+        zs = _one_center_candidates(-a[live] / b[live], np.abs(b[live]))
+        return complex(zs[np.argmin(np.abs(a + zs[:, None] * b).max(axis=1))])
+
+    return Kernel(norm, rho_plus_rows, rho_inf, bj_slope, bj_argmin,
+                  smooth=False, r_dual=2.0 if f is None else None)
+
+
+def _one_center_candidates(z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Every point that can minimize max_j r_j |xi - z_j| over complex xi.
+
+    The minimizer of this weighted 1-center problem is fixed by at most
+    three of the points: it is a z_j, the point (r_j z_j + r_k z_k)/(r_j +
+    r_k) of a segment where two weighted distances agree, or a point where
+    three agree, on two Apollonius circles.  For the triple (i, j, k), with
+    d = z - z_i and xi = z_i + e, s_i |e|^2 = s_j |e - d_j|^2 (s = r^2) is
+    linear in e and q = |e|^2; solving both for e gives e = P - q C, and
+    q = |P - q C|^2 is a quadratic in q.  Candidates that do not exist
+    (collinear points) come out non-finite and are dropped.
+    """
+    iu, ju = np.triu_indices(z.size, 1)
+    pairs = (r[iu] * z[iu] + r[ju] * z[ju]) / (r[iu] + r[ju])
+    tri = np.array(list(combinations(range(z.size), 3)), dtype=int).reshape(-1, 3)
+    s = r * r
+    i, j, k = tri.T
+    dj = z[j] - z[i]
+    dk = z[k] - z[i]
+    cj = s[i] / s[j] - 1.0
+    ck = s[i] / s[k] - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # e = i (r_k d_j - r_j d_k) / (2 Im(conj(d_j) d_k)) solves
+        # 2 Re(conj(d) e) = r_d for the right-hand sides r_j, r_k
+        den = 2.0 * (dj.conj() * dk).imag
+        p = 1j * (np.abs(dk) ** 2 * dj - np.abs(dj) ** 2 * dk) / den
+        c = 1j * (ck * dj - cj * dk) / den
+        cc = np.abs(c) ** 2
+        half_b = (p.conj() * c).real + 0.5
+        root = np.sqrt(np.maximum(half_b**2 - cc * np.abs(p) ** 2, 0.0))
+        big = half_b + np.copysign(root, half_b)  # no cancellation
+        qs = np.concatenate((big / cc, np.abs(p) ** 2 / big))
+        triples = np.tile(z[i] + p, 2) - qs * np.tile(c, 2)
+    zs = np.concatenate((z, pairs, triples))
+    return zs[np.isfinite(zs)]
 
 
 def _envelope_integral(c: np.ndarray) -> complex:
@@ -187,15 +282,82 @@ def _envelope_integral(c: np.ndarray) -> complex:
     """
     if c.size == 1:
         return np.pi * c[0].conjugate()
-    d = (c[:, None] - c[None, :]).ravel()
-    two_pi = 2.0 * np.pi
     # repeated cuts only add pieces of length 0, which integrate to 0
-    cuts = np.sort(np.concatenate(
-        ([0.0, two_pi], (0.5 * np.pi - np.angle(d[d != 0])) % two_pi)))
+    cuts = np.sort(np.concatenate(([0.0, 2.0 * np.pi], _crossings(c))))
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     top = c[np.argmax((np.exp(1j * mids)[:, None] * c).real, axis=1)]
     return (0.5 * (top.conj() @ np.diff(cuts))
             + (top @ np.diff(np.exp(2j * cuts))) / 4j)
+
+
+def _crossings(c: np.ndarray) -> np.ndarray:
+    """The angles in [0, 2 pi) where two of the sinusoids Re(c_j e^{it})
+    cross: t = pi/2 - arg(c_j - c_k), pi apart for the pair (k, j)."""
+    d = (c[:, None] - c[None, :]).ravel()
+    return (0.5 * np.pi - np.angle(d[d != 0])) % (2.0 * np.pi)
+
+
+def _power_sum_argmin(x, y, w, p: float, start: complex) -> complex:
+    """argmin over xi of F(xi) = sum_k w_k |x_k + xi y_k|^p, p >= 1, where
+    F is smooth at the minimizer: the Birkhoff-James minimizer of weighted
+    l1 (p = 1) and of the p-norms.
+
+    Damped Newton from start: each step is halved until F decreases.  Near
+    the minimizer the values of F agree to rounding while the gradient,
+    which the first-order Birkhoff-James criterion reads, is still about
+    sqrt(eps) times the curvature; Newton steps then go on while they
+    shrink the gradient.  Both loops are driven by the gradient, so unlike
+    a simplex they do not stall beside a kink of F.
+    """
+    live = y != 0  # the other terms do not depend on xi
+    x, y, w = x[live], y[live], np.broadcast_to(w, live.shape)[live]
+
+    def value(z):
+        return np.sum(w * np.abs(x + z * y) ** p)
+
+    xi, val = complex(start), value(start)
+    grad, move = _power_sum_newton(x, y, w, p, xi)
+    for _ in range(BJ_NEWTON_STEPS):
+        for t in 0.5 ** np.arange(40):
+            new_val = value(xi + t * move)
+            if new_val < val:
+                break
+        else:  # no decrease along the Newton direction, or no direction
+            break
+        xi, val = xi + t * move, new_val
+        grad, move = _power_sum_newton(x, y, w, p, xi)
+    for _ in range(BJ_NEWTON_STEPS):
+        new_grad, new_move = _power_sum_newton(x, y, w, p, xi + move)
+        if not abs(new_grad) < abs(grad):
+            break
+        xi, grad, move = xi + move, new_grad, new_move
+    return xi
+
+
+def _power_sum_newton(x, y, w, p: float, xi: complex) -> tuple[complex, complex]:
+    """The gradient of F(xi) = sum_k w_k |x_k + xi y_k|^p (all y_k != 0),
+    as a complex number, and the Newton step -H^-1 grad; NaN on a kink.
+
+    With v = x + xi y and e_k = v_k conj(y_k), the k-th term has gradient
+    p t_k e_k and Hessian p t_k (|y_k|^2 I + (p - 2) e_k e_k^T / |v_k|^2),
+    t_k = w_k |v_k|^(p-2).
+    """
+    v = x + xi * y
+    a = np.abs(v)
+    if not a.all():
+        return complex(np.nan), complex(np.nan)
+    t = w * a ** (p - 2.0)
+    e = v * y.conj()
+    grad = p * complex(np.sum(t * e))
+    yy = np.sum(t * np.abs(y) ** 2)
+    ee = (p - 2.0) * t / (a * a)
+    h11 = yy + np.sum(ee * e.real**2)
+    h22 = yy + np.sum(ee * e.imag**2)
+    h12 = np.sum(ee * e.real * e.imag)
+    det = p * (h11 * h22 - h12 * h12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return grad, complex((h12 * grad.imag - h22 * grad.real) / det,
+                             (h12 * grad.real - h11 * grad.imag) / det)
 
 
 def _smooth_lp_kernel(p: float) -> Kernel:
@@ -230,7 +392,15 @@ def _smooth_lp_kernel(p: float) -> Kernel:
     def rho_inf(x, y):
         return complex(np.sum(gradient(x) * y.conj()))
 
-    return Kernel(norm, rho_plus_rows, rho_inf, smooth=True, r_dual=0.0)
+    def bj_slope(x, y):
+        return -abs(rho_inf(x, y))
+
+    def bj_argmin(x, y):
+        # started at the minimizer of p = 2
+        return _power_sum_argmin(x, y, 1.0, p, -rho_inf(x, y))
+
+    return Kernel(norm, rho_plus_rows, rho_inf, bj_slope, bj_argmin,
+                  smooth=True, r_dual=0.0)
 
 
 def _pd_kernel(g: np.ndarray) -> Kernel:
@@ -254,7 +424,15 @@ def _pd_kernel(g: np.ndarray) -> Kernel:
     def rho_inf(x, y):
         return complex(np.sum((g @ x) * y.conj()))
 
-    return Kernel(norm, rho_plus_rows, rho_inf, smooth=True, r_dual=0.0)
+    def bj_slope(x, y):
+        return -abs(rho_inf(x, y))
+
+    def bj_argmin(x, y):
+        # the orthogonal projection: <x + xi y, y> = 0
+        return -rho_inf(x, y) / rho_inf(y, y).real
+
+    return Kernel(norm, rho_plus_rows, rho_inf, bj_slope, bj_argmin,
+                  smooth=True, r_dual=0.0)
 
 
 @dataclass(frozen=True, eq=False)

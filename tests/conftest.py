@@ -3,6 +3,16 @@ import pytest
 
 import normlab as nl
 
+# six functionals on C^3, the polyhedral norm of the tie tests
+POLY_ROWS = np.array([
+    [1.0, 0.3, 0.0],
+    [0.0, 1.0, 0.3j],
+    [0.3, 0.0, 1.0],
+    [0.5 + 0.5j, -0.5, 0.4],
+    [0.2, 0.6j, -0.6],
+    [-0.4j, 0.3, 0.5 + 0.3j],
+])
+
 
 def gaussian_pair(rng, dim):
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

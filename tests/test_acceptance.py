@@ -186,10 +186,10 @@ def test_criterion_9_map_analyses():
 
 
 def test_criterion_10_smooth_space_equivalence():
-    # near the orthogonality boundary the BJ residual is quadratic in the
-    # rho_inf residual, so agreement at a shared tolerance is only sharp
-    # away from it; the seeded draws stay decisively away (checked), and
-    # the constructed pairs exercise the inclusion direction exactly
+    # on a smooth norm the BJ residual max(0, -min_t rho_plus(x, e^{it} y))
+    # is the rho_inf residual |rho_inf(x, y)|, first order in both, so the
+    # verdicts agree at a shared tolerance also near the boundary; the
+    # constructed pairs exercise the inclusion direction exactly
     spec = nl.lp(3, 3)
     seed = 42
     tol = 1e-5

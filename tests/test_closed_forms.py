@@ -1,7 +1,7 @@
-"""The closed forms of rho_plus and rho_inf at the points that random
-Gaussian pairs almost never reach: ties of max-modulus norms, zero
-coordinates of lp with 1 < p < 2, extreme scales; and against the
-numeric-limit oracle on every family."""
+"""The closed forms of rho_plus, rho_inf and the Birkhoff-James slope at the
+points that random Gaussian pairs almost never reach: ties of max-modulus
+norms, zero coordinates of lp with 1 < p < 2 and of l1, extreme scales; and
+against the numeric-limit oracle or a dense sweep on every family."""
 
 import cmath
 import math
@@ -11,20 +11,10 @@ import pytest
 from scipy.integrate import quad
 
 import normlab as nl
-from normlab.derivatives import CLOSED_FORM, NUMERIC_LIMIT, QUADRATURE
+from normlab.derivatives import CLOSED_FORM, NUMERIC_LIMIT, QUADRATURE, rho_plus_rows
 from normlab.spaces import TIE_RTOL
 
-from conftest import family_specs, gaussian_pair
-
-# six functionals on C^3, the polyhedral norm of the tie tests
-POLY_ROWS = np.array([
-    [1.0, 0.3, 0.0],
-    [0.0, 1.0, 0.3j],
-    [0.3, 0.0, 1.0],
-    [0.5 + 0.5j, -0.5, 0.4],
-    [0.2, 0.6j, -0.6],
-    [-0.4j, 0.3, 0.5 + 0.3j],
-])
+from conftest import POLY_ROWS, family_specs, gaussian_pair
 
 PINNED_X = [1, 1, 1]
 PINNED_Y = [0.8 + 0.9j, -0.4 + 0.1j, -1.5 - 0.8j]
@@ -175,3 +165,87 @@ def test_closed_forms_against_the_numeric_limit_on_every_family(rng):
             assert abs(inf - nodes) <= 1e-7 * scale, spec
             quadrature = nl.rho_inf(spec, x, y, force_path=QUADRATURE).value
             assert abs(inf - quadrature) <= 1e-7 * scale, spec
+
+
+SWEEP = np.exp(2j * np.pi * np.arange(4096) / 4096)
+
+
+def _assert_bj_slope_matches_sweep(spec, x, y):
+    """The closed form of min_t rho_plus(x, e^{it} y) against 4096 angles.
+
+    rho_plus(x, .) is |x|-Lipschitz, so along the circle rho_plus(x,
+    e^{it} y) is |x| |y|-Lipschitz in t and the sweep's minimum lies
+    within |x| |y| pi/4096 above the true one, never below it.
+    """
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    scale = nl.norm(spec, x) * nl.norm(spec, y)
+    vals, _, _, path = rho_plus_rows(spec, x, SWEEP[:, None] * y[None, :])
+    assert path == CLOSED_FORM
+    sweep = vals.min()
+    slope = spec.kernel.bj_slope(x, y)
+    assert sweep - scale * np.pi / 4096 - 1e-13 * scale <= slope, spec
+    assert slope <= sweep + 1e-13 * scale, spec
+    return slope
+
+
+def test_bj_slope_matches_a_dense_sweep_on_every_kernel(rng):
+    specs = family_specs() + [nl.lp(1.3, 3), nl.lp(6, 3), nl.polyhedral(POLY_ROWS)]
+    for spec in specs:
+        for _ in range(5):
+            x, y = gaussian_pair(rng, 3)
+            _assert_bj_slope_matches_sweep(spec, x, y)
+            # the constructed rho_inf-orthogonal pair of a smooth norm is
+            # BJ-orthogonal: its slope is -|rho_inf| = 0 to rounding
+            z = nl.decomposition_alpha(spec, x, y) * x + y
+            if spec.kernel.smooth:
+                scale = nl.norm(spec, x) * nl.norm(spec, z)
+                assert abs(_assert_bj_slope_matches_sweep(spec, x, z)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("family", ["lpinf", "poly"])
+def test_bj_slope_at_ties(family, size):
+    rng = np.random.default_rng((37, size, family == "poly"))
+    f = np.eye(3, dtype=complex) if family == "lpinf" else POLY_ROWS
+    spec = nl.lp(np.inf, 3) if family == "lpinf" else nl.polyhedral(f)
+    signs = set()
+    for _ in range(12):
+        x, _ = _tie(rng, f, size)
+        y = gaussian_pair(rng, 3)[0]
+        signs.add(_assert_bj_slope_matches_sweep(spec, x, y) >= 0)
+    if size == 3:
+        # 0 lies in the triangle conv{c_j} for some draws and not for others
+        assert signs == {True, False}
+
+
+@pytest.mark.parametrize("spec", [nl.lp(1, 4), nl.weighted_l1([0.5, 1.0, 2.0, 0.25])],
+                         ids=["lp1", "wl1"])
+def test_bj_slope_at_zero_coordinates(spec, rng):
+    w = np.ones(4) if spec.weights is None else spec.weights
+    for x in ([1 + 1j, 0, -0.5, 0], [0, 0, 2j, 0], [0.25, 0, 0, 0.5 - 0.5j]):
+        x = np.array(x, dtype=complex)
+        y = gaussian_pair(rng, 4)[0]
+        slope = _assert_bj_slope_matches_sweep(spec, x, y)
+        zero = x == 0
+        s = np.sum(w[~zero] * np.conj(x[~zero] / np.abs(x[~zero])) * y[~zero])
+        expect = nl.norm(spec, x) * (np.sum(w[zero] * np.abs(y[zero])) - abs(s))
+        assert slope == pytest.approx(expect, rel=1e-13, abs=1e-15)
+    # x = (0, 1) is BJ-orthogonal to (2, 1) in l1 (criterion 2): 2 - 1 >= 0
+    assert nl.lp(1, 2).kernel.bj_slope(np.array([0, 1 + 0j]), np.array([2, 1 + 0j])) == 1.0
+
+
+@pytest.mark.parametrize("scales", [(1e150, 1e150), (1e-150, 1e-150),
+                                    (1e150, 1e-150), (1e-150, 1e150)])
+def test_bj_slope_at_extreme_scales(rng, scales):
+    s, t = scales
+    specs = family_specs() + [nl.lp(1.3, 3), nl.lp(6, 3)]
+    for spec in specs:
+        for _ in range(3):
+            x, y = gaussian_pair(rng, 3)
+            for a, b in ((x, y), (np.array([1, 1j, -1]), y)):
+                slope = spec.kernel.bj_slope(a, b)
+                bound = nl.norm(spec, a) * nl.norm(spec, b)
+                got = spec.kernel.bj_slope(s * a, t * b)
+                assert np.isfinite(got), spec
+                assert abs(got / (s * t) - slope) <= 1e-13 * bound, spec

@@ -21,6 +21,7 @@ not (a new golden counts as changed).
 import contextlib
 import io
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -108,8 +109,13 @@ COMMANDS = commands()
                     reason="goldens were captured with x86 80-bit long double")
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_golden_output(name):
-    expected = (GOLDEN / f"{name}.out").read_text(encoding="ascii")
-    assert run(COMMANDS[name]) == expected
+    expected = (GOLDEN / f"{name}.out").read_text(encoding="ascii").splitlines()
+    got = run(COMMANDS[name]).splitlines()
+    # pytest's own diff of two long outputs takes minutes to render, so the
+    # failure names the first differing line instead
+    for i, (a, b) in enumerate(zip_longest(got, expected)):
+        if a != b:
+            pytest.fail(f"line {i + 1} differs:\n  got      {a}\n  expected {b}")
 
 
 if __name__ == "__main__":

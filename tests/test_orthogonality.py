@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import normlab as nl
-from normlab import orthogonality
+from normlab import analysis, orthogonality
 from normlab.orthogonality import SamplerConfig, relation_compare
 
-from conftest import family_specs, gaussian_pair, unit_pair
+from conftest import POLY_ROWS, family_specs, gaussian_pair, random_pd_gram, unit_pair
 
 L1 = nl.lp(1, 2)
 L3 = nl.lp(3, 3)
@@ -67,6 +67,76 @@ def test_birkhoff_minimizer_never_exceeds_norm_x(rng):
             x, y = gaussian_pair(rng, spec.dim)
             m, _ = nl.birkhoff_minimize(spec, x, y)
             assert m <= nl.norm(spec, x) * (1 + 1e-12)
+
+
+def _grid_simplex_minimum(spec, x, y):
+    """min over xi of |x + xi y| as an earlier minimizer found it: a polar
+    grid of 64 angles x 25 log-spaced moduli plus xi = 0, then a simplex
+    from the best grid point to 1e-10 diameter; the reference the exact
+    minimizers must never lose to."""
+    nx, ny = nl.norm(spec, x), nl.norm(spec, y)
+    xu, yu = x / nx, y / ny
+    angles = np.exp(2j * np.pi * np.arange(64) / 64)
+    zs = np.concatenate([[0j], (np.logspace(-6, 6, 25)[:, None] * angles).ravel()])
+    vals = spec.kernel.norm(xu + zs[:, None] * yu)
+    z0 = zs[np.argmin(vals)]
+    step = max(0.25 * abs(z0), 1e-3)
+    best, _ = analysis._nelder_mead(lambda z: float(spec.kernel.norm(xu + z[0] * yu)),
+                                    np.array([z0]), (np.array([step]), np.array([1j * step])),
+                                    1e-10)
+    return nx * min(best, vals.min())
+
+
+def test_birkhoff_minimum_never_above_grid_and_simplex():
+    specs = family_specs() + [nl.lp(1, 5), nl.lp(1.5, 3), nl.polyhedral(POLY_ROWS)]
+    for spec in specs:
+        rng = np.random.default_rng((11, spec.dim))
+        for _ in range(20):
+            x, y = gaussian_pair(rng, spec.dim)
+            m, xi = nl.birkhoff_minimize(spec, x, y)
+            assert m <= _grid_simplex_minimum(spec, x, y) + 1e-12, spec
+            assert m == pytest.approx(nl.norm(spec, x + xi * y), rel=1e-12)
+
+
+# the families of the BJ-construction acceptance test: every kernel, the
+# kinked ones in several dimensions
+BJ_FAMILIES = {
+    **{f"lpinf-{d}": nl.lp(np.inf, d) for d in (2, 3, 4)},
+    "poly-3": nl.polyhedral(POLY_ROWS),
+    "poly-2": nl.parse_norm_spec("poly:f=1,0;0,1;0.5+0.5i,0.5:dim=2"),
+    **{f"lp1-{d}": nl.lp(1, d) for d in (2, 3, 5)},
+    "wl1": nl.weighted_l1([0.5, 1.0, 2.0]),
+    "lp3": nl.lp(3, 3),
+    "lp1.5": nl.lp(1.5, 3),
+    "pd": nl.pd_inner(random_pd_gram(np.random.default_rng(3), 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BJ_FAMILIES))
+def test_bj_construction_is_always_accepted(name):
+    # the first-order criterion is exact only on the kink itself, so the
+    # minimizer must land there exactly; a simplex stops beside it
+    spec = BJ_FAMILIES[name]
+    for index in range(100):
+        rng = np.random.default_rng((5, index))
+        x, y = gaussian_pair(rng, spec.dim)
+        a, b = orthogonality._construct_pair(spec, nl.BIRKHOFF_JAMES, x, y)
+        v = nl.perp_birkhoff_james(spec, a, b)
+        assert v.converged and v.residual <= v.tol / 10, (index, v.residual)
+
+
+def test_bj_residual_is_first_order_like_rho_inf():
+    # near a smooth orthogonal pair the BJ residual is the rho_inf residual,
+    # not its square: a pair 1e-3 away from rho_inf-orthogonality is
+    # not BJ-orthogonal at the default tolerance
+    x, y = unit_pair(L3, np.random.default_rng(8))
+    z = nl.decomposition_alpha(L3, x, y) * x + y
+    z = z + 1e-3 * nl.norm(L3, z) * x
+    vi = nl.perp_rho_inf(L3, x, z)
+    vb = nl.perp_birkhoff_james(L3, x, z)
+    assert 5e-4 <= vi.residual <= 2e-3
+    assert vb.residual == pytest.approx(vi.residual, rel=1e-9)
+    assert not vb.orthogonal
 
 
 def test_decomposition_examples():
