@@ -141,8 +141,8 @@ def _abs_sum_kernel(w: np.ndarray | None, dim: int) -> Kernel:
         return complex(nx * s)
 
     def bj_slope(x, y):
-        # rotating y turns the support sum of rho_plus, whose modulus is
-        # |rho_inf|, against the off-support sum, which stays
+        # y -> e^{it} y turns the support term of rho_plus, of modulus
+        # |rho_inf|, while the off-support term N(x) sum w_k |y_k| stays
         off = x == 0
         return (float((w * np.abs(x)).sum() * (w[off] * np.abs(y[off])).sum())
                 - abs(rho_inf(x, y)))
@@ -178,8 +178,8 @@ def _max_modulus_kernel(f: np.ndarray | None) -> Kernel:
     f_j x, rho_plus(x, y) = N(x) max_{j in A(x)} Re(conj(u_j) f_j y).  Along
     y -> e^{it} y the integrand of rho_inf is the upper envelope of the
     sinusoids Re(c_j e^{it}), c_j = conj(u_j) f_j y, and integrates exactly.
-    The envelope's minimum, -dist(0, conv{c_j}) when 0 lies outside the
-    hull, is the Birkhoff-James slope.
+    N(x) times the envelope's minimum, which is -dist(0, conv{c_j}) when 0
+    lies outside the hull, is the Birkhoff-James slope.
     """
     if f is None:
         def norm(xs):
@@ -373,7 +373,7 @@ def _smooth_lp_kernel(p: float) -> Kernel:
         a = np.abs(xs)
         m = a.max(axis=-1)
         # m + (m == 0) is exactly m, or 1 on zero rows; unlike np.where it
-        # stays a scalar on single vectors, the Birkhoff-James simplex's case
+        # stays a scalar on single (1-D) vectors
         scaled = a / (m + (m == 0))[..., None]
         return m * (scaled**p).sum(axis=-1) ** (1.0 / p)
 

@@ -115,14 +115,18 @@ BJ_FAMILIES = {
 @pytest.mark.parametrize("name", sorted(BJ_FAMILIES))
 def test_bj_construction_is_always_accepted(name):
     # the first-order criterion is exact only on the kink itself, so the
-    # minimizer must land there exactly; a simplex stops beside it
+    # minimizer must land there exactly; a simplex stops beside it.  Where
+    # the minimum is smooth, a minimizer that compares norm values stops
+    # near sqrt(eps) (residuals up to ~1e-7); the gradient polish goes on
+    # to rounding (~1e-13), far inside the default tolerance of 1e-6
     spec = BJ_FAMILIES[name]
     for index in range(100):
         rng = np.random.default_rng((5, index))
         x, y = gaussian_pair(rng, spec.dim)
         a, b = orthogonality._construct_pair(spec, nl.BIRKHOFF_JAMES, x, y)
         v = nl.perp_birkhoff_james(spec, a, b)
-        assert v.converged and v.residual <= v.tol / 10, (index, v.residual)
+        assert v.orthogonal and v.converged, (index, v.residual)
+        assert v.residual <= 1e-10, (index, v.residual)
 
 
 def test_bj_residual_is_first_order_like_rho_inf():
