@@ -98,6 +98,24 @@ def test_birkhoff_minimum_never_above_grid_and_simplex():
             assert m == pytest.approx(nl.norm(spec, x + xi * y), rel=1e-12)
 
 
+def test_bj_slope_agrees_with_the_minimum():
+    # the closed-form criterion against the minimizer: a negative slope
+    # means some xi beats xi = 0, and on the constructed pair, where the
+    # slope is >= 0, xi = 0 is already the minimum
+    specs = family_specs() + [nl.lp(1, 5), nl.polyhedral(POLY_ROWS)]
+    for spec in specs:
+        rng = np.random.default_rng((13, spec.dim))
+        for _ in range(20):
+            x, y = gaussian_pair(rng, spec.dim)
+            nx = nl.norm(spec, x)
+            assert spec.kernel.bj_slope(x, y) < 0, spec
+            assert nl.birkhoff_minimize(spec, x, y)[0] < nx * (1 - 1e-9), spec
+            a, b = orthogonality._construct_pair(spec, nl.BIRKHOFF_JAMES, x, y)
+            na = nl.norm(spec, a)
+            assert spec.kernel.bj_slope(a, b) >= -1e-10 * na * nl.norm(spec, b), spec
+            assert nl.birkhoff_minimize(spec, a, b)[0] >= na * (1 - 1e-12), spec
+
+
 # the families of the BJ-construction acceptance test: every kernel, the
 # kinked ones in several dimensions
 BJ_FAMILIES = {
