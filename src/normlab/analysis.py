@@ -16,7 +16,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DimensionMismatchError, RUnknownError, ZeroMapError
-from .orthogonality import decomposition_alpha, perp_rho_inf
+from .orthogonality import check_tol, decomposition_alpha, perp_rho_inf
 from .rho_infinity import rho_inf
 from .sampling import complex_gaussian, rng_for, sample_unit
 from .spaces import NormSpec, dual_segment_constant, format_cvector, norm
@@ -342,6 +342,7 @@ def map_preservation_analysis(spec_dom: NormSpec, spec_cod: NormSpec, t,
     """
     t = _check_map(spec_dom, spec_cod, t)
     _check_samples(samples)
+    check_tol(tol)
     est, _ = operator_norm_estimate(spec_dom, spec_cod, t, samples, seed)
 
     iso_defect = 0.0

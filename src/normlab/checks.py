@@ -25,7 +25,7 @@ from .orthogonality import (
     perp_birkhoff_james,
     perp_rho_inf,
 )
-from .rho_infinity import QUADRATURE, SMOOTH_FAST_PATH, rho_inf, rho_n
+from .rho_infinity import QUADRATURE, rho_inf, rho_n
 from .sampling import complex_gaussian, rng_for, sample_unit
 from .spaces import (
     LP,
@@ -196,7 +196,7 @@ def check_lp1_closed_form(spec: NormSpec, samples: int, seed: int) -> list[dict]
 
 def check_smooth_equivalence(spec: NormSpec, samples: int, seed: int) -> list[dict]:
     """At smooth points perp_rho_inf and perp_bj agree; quadrature matches
-    the smooth fast path.
+    the closed form.
 
     A smooth kernel's BJ criterion is min_t rho_plus(x, e^{it} y) =
     -|rho_inf(x, y)|, so both verdicts read the same first-order residual:
@@ -219,13 +219,13 @@ def check_smooth_equivalence(spec: NormSpec, samples: int, seed: int) -> list[di
         z = decomposition_alpha(spec, x, y) * x + y
         if not perp_birkhoff_james(spec, x, z, verdict_tol).orthogonal:
             disagreements += 1
-        smooth = rho_inf(spec, x, y, force_path=SMOOTH_FAST_PATH).value
+        closed = rho_inf(spec, x, y).value
         quad = rho_inf(spec, x, y, force_path=QUADRATURE).value
-        d_path = max(d_path, abs(smooth - quad))
+        d_path = max(d_path, abs(closed - quad))
     return [
         record(suite, "verdict-agreement-rho-inf-vs-bj", disagreements, 0.0,
                0.0, disagreements == 0, seed),
-        record(suite, "quadrature-vs-smooth-path", d_path, 0.0, 1e-6,
+        record(suite, "quadrature-vs-closed-form", d_path, 0.0, 1e-6,
                d_path <= 1e-6, seed),
     ]
 

@@ -25,7 +25,13 @@ from . import checks
 from .analysis import map_preservation_analysis
 from .derivatives import rho_lambda, rho_lambda_upsilon, rho_milicic, rho_minus, rho_plus
 from .errors import NormLabError, SpecParseError
-from .orthogonality import DEFAULT_TOL, RELATIONS, SamplerConfig, relation_compare
+from .orthogonality import (
+    DEFAULT_TOL,
+    RELATIONS,
+    SamplerConfig,
+    check_tol,
+    relation_compare,
+)
 from .rho_infinity import DEFAULT_N_MAX, DEFAULT_QUAD_TOL, rho_inf_traced, rho_n
 from .spaces import QUADRATURE, format_complex, parse_cvector, parse_norm_spec
 
@@ -50,6 +56,15 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+        check_tol(tol)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return tol
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -260,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--k", type=int, default=None)
     p_eval.add_argument("--n", type=int, default=None)
     p_eval.add_argument("--force-path", default=None,
-                        choices=["closed_form", "numeric_limit", "quadrature",
-                                 "smooth_fast_path"])
+                        choices=["closed_form", "numeric_limit", "quadrature"])
     p_eval.add_argument("--quad-tol", type=float, default=None)
     p_eval.add_argument("--nmax", type=int, default=None)
     p_eval.set_defaults(func=cmd_eval)
@@ -275,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_search)
     p_search.add_argument("--a", required=True, choices=list(RELATIONS))
     p_search.add_argument("--b", required=True, choices=list(RELATIONS))
-    p_search.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_search.add_argument("--max-witnesses", type=int, default=None)
+    p_search.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    p_search.add_argument("--max-witnesses", type=_positive_int, default=None)
     p_search.set_defaults(func=cmd_search)
 
     p_map = sub.add_parser("analyze-map",
@@ -286,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="file of row-major complex entries, one row per line")
     p_map.add_argument("--cod-norm", default=None,
                        help="codomain norm spec (default: same as --norm)")
-    p_map.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_map.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_map.set_defaults(func=cmd_analyze_map)
 
     p_report = sub.add_parser("report", help="run every applicable suite")

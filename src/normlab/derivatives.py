@@ -22,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# all four path names stay importable from here, next to FunctionalValue.path
+# all three path names stay importable from here, next to FunctionalValue.path
 from .spaces import (
     CLOSED_FORM,
     NUMERIC_LIMIT,
     QUADRATURE,
-    SMOOTH_FAST_PATH,
     NormSpec,
     check_dim,
     norm_rows,
@@ -41,6 +40,7 @@ GAP_TOL = 1e-9  # early-stop criterion on successive quotient gaps
 NONCONVERGED_GAP = 1e-6  # final gap above this flags the value as unsettled
 
 _XDTYPE = np.clongdouble if np.finfo(np.longdouble).eps < 1e-18 else np.complex128
+_XEPS = float(np.finfo(_XDTYPE).eps)
 
 
 @dataclass(frozen=True)
@@ -63,23 +63,22 @@ class FunctionalValue:
         return self.value.real
 
 
-def _quotient_table(spec: NormSpec, x_unit: np.ndarray, y_units: np.ndarray,
-                    dtype) -> np.ndarray:
+def _quotient_table(spec: NormSpec, x_unit: np.ndarray,
+                    y_units: np.ndarray) -> np.ndarray:
     """(|x + t_j y| - |x|) / t_j for every step t_j (rows) and every row y
-    of y_units (columns), evaluated in dtype."""
-    xs = x_unit.astype(dtype)
-    ys = y_units.astype(dtype)
+    of y_units (columns), evaluated in extended precision."""
+    xs = x_unit.astype(_XDTYPE)
+    ys = y_units.astype(_XDTYPE)
     base = norm_rows(spec, xs[None, :])[0]
     m = ys.shape[0]
-    ts = STEPS.astype(np.real(np.zeros(0, dtype)).dtype)
+    ts = STEPS.astype(np.finfo(_XDTYPE).dtype)
     # one flattened (steps x rows) norm evaluation instead of a step loop
     shifted = xs[None, None, :] + ts[:, None, None] * ys[None, :, :]
     norms = norm_rows(spec, shifted.reshape(STEPS.size * m, -1))
     return (norms.reshape(STEPS.size, m) - base) / ts[:, None]
 
 
-def _limit_quotients(spec: NormSpec, x_unit: np.ndarray, y_units: np.ndarray,
-                     dtype=None):
+def _limit_quotients(spec: NormSpec, x_unit: np.ndarray, y_units: np.ndarray):
     """Difference quotients of the norm along each row of y_units.
 
     Both x_unit and every row of y_units must already have unit norm.
@@ -89,9 +88,8 @@ def _limit_quotients(spec: NormSpec, x_unit: np.ndarray, y_units: np.ndarray,
     first gap below GAP_TOL, otherwise the smallest observed value is the
     best estimate (every quotient lies above the limit).
     """
-    dtype = _XDTYPE if dtype is None else dtype
     m = y_units.shape[0]
-    g64 = np.asarray(_quotient_table(spec, x_unit, y_units, dtype), dtype=float)
+    g64 = np.asarray(_quotient_table(spec, x_unit, y_units), dtype=float)
     gaps = np.abs(np.diff(g64, axis=0))
     hit = gaps < GAP_TOL
     stopped = hit.any(axis=0)
@@ -102,14 +100,13 @@ def _limit_quotients(spec: NormSpec, x_unit: np.ndarray, y_units: np.ndarray,
     vals = np.where(stopped, g64[first + 1, rows], g64[min_idx, rows])
     t_used = np.where(stopped, STEPS[first + 1], STEPS[min_idx])
     trunc = np.where(stopped, gaps[first, rows], gaps[-1])
-    cancel_floor = 4.0 * float(np.finfo(np.dtype(dtype).char.lower()).eps) / t_used
+    cancel_floor = 4.0 * _XEPS / t_used
     errs = trunc + cancel_floor
     conv = stopped | (gaps[-1] <= NONCONVERGED_GAP)
     return vals, errs, conv
 
 
-def rho_plus_rows(spec: NormSpec, x, ys, *, force_path: str | None = None,
-                  dtype=None):
+def rho_plus_rows(spec: NormSpec, x, ys, *, force_path: str | None = None):
     """rho_plus(x, y) for every row y of ys.
 
     Returns (values, abs_errors, converged, path).  This is the shared
@@ -144,7 +141,7 @@ def rho_plus_rows(spec: NormSpec, x, ys, *, force_path: str | None = None,
         # scale to unit norms, rescale after: rho_plus is positively
         # homogeneous in each slot
         yu = ys[live] / nys[live][:, None]
-        v, e, c = _limit_quotients(spec, x / nx, yu, dtype=dtype)
+        v, e, c = _limit_quotients(spec, x / nx, yu)
         scale = nx * nys[live]
         vals[live] = v * scale
         errs[live] = e * scale
@@ -170,13 +167,13 @@ def limit_quotient_table(spec: NormSpec, x, y) -> np.ndarray:
     ny = float(norm_rows(spec, y[None, :])[0])
     if nx == 0.0 or ny == 0.0:
         return np.zeros(STEPS.size)
-    g = _quotient_table(spec, x / nx, (y / ny)[None, :], _XDTYPE)
+    g = _quotient_table(spec, x / nx, (y / ny)[None, :])
     return np.asarray(g[:, 0], dtype=float)
 
 
 # rounding allowance for monotonicity checks of the quotient table: the
 # cancellation noise of one quotient evaluation at the smallest step
-QUOTIENT_NOISE = 50.0 * float(np.finfo(np.real(np.zeros(0, _XDTYPE)).dtype).eps) / float(STEPS[-1])
+QUOTIENT_NOISE = 50.0 * _XEPS / float(STEPS[-1])
 
 
 def rho_minus(spec: NormSpec, x, y, *, force_path: str | None = None) -> FunctionalValue:

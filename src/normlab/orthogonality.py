@@ -17,6 +17,7 @@ construction and reports the ones violating another.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,16 @@ DEFAULT_TOL = 1e-6  # one order above the worst-case functional error
 # a coordinate of a Birkhoff-James minimizer x + xi y at most this fraction
 # of |x_k| + |xi y_k| is a cancellation, i.e. an exact zero lost to rounding
 BJ_CANCEL_RTOL = 1e-13
+
+
+def check_tol(tol: float) -> None:
+    """Reject a verdict tolerance that is not a finite number >= 0.
+
+    Against NaN or a negative tol no pair is orthogonal, and against inf
+    every pair is, so an audit would report no witness either way.
+    """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -118,21 +129,15 @@ def semi_inner(spec: NormSpec, u, v) -> FunctionalValue:
 def perp_semi(spec: NormSpec, x, y, tol: float = DEFAULT_TOL) -> OrthoVerdict:
     """Semi-orthogonality x perp_s y, i.e. [y, x] = 0.
 
-    Requires a nonzero base point x; y = 0 is orthogonal trivially.
+    Requires a nonzero base point x and a smooth norm; y = 0 is
+    orthogonal trivially.
     """
-    x = vector(x)
-    y = vector(y)
-    nx = norm(spec, x)
-    ny = norm(spec, y)
-    if nx == 0.0:
+    if norm(spec, vector(x)) == 0.0:
         raise ZeroBaseError("perp_semi requires x != 0")
-    if ny == 0.0:
-        if not is_smooth_family(spec):
-            raise NotSmoothError(f"{spec.family!r} is not a smooth family")
-        return OrthoVerdict(True, 0.0, tol, SEMI, True)
-    value = semi_inner(spec, y / ny, x / nx)
-    return OrthoVerdict(abs(value.value) <= tol, abs(value.value), tol, SEMI,
-                        value.converged)
+    if not is_smooth_family(spec):
+        raise NotSmoothError(f"{spec.family!r} is not a smooth family")
+    return _relative(spec, lambda s, xu, yu: semi_inner(s, yu, xu), x, y,
+                     tol, SEMI)
 
 
 def birkhoff_minimize(spec: NormSpec, x, y) -> tuple[float, complex]:
@@ -283,6 +288,10 @@ def relation_compare(spec: NormSpec, relation_a: str, relation_b: str,
     if spec.dim != config.dim:
         raise DimensionMismatchError(
             f"config dim {config.dim} does not match spec dim {spec.dim}")
+    check_tol(config.tol)
+    if config.max_witnesses is not None and config.max_witnesses < 1:
+        raise ValueError(
+            f"max_witnesses must be >= 1, got {config.max_witnesses}")
     witnesses: list[Witness] = []
     for index in range(config.samples):
         rng = rng_for(config.seed, index)

@@ -7,11 +7,10 @@ makes rho_n recover the inner product when there is one.  The limit
     rho_inf(x, y) = (1/pi) Integral_0^{2pi} e^{i theta}
                     rho_plus(x, e^{i theta} y) d theta
 
-is computed by the closed form of the spec's kernel.  Two independent
-oracles stay behind force_path=: the smooth identity
-rho_plus(x,y) + i*rho_plus(x,iy), valid only on smooth norms, and
-periodic trapezoidal quadrature, which with N equispaced nodes is exactly
-rho_N.  Doubling N reuses all previously evaluated nodes.
+is computed by the closed form of the spec's kernel.  Periodic
+trapezoidal quadrature, which with N equispaced nodes is exactly rho_N,
+stays behind force_path= as an independent oracle.  Doubling N reuses
+all previously evaluated nodes.
 """
 
 from __future__ import annotations
@@ -20,22 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivatives import (
-    CLOSED_FORM,
-    QUADRATURE,
-    SMOOTH_FAST_PATH,
-    FunctionalValue,
-    rho_plus_rows,
-)
+from .derivatives import CLOSED_FORM, QUADRATURE, FunctionalValue, rho_plus_rows
 from .errors import NTooSmallError
-from .spaces import (
-    NormSpec,
-    check_dim,
-    format_norm_spec,
-    is_smooth_family,
-    norm,
-    vector,
-)
+from .spaces import NormSpec, check_dim, norm, vector
 
 DEFAULT_QUAD_TOL = 1e-7
 DEFAULT_N_MAX = 4096
@@ -94,15 +80,19 @@ class QuadratureTrace:
 
 
 def quadrature_rho_inf(spec: NormSpec, x, y, *, tol: float = DEFAULT_QUAD_TOL,
-                       n_max: int = DEFAULT_N_MAX,
-                       n_start: int = 8) -> tuple[FunctionalValue, QuadratureTrace]:
+                       n_max: int = DEFAULT_N_MAX
+                       ) -> tuple[FunctionalValue, QuadratureTrace]:
     """rho_inf by periodic trapezoid rule with node doubling.
 
     The N-node rule coincides with rho_N; refinement doubles N starting
-    from n_start, reusing every already-evaluated node, and stops when
-    two successive estimates differ by less than tol.  If n_max is
-    reached first the best estimate is returned flagged nonconverged.
+    from 8, reusing every already-evaluated node, and stops when two
+    successive estimates differ by less than tol.  N never exceeds n_max,
+    which must allow the first refinement (n_max >= 16); if the next
+    doubling would exceed it, the best estimate is returned flagged
+    nonconverged.
     """
+    if n_max < 16:
+        raise ValueError(f"n_max must be >= 16, got {n_max}")
     x = vector(x)
     y = vector(y)
     check_dim(spec, x)
@@ -111,46 +101,37 @@ def quadrature_rho_inf(spec: NormSpec, x, y, *, tol: float = DEFAULT_QUAD_TOL,
     ny = norm(spec, y)
     scale = nx * ny
     if scale == 0.0:
+        # forced by homogeneity: rho_inf(a x, b y) = a conj(b) rho_inf(x, y)
         return (FunctionalValue(0j, 0.0, QUADRATURE, True),
                 QuadratureTrace((), (), 0.0))
     xu = x / nx
     yu = y / ny
 
-    n = int(n_start)
+    n = 8
     phases = np.exp(2j * np.pi * np.arange(n) / n)
-    vals, errs, conv, _ = rho_plus_rows(spec, xu, phases[:, None] * yu[None, :])
-    nodes_ok = bool(conv.all())
+    vals = rho_plus_rows(spec, xu, phases[:, None] * yu[None, :])[0]
     counts = [n]
     ests = [(2.0 / n) * complex(np.sum(phases * vals))]
-    node_err = (2.0 / n) * float(errs.sum())
-    gap = np.inf
 
-    # always refine at least once so the gap (and the trace) are defined
-    while n < n_max or len(ests) < 2:
+    # n_max >= 16, so the first refinement always runs and defines the gap
+    while 2 * n <= n_max:
         n2 = 2 * n
         new_phases = np.exp(2j * np.pi * (2 * np.arange(n) + 1) / n2)
-        nvals, nerrs, nconv, _ = rho_plus_rows(spec, xu,
-                                               new_phases[:, None] * yu[None, :])
-        nodes_ok = nodes_ok and bool(nconv.all())
+        nvals = rho_plus_rows(spec, xu, new_phases[:, None] * yu[None, :])[0]
         phases2 = np.empty(n2, dtype=np.complex128)
         vals2 = np.empty(n2)
-        errs2 = np.empty(n2)
         phases2[0::2], phases2[1::2] = phases, new_phases
         vals2[0::2], vals2[1::2] = vals, nvals
-        errs2[0::2], errs2[1::2] = errs, nerrs
-        phases, vals, errs, n = phases2, vals2, errs2, n2
+        phases, vals, n = phases2, vals2, n2
 
         counts.append(n)
         ests.append((2.0 / n) * complex(np.sum(phases * vals)))
-        node_err = (2.0 / n) * float(errs.sum())
         gap = abs(ests[-1] - ests[-2])
         if gap < tol:
             break
 
-    converged = bool(gap < tol) and nodes_ok
-    value = ests[-1] * scale
-    fv = FunctionalValue(value, (float(gap) + node_err) * scale, QUADRATURE,
-                         converged)
+    fv = FunctionalValue(ests[-1] * scale, float(gap) * scale, QUADRATURE,
+                         bool(gap < tol))
     trace = QuadratureTrace(tuple(counts), tuple(e * scale for e in ests),
                             float(gap) * scale)
     return fv, trace
@@ -169,24 +150,8 @@ def rho_inf_traced(spec: NormSpec, x, y, *, tol: float = DEFAULT_QUAD_TOL,
     if path == CLOSED_FORM:  # exact, and 0 when x or y is 0
         return FunctionalValue(spec.kernel.rho_inf(x, y), 0.0, CLOSED_FORM,
                                True), None
-    if norm(spec, x) == 0.0 or norm(spec, y) == 0.0:
-        # forced by homogeneity: rho_inf(a x, b y) = a conj(b) rho_inf(x, y)
-        return FunctionalValue(0j, 0.0, CLOSED_FORM, True), None
-
-    if path == SMOOTH_FAST_PATH:
-        if not is_smooth_family(spec):
-            raise ValueError("the smooth identity does not hold on the "
-                             f"non-smooth norm {format_norm_spec(spec)}")
-        # at smooth points rho_plus is real-linear in y, so the angular
-        # integral collapses to rho_plus(x,y) + i rho_plus(x,iy)
-        vals, errs, conv, _ = rho_plus_rows(spec, x, np.stack([y, 1j * y]))
-        return (FunctionalValue(complex(vals[0], vals[1]),
-                                float(errs.sum()), SMOOTH_FAST_PATH,
-                                bool(conv.all())), None)
-
     if path == QUADRATURE:
         return quadrature_rho_inf(spec, x, y, tol=tol, n_max=n_max)
-
     raise ValueError(f"unknown path {path!r}")
 
 

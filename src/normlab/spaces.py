@@ -56,7 +56,6 @@ BJ_NEWTON_STEPS = 100
 CLOSED_FORM = "closed_form"
 NUMERIC_LIMIT = "numeric_limit"
 QUADRATURE = "quadrature"
-SMOOTH_FAST_PATH = "smooth_fast_path"
 
 
 def vector(data) -> np.ndarray:

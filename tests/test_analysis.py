@@ -245,6 +245,17 @@ def test_sampled_audits_reject_empty_samples(samples):
                                      samples=samples)
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, -np.inf])
+def test_audits_reject_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    # NaN or a negative tol makes no pair orthogonal and inf every pair,
+    # so either audit would report no witness for diag(1, 2)
+    with pytest.raises(ValueError, match="tol"):
+        nl.map_preservation_analysis(L1, L1, np.diag([1.0, 2.0]), tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        nl.relation_compare(L1, nl.RHO_INF, nl.BIRKHOFF_JAMES,
+                            nl.SamplerConfig(dim=2, samples=50, tol=tol))
+
+
 def test_import_leaves_scipy_optimize_out():
     code = ("import sys, normlab; "
             "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'")

@@ -1,10 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from normlab.cli import main
+
+# diag(1, 2), not an isometry of any lp norm in dimension 2
+DIAG_1_2 = Path(__file__).parent / "golden" / "diag_1_2.txt"
 
 
 def run_cli(capsys, *argv):
@@ -232,13 +236,55 @@ def test_module_entry_point():
 
 
 def test_forced_smooth_path_on_kinked_norm_exits_2(capsys):
-    # the smooth identity is wrong at a tie of lp inf, so forcing it is refused
+    # the smooth identity is no path of rho_inf; the closed form is exact
     code, out, err = run_cli(capsys, "eval", "--norm", "lp:p=inf:dim=3",
                              "--x", "1,1,1", "--y", "0.8+0.9i,-0.4+0.1i,-1.5-0.8i",
                              "--functional", "rho_inf",
                              "--force-path", "smooth_fast_path")
     assert code == 2 and out == ""
-    assert "smooth identity" in err
+    assert "invalid choice: 'smooth_fast_path'" in err
+
+
+def test_forced_quadrature_at_zero_reports_its_path(capsys):
+    code, out, _ = run_cli(capsys, "eval", "--norm", "lp:p=1:dim=2",
+                           "--x", "0,0", "--y", "1,0+1i", "--functional",
+                           "rho_inf", "--force-path", "quadrature",
+                           "--format", "jsonl")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["path"] == "quadrature" and rec["quad_nodes"] == 0
+    assert rec["value"] == "0" and rec["converged"] is True
+
+
+@pytest.mark.parametrize("nmax", ["4", "-5"])
+def test_quadrature_budget_below_one_refinement_exits_2(capsys, nmax):
+    code, out, err = run_cli(capsys, "eval", "--norm", "lp:p=inf:dim=3",
+                             "--x", "1,0+1i,-1", "--y", "0.3+0.2i,-1.1+0.7i,0.4-0.9i",
+                             "--functional", "rho_inf",
+                             "--force-path", "quadrature", "--nmax", nmax)
+    assert code == 2 and out == ""
+    assert "n_max must be >= 16" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("argv", [
+    ("search", "--a", "rho_inf", "--b", "bj"),
+    ("analyze-map", "--matrix", str(DIAG_1_2)),
+], ids=["search", "analyze-map"])
+def test_tolerance_that_is_not_finite_and_nonnegative_exits_2(capsys, argv, tol):
+    code, out, err = run_cli(capsys, *argv, "--norm", "lp:p=1:dim=2",
+                             "--samples", "50", "--tol", tol)
+    assert code == 2 and out == ""
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_max_witnesses_below_one_exits_2(capsys, count):
+    code, out, err = run_cli(capsys, "search", "--norm", "lp:p=1:dim=2",
+                             "--a", "rho_inf", "--b", "bj",
+                             "--max-witnesses", count)
+    assert code == 2 and out == ""
+    assert "--max-witnesses" in err
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -333,3 +333,7 @@ def test_relation_compare_validates():
                          SamplerConfig(dim=3, samples=5))
     with pytest.raises(ValueError):
         nl.perp(L1, "sideways", [1, 0], [0, 1])
+    for count in (0, -3):
+        with pytest.raises(ValueError, match="max_witnesses"):
+            relation_compare(L1, nl.RHO_PLUS, nl.RHO_INF,
+                             SamplerConfig(dim=2, samples=5, max_witnesses=count))

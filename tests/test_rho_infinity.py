@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import normlab as nl
-from normlab.derivatives import CLOSED_FORM, QUADRATURE, SMOOTH_FAST_PATH
+from normlab.derivatives import CLOSED_FORM, NUMERIC_LIMIT, QUADRATURE
 
-from conftest import family_specs, gaussian_pair, unit_pair
+from conftest import family_specs, gaussian_pair, random_pd_gram, unit_pair
 
 L1 = nl.lp(1, 2)
 
@@ -93,11 +93,14 @@ def test_rho_inf_zero_inputs():
     v = nl.rho_inf(L1, [0, 0], [1, 2])
     assert v.value == 0j and v.abs_error == 0.0
     assert nl.rho_inf(L1, [1, 2], [0, 0]).value == 0j
+    # a forced oracle reports its own path, also where it evaluates no node
+    forced, trace = nl.rho_inf_traced(L1, [0, 0], [1, 2], force_path=QUADRATURE)
+    assert forced.value == 0j and forced.path == QUADRATURE
+    assert trace.node_counts == ()
 
 
 def test_dispatch_paths(rng):
-    # every kernel's default path is its closed form, in every dimension;
-    # the smooth identity can be forced only where the norm is smooth
+    # every kernel's default path is its closed form, in every dimension
     makers = [
         lambda d: nl.lp(1, d),
         lambda d: nl.lp(2.5, d),
@@ -112,14 +115,38 @@ def test_dispatch_paths(rng):
             spec = make(dim)
             assert nl.rho_plus(spec, x, y).path == CLOSED_FORM, spec
             assert nl.rho_inf(spec, x, y).path == CLOSED_FORM, spec
-            # every 1-D norm is smooth, so the identity holds there
-            if nl.is_smooth_family(spec):
-                forced = nl.rho_inf(spec, x, y, force_path=SMOOTH_FAST_PATH)
-                assert forced.path == SMOOTH_FAST_PATH
-            else:
-                assert dim > 1
-                with pytest.raises(ValueError, match="smooth identity"):
-                    nl.rho_inf(spec, x, y, force_path=SMOOTH_FAST_PATH)
+    with pytest.raises(ValueError, match="unknown path"):
+        nl.rho_inf(L1, [1, 0], [0, 1], force_path="smooth_fast_path")
+
+
+def _smooth_identity(spec, x, y, force_path=None):
+    """rho_plus(x, y) + i rho_plus(x, iy): rho_inf wherever the norm is
+    smooth at x, because rho_plus is then real-linear in y."""
+    re = nl.rho_plus(spec, x, y, force_path=force_path).value.real
+    im = nl.rho_plus(spec, x, 1j * y, force_path=force_path).value.real
+    return complex(re, im)
+
+
+def test_smooth_identity_matches_the_closed_form(rng):
+    # every norm is smooth in dimension one
+    specs = [nl.lp(1.2, 3), nl.lp(2.5, 3), nl.lp(7, 3),
+             nl.pd_inner(random_pd_gram(rng, 3)), *family_specs(dim=1)]
+    for spec in specs:
+        for _ in range(10):
+            x, y = gaussian_pair(rng, spec.dim)
+            closed = nl.rho_inf(spec, x, y).value
+            scale = nl.norm(spec, x) * nl.norm(spec, y)
+            assert abs(closed - _smooth_identity(spec, x, y)) <= 1e-12 * scale, spec
+            numeric = _smooth_identity(spec, x, y, force_path=NUMERIC_LIMIT)
+            assert abs(closed - numeric) <= 1e-7 * scale, spec
+    # but not at a kink: on the pinned lp:inf reproducer x sits on a 3-way
+    # tie, where rho_plus is not real-linear in y
+    spec = nl.lp(np.inf, 3)
+    x = np.array([1.0, 1.0, 1.0])
+    y = np.array([0.8 + 0.9j, -0.4 + 0.1j, -1.5 - 0.8j])
+    assert _smooth_identity(spec, x, y) == pytest.approx(0.8 + 0.8j, abs=1e-15)
+    assert nl.rho_inf(spec, x, y).value == pytest.approx(
+        -0.3506466958810921 - 0.05087450481651662j, abs=1e-12)
 
 
 def test_forced_quadrature_agrees_with_closed_form(rng):
@@ -230,6 +257,20 @@ def test_quadrature_nonconvergence_flag():
     assert full_trace.node_counts[-1] <= 4096
     ref = nl.rho_n(spec, x, y, 4096).value
     assert abs(full.value - ref) <= 1e-9
+
+
+def test_quadrature_stays_within_its_node_budget():
+    # tol=1e-14 is never met on this tie, so every budget is spent
+    spec = nl.lp(np.inf, 3)
+    x = np.array([1.0, 1.0j, -1.0])
+    y = np.array([0.3 + 0.2j, -1.1 + 0.7j, 0.4 - 0.9j])
+    for n_max in (100, 1000):
+        value, trace = nl.quadrature_rho_inf(spec, x, y, tol=1e-14, n_max=n_max)
+        assert trace.node_counts[-1] <= n_max < 2 * trace.node_counts[-1]
+        assert not value.converged
+    for n_max in (4, 15, -5):
+        with pytest.raises(ValueError, match="n_max"):
+            nl.quadrature_rho_inf(spec, x, y, n_max=n_max)
 
 
 def test_quadrature_equals_rho_n_at_same_node_count(rng):
