@@ -5,7 +5,10 @@ maximum (or defect), and leaves the pass/fail judgement to the caller:
 an audit report states what was observed, the test suites assert the
 bounds.  Sampling uses complex-Gaussian coordinates normalized to the
 unit sphere of the relevant norm, with per-index generators for
-reproducibility.
+reproducibility.  The audits draw and evaluate their samples in stacked
+batches (sampling.index_batches) through the kernels' pairs methods; the
+results, down to the worst pair of a tie, are those of a loop over the
+indices with the single-pair functions.
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DimensionMismatchError, RUnknownError, ZeroMapError
-from .orthogonality import check_tol, decomposition_alpha, perp_rho_inf
-from .rho_infinity import rho_inf
-from .sampling import complex_gaussian, rng_for, sample_unit
+from .orthogonality import RHO_INF, check_tol, construct_pairs, relation_residuals
+from .sampling import gaussian_draws, index_batches, rng_for, sample_unit, unit_draws
 from .spaces import NormSpec, dual_segment_constant, format_cvector, norm
 
 UNIVERSAL_4_OVER_PI = "4_over_pi"
@@ -32,6 +34,18 @@ def _check_dim(spec: NormSpec, dim: int) -> None:
     if spec.dim != int(dim):
         raise DimensionMismatchError(
             f"requested dim {dim} does not match spec dim {spec.dim}")
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| as Python's abs of a complex gives it; np.abs differs in the
+    last bit on about a third of the values."""
+    return np.hypot(z.real, z.imag)
+
+
+def _first_max(values: np.ndarray, best: float) -> int | None:
+    """The index of the first maximum of values if it beats best, else None."""
+    i = int(np.argmax(values))
+    return i if values[i] > best else None
 
 
 def _check_samples(samples: int) -> None:
@@ -64,22 +78,22 @@ def symmetry_defect(spec: NormSpec, dim: int, samples: int,
                     seed: int) -> SymmetryReport:
     _check_dim(spec, dim)
     _check_samples(samples)
+    k = spec.kernel
     raw = conj = para = -1.0
     worst = None
-    for i in range(int(samples)):
-        rng = rng_for(seed, 0, i)
-        x = sample_unit(spec, rng)
-        y = sample_unit(spec, rng)
-        f = complex(rho_inf(spec, x, y).value)
-        g = complex(rho_inf(spec, y, x).value)
-        d_raw = abs(f - g)
-        if d_raw > raw:
-            raw = d_raw
-            worst = (x, y)
-        conj = max(conj, abs(f - g.conjugate()))
-        para = max(para, abs(norm(spec, x + y) ** 2 + norm(spec, x - y) ** 2
-                             - 2.0 * norm(spec, x) ** 2
-                             - 2.0 * norm(spec, y) ** 2))
+    for batch in index_batches(int(samples)):
+        x, y = unit_draws(spec, seed, (0,), batch)
+        f = k.rho_inf_pairs(x, y)
+        g = k.rho_inf_pairs(y, x)
+        d_raw = _modulus(f - g)
+        i = _first_max(d_raw, raw)
+        if i is not None:
+            raw = float(d_raw[i])
+            worst = (x[i].copy(), y[i].copy())
+        conj = max(conj, float(_modulus(f - g.conj()).max()))
+        sq = [np.float_power(k.norm(z), 2) for z in (x + y, x - y, x, y)]
+        para = max(para, float(np.abs(sq[0] + sq[1] - 2.0 * sq[2]
+                                      - 2.0 * sq[3]).max()))
     return SymmetryReport(raw, conj, para, worst, int(samples), int(seed))
 
 
@@ -125,14 +139,13 @@ def cs_bound_audit(spec: NormSpec, dim: int, samples: int, seed: int,
 
     max_ratio = -1.0
     worst = None
-    for i in range(int(samples)):
-        rng = rng_for(seed, 1, i)
-        x = sample_unit(spec, rng)
-        y = sample_unit(spec, rng)
-        ratio = abs(rho_inf(spec, x, y).value)
-        if ratio > max_ratio:
-            max_ratio = ratio
-            worst = (x, y)
+    for batch in index_batches(int(samples)):
+        x, y = unit_draws(spec, seed, (1,), batch)
+        ratio = _modulus(spec.kernel.rho_inf_pairs(x, y))
+        i = _first_max(ratio, max_ratio)
+        if i is not None:
+            max_ratio = float(ratio[i])
+            worst = (x[i].copy(), y[i].copy())
     return AuditReport(max_ratio, float(bound_used), bound, int(samples),
                        int(seed), worst)
 
@@ -166,23 +179,25 @@ def norm_equivalence_constant(spec1: NormSpec, spec2: NormSpec, dim: int,
     worst = None
     m_est = np.inf
     big_m_est = 0.0
-    for i in range(int(samples)):
-        rng = rng_for(seed, 2, i)
-        x = complex_gaussian(rng, dim)
-        y = complex_gaussian(rng, dim)
-        n1 = (norm(spec1, x), norm(spec1, y))
-        n2 = (norm(spec2, x), norm(spec2, y))
-        if min(n1) < 1e-12 or min(n2) < 1e-12:
+    for batch in index_batches(int(samples)):
+        x, y = gaussian_draws(dim, seed, (2,), batch)
+        n1x, n1y = spec1.kernel.norm(x), spec1.kernel.norm(y)
+        n2x, n2y = spec2.kernel.norm(x), spec2.kernel.norm(y)
+        live = np.minimum(np.minimum(n1x, n1y), np.minimum(n2x, n2y)) >= 1e-12
+        if not live.any():
             continue
-        for z_norm1, z_norm2 in zip(n1, n2):
-            m_est = min(m_est, z_norm2 / z_norm1)
-            big_m_est = max(big_m_est, z_norm2 / z_norm1)
-        v1 = complex(rho_inf(spec1, x, y).value)
-        v2 = complex(rho_inf(spec2, x, y).value)
-        c = abs(v1 - v2) / min(n1[0] * n1[1], n2[0] * n2[1])
-        if c > max_c:
-            max_c = c
-            worst = (x, y)
+        x, y = x[live], y[live]
+        n1x, n1y, n2x, n2y = n1x[live], n1y[live], n2x[live], n2y[live]
+        ratios = np.concatenate((n2x / n1x, n2y / n1y))
+        m_est = min(m_est, float(ratios.min()))
+        big_m_est = max(big_m_est, float(ratios.max()))
+        v1 = spec1.kernel.rho_inf_pairs(x, y)
+        v2 = spec2.kernel.rho_inf_pairs(x, y)
+        c = _modulus(v1 - v2) / np.minimum(n1x * n1y, n2x * n2y)
+        i = _first_max(c, max_c)
+        if i is not None:
+            max_c = float(c[i])
+            worst = (x[i].copy(), y[i].copy())
     r1 = dual_segment_constant(spec1).r_dual
     r2 = dual_segment_constant(spec2).r_dual
     ceiling = None
@@ -345,34 +360,31 @@ def map_preservation_analysis(spec_dom: NormSpec, spec_cod: NormSpec, t,
     check_tol(tol)
     est, _ = operator_norm_estimate(spec_dom, spec_cod, t, samples, seed)
 
-    iso_defect = 0.0
-    for i in range(int(samples)):
-        x = sample_unit(spec_dom, rng_for(seed, 4, i))
-        iso_defect = max(iso_defect, abs(norm(spec_cod, t @ x) - est))
+    def image(xs):
+        # t @ x row by row, as for a single vector
+        return np.matmul(t, xs[:, :, None])[:, :, 0]
 
-    scale_defect = 0.0
-    for i in range(int(samples)):
-        rng = rng_for(seed, 5, i)
-        x = sample_unit(spec_dom, rng)
-        y = sample_unit(spec_dom, rng)
-        lhs = complex(rho_inf(spec_cod, t @ x, t @ y).value)
-        rhs = est**2 * complex(rho_inf(spec_dom, x, y).value)
-        scale_defect = max(scale_defect, abs(lhs - rhs))
-
+    iso_defect = scale_defect = 0.0
     witnesses: list[MapWitness] = []
-    for i in range(int(samples)):
-        rng = rng_for(seed, 6, i)
-        x = complex_gaussian(rng, spec_dom.dim)
-        y = complex_gaussian(rng, spec_dom.dim)
-        if norm(spec_dom, x) < 1e-8:
-            continue
-        b = decomposition_alpha(spec_dom, x, y) * x + y
-        va = perp_rho_inf(spec_dom, x, b, tol)
-        if not (va.orthogonal and va.converged):
-            continue
-        vb = perp_rho_inf(spec_cod, t @ x, t @ b, tol)
-        if vb.converged and not vb.orthogonal:
-            witnesses.append(MapWitness(x, b, va.residual, vb.residual))
+    for batch in index_batches(int(samples)):
+        (x,) = unit_draws(spec_dom, seed, (4,), batch, count=1)
+        iso_defect = max(iso_defect, float(
+            np.abs(spec_cod.kernel.norm(image(x)) - est).max()))
+
+        x, y = unit_draws(spec_dom, seed, (5,), batch)
+        lhs = spec_cod.kernel.rho_inf_pairs(image(x), image(y))
+        rhs = est**2 * spec_dom.kernel.rho_inf_pairs(x, y)
+        scale_defect = max(scale_defect, float(_modulus(lhs - rhs).max()))
+
+        x, y = gaussian_draws(spec_dom.dim, seed, (6,), batch)
+        nx = spec_dom.kernel.norm(x)
+        live = nx >= 1e-8
+        x, b = construct_pairs(spec_dom, RHO_INF, x[live], y[live], nx[live])
+        res_a = relation_residuals(spec_dom, RHO_INF, x, b)
+        ok = np.flatnonzero(res_a <= tol)
+        res_b = relation_residuals(spec_cod, RHO_INF, image(x[ok]), image(b[ok]))
+        witnesses += [MapWitness(x[j].copy(), b[j].copy(), float(res_a[j]), float(r))
+                      for j, r in zip(ok, res_b) if not r <= tol]
 
     return MapAnalysis(est, float(iso_defect), not witnesses,
                        float(scale_defect), witnesses, int(samples),

@@ -32,7 +32,13 @@ from .orthogonality import (
     check_tol,
     relation_compare,
 )
-from .rho_infinity import DEFAULT_N_MAX, DEFAULT_QUAD_TOL, rho_inf_traced, rho_n
+from .rho_infinity import (
+    DEFAULT_N_MAX,
+    DEFAULT_QUAD_TOL,
+    check_quad_tol,
+    rho_inf_traced,
+    rho_n,
+)
 from .spaces import QUADRATURE, format_complex, parse_cvector, parse_norm_spec
 
 EXIT_OK = 0
@@ -58,13 +64,16 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _tolerance(text: str) -> float:
-    try:
-        tol = float(text)
-        check_tol(tol)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return tol
+def _checked_float(check):
+    """An argparse type: a float that check accepts (it raises ValueError)."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -276,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--n", type=int, default=None)
     p_eval.add_argument("--force-path", default=None,
                         choices=["closed_form", "numeric_limit", "quadrature"])
-    p_eval.add_argument("--quad-tol", type=float, default=None)
+    p_eval.add_argument("--quad-tol", type=_checked_float(check_quad_tol),
+                        default=None)
     p_eval.add_argument("--nmax", type=int, default=None)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -289,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_search)
     p_search.add_argument("--a", required=True, choices=list(RELATIONS))
     p_search.add_argument("--b", required=True, choices=list(RELATIONS))
-    p_search.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    p_search.add_argument("--tol", type=_checked_float(check_tol),
+                          default=DEFAULT_TOL)
     p_search.add_argument("--max-witnesses", type=_positive_int, default=None)
     p_search.set_defaults(func=cmd_search)
 
@@ -300,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="file of row-major complex entries, one row per line")
     p_map.add_argument("--cod-norm", default=None,
                        help="codomain norm spec (default: same as --norm)")
-    p_map.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    p_map.add_argument("--tol", type=_checked_float(check_tol),
+                       default=DEFAULT_TOL)
     p_map.set_defaults(func=cmd_analyze_map)
 
     p_report = sub.add_parser("report", help="run every applicable suite")

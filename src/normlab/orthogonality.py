@@ -12,7 +12,9 @@ Four relations are decided numerically:
 All residuals are normalized by |x| |y| so that one scale-free tolerance
 applies; the zero-vector cases are orthogonal by convention with residual
 zero.  relation_compare samples pairs satisfying one relation by direct
-construction and reports the ones violating another.
+construction and reports the ones violating another; it evaluates the
+samples in stacked batches through the kernels' pairs methods, with the
+same numbers as the single-pair functions.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .derivatives import CLOSED_FORM, FunctionalValue, rho_plus
 from .errors import DimensionMismatchError, NotSmoothError, ZeroBaseError
 from .rho_infinity import rho_inf
-from .sampling import complex_gaussian, rng_for
+from .sampling import gaussian_draws, index_batches
 from .spaces import (
     NormSpec,
     check_dim,
@@ -134,8 +136,7 @@ def perp_semi(spec: NormSpec, x, y, tol: float = DEFAULT_TOL) -> OrthoVerdict:
     """
     if norm(spec, vector(x)) == 0.0:
         raise ZeroBaseError("perp_semi requires x != 0")
-    if not is_smooth_family(spec):
-        raise NotSmoothError(f"{spec.family!r} is not a smooth family")
+    _check_smooth(spec)
     return _relative(spec, lambda s, xu, yu: semi_inner(s, yu, xu), x, y,
                      tol, SEMI)
 
@@ -248,67 +249,149 @@ class Witness:
         }
 
 
-def _construct_pair(spec: NormSpec, relation: str, x: np.ndarray,
-                    y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Turn a random pair into one satisfying the relation.
+def construct_pairs(spec: NormSpec, relation: str, xs: np.ndarray,
+                    ys: np.ndarray, nx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Turn random pairs, the rows of xs and ys, both nonzero, into pairs
+    satisfying the relation; nx holds the norms of the rows of xs.
 
     rho_plus uses the real translation shift, rho_inf the decomposition
     scalar, semi the first-slot linearity of the s.i.p., and bj moves x
     to the minimizer of |x + xi y| (the minimizer is then orthogonal to
-    the direction it was minimized along).  A weighted l1 minimizer often
-    has exact zeros, where its criterion is decided, so coordinates that
-    cancel to rounding are set to 0.
+    the direction it was minimized along), found pair by pair.  A weighted
+    l1 minimizer often has exact zeros, where its criterion is decided, so
+    coordinates that cancel to rounding are set to 0.  The scalars are
+    divided as Python divides a complex by a float, part by part; numpy
+    would multiply by the reciprocal.
     """
-    nx2 = norm(spec, x) ** 2
+    k = spec.kernel
+    nx2 = np.float_power(nx, 2)  # as the float nx ** 2, which ** on arrays is not
     if relation == RHO_PLUS:
-        s = -rho_plus(spec, x, y).value.real / nx2
-        return x, s * x + y
+        s = -k.rho_plus_pairs(xs, ys) / nx2
+        return xs, s[:, None] * xs + ys
     if relation == RHO_INF:
-        return x, decomposition_alpha(spec, x, y) * x + y
+        v = k.rho_inf_pairs(xs, ys)
+        alpha = np.empty_like(v)  # decomposition_alpha, -conj(v) / |x|^2
+        alpha.real, alpha.imag = -v.real / nx2, v.imag / nx2
+        return xs, alpha[:, None] * xs + ys
     if relation == SEMI:
-        c = complex(semi_inner(spec, y, x).value) / nx2
-        return x, y - c * x
+        _check_smooth(spec)
+        c = np.empty(len(xs), dtype=np.complex128)  # semi_inner(y, x) / |x|^2
+        c.real = k.rho_plus_pairs(xs, ys) / nx2
+        c.imag = k.rho_plus_pairs(xs, -1j * ys) / nx2
+        return xs, ys - c[:, None] * xs
     if relation == BIRKHOFF_JAMES:
-        _, xi = birkhoff_minimize(spec, x, y)
-        a = x + xi * y
-        a[np.abs(a) <= BJ_CANCEL_RTOL * (np.abs(x) + np.abs(xi * y))] = 0
-        return a, y
+        # birkhoff_minimize's xi, in its Python arithmetic
+        ny = k.norm(ys)
+        xi = np.array([complex(k.bj_argmin(xu, yu)) * float(n1) / float(n2)
+                       for xu, yu, n1, n2 in zip(xs / nx[:, None], ys / ny[:, None],
+                                                 nx, ny)], dtype=np.complex128)
+        shift = xi[:, None] * ys
+        a = xs + shift
+        a[np.abs(a) <= BJ_CANCEL_RTOL * (np.abs(xs) + np.abs(shift))] = 0
+        return a, ys
     raise ValueError(f"unknown relation {relation!r}")
+
+
+def _check_smooth(spec: NormSpec) -> None:
+    if not is_smooth_family(spec):
+        raise NotSmoothError(f"{spec.family!r} is not a smooth family")
+
+
+def _finite(xs: np.ndarray) -> np.ndarray:
+    """The stacked form of vector's check."""
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("vector components must be finite (no NaN/Inf)")
+    return xs
+
+
+def _unit_pairs(spec: NormSpec, xs: np.ndarray, ys: np.ndarray):
+    """x/|x| and y/|y| row by row, as _relative normalizes one pair after
+    vector's check, and which rows have x = 0 and which y = 0."""
+    check_dim(spec, xs)
+    check_dim(spec, ys)
+    nx = spec.kernel.norm(_finite(xs))
+    ny = spec.kernel.norm(_finite(ys))
+    return (xs / np.where(nx == 0.0, 1.0, nx)[:, None],
+            ys / np.where(ny == 0.0, 1.0, ny)[:, None], nx == 0.0, ny == 0.0)
+
+
+def _residuals(spec: NormSpec, relation: str, xu: np.ndarray, yu: np.ndarray,
+               x_zero: np.ndarray, y_zero: np.ndarray) -> np.ndarray:
+    """relation_residuals on the rows _unit_pairs gives."""
+    if relation == SEMI and x_zero.any():
+        raise ZeroBaseError("perp_semi requires x != 0")
+    k = spec.kernel
+    if relation == RHO_INF:
+        v = k.rho_inf_pairs(xu, yu)
+        r = np.hypot(v.real, v.imag)  # abs of a Python complex; np.abs is not
+    elif relation == RHO_PLUS:
+        r = np.abs(k.rho_plus_pairs(xu, yu))
+    elif relation == BIRKHOFF_JAMES:
+        s = -k.bj_slope_pairs(xu, yu)
+        r = np.where(s > 0.0, s, 0.0)  # max(0.0, s)
+    elif relation == SEMI:
+        _check_smooth(spec)
+        r = np.hypot(k.rho_plus_pairs(xu, yu), k.rho_plus_pairs(xu, -1j * yu))
+    else:
+        raise ValueError(f"unknown relation {relation!r}")
+    return np.where(x_zero | y_zero, 0.0, r)
+
+
+def relation_residuals(spec: NormSpec, relation: str, xs: np.ndarray,
+                       ys: np.ndarray) -> np.ndarray:
+    """The residual of perp(spec, relation, x, y) for each row pair.
+
+    Like _relative, it evaluates the relation on x/|x|, y/|y|, gives
+    pairs with a zero vector residual zero, and refuses a zero base point
+    for semi; every kernel evaluates in closed form, so every verdict is
+    converged.  The residuals equal perp's bit for bit.
+    """
+    return _residuals(spec, relation, *_unit_pairs(spec, xs, ys))
 
 
 def relation_compare(spec: NormSpec, relation_a: str, relation_b: str,
                      config: SamplerConfig) -> list[Witness]:
     """Search for pairs orthogonal under relation_a but not relation_b.
 
-    Pairs are constructed per sample (see _construct_pair), re-verified
+    Pairs are constructed per sample (see construct_pairs), re-verified
     under relation_a, and tested against relation_b.  An empty list means
-    no witness was found, not a proof of inclusion.  Nonconverged
-    verdicts on either side are skipped rather than counted.
+    no witness was found, not a proof of inclusion.  Samples are evaluated
+    in batches (see index_batches), doubling in size when max_witnesses
+    is set; the result is that of evaluating index after index.
     """
     if spec.dim != config.dim:
         raise DimensionMismatchError(
             f"config dim {config.dim} does not match spec dim {spec.dim}")
+    if config.samples < 1:
+        raise ValueError(f"samples must be >= 1, got {config.samples}")
     check_tol(config.tol)
     if config.max_witnesses is not None and config.max_witnesses < 1:
         raise ValueError(
             f"max_witnesses must be >= 1, got {config.max_witnesses}")
+    for relation in (relation_a, relation_b):
+        if relation not in RELATIONS:
+            raise ValueError(f"unknown relation {relation!r}")
+    tol = config.tol
+    limit = config.max_witnesses
     witnesses: list[Witness] = []
-    for index in range(config.samples):
-        rng = rng_for(config.seed, index)
-        x = complex_gaussian(rng, spec.dim)
-        y = complex_gaussian(rng, spec.dim)
-        if norm(spec, x) < 1e-8 or norm(spec, y) < 1e-8:
-            continue
-        a, b = _construct_pair(spec, relation_a, x, y)
-        va = perp(spec, relation_a, a, b, config.tol)
-        if not (va.orthogonal and va.converged):
-            continue  # construction failed numerically; reject the sample
-        vb = perp(spec, relation_b, a, b, config.tol)
-        if vb.converged and not vb.orthogonal:
-            witnesses.append(Witness(a, b, relation_a, relation_b,
-                                     va.residual, vb.residual,
-                                     config.seed, index))
-            if (config.max_witnesses is not None
-                    and len(witnesses) >= config.max_witnesses):
-                break
+    for batch in index_batches(config.samples, doubling=limit is not None):
+        xs, ys = gaussian_draws(spec.dim, config.seed, (), batch)
+        nx = spec.kernel.norm(xs)
+        ny = spec.kernel.norm(ys)
+        live = (nx >= 1e-8) & (ny >= 1e-8)
+        a, b = construct_pairs(spec, relation_a, xs[live], ys[live], nx[live])
+        units = _unit_pairs(spec, a, b)  # both verdicts judge the same pairs
+        res_a = _residuals(spec, relation_a, *units)
+        # a pair that fails relation_a after construction is rejected
+        ok = np.flatnonzero(res_a <= tol)
+        res_b = _residuals(spec, relation_b, *(u[ok] for u in units))
+        index = np.asarray(batch)[live]
+        for j, r in zip(ok, res_b):
+            if r <= tol:
+                continue
+            witnesses.append(Witness(a[j].copy(), b[j].copy(), relation_a,
+                                     relation_b, float(res_a[j]), float(r),
+                                     config.seed, int(index[j])))
+            if limit is not None and len(witnesses) >= limit:
+                return witnesses
     return witnesses

@@ -15,6 +15,7 @@ all previously evaluated nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,17 @@ def rho_n(spec: NormSpec, x, y, n: int, *,
                            path, bool(conv.all()))
 
 
+def check_quad_tol(tol: float) -> None:
+    """Reject a quadrature tolerance that is not a finite number > 0.
+
+    Against NaN or a tol <= 0 no gap ever counts as settled, so the
+    quadrature spends its whole node budget; against inf the first
+    refinement is flagged converged whatever its error.
+    """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"quadrature tol must be finite and > 0, got {tol}")
+
+
 @dataclass(frozen=True)
 class QuadratureTrace:
     """Refinement history of one quadrature evaluation.
@@ -89,8 +101,9 @@ def quadrature_rho_inf(spec: NormSpec, x, y, *, tol: float = DEFAULT_QUAD_TOL,
     successive estimates differ by less than tol.  N never exceeds n_max,
     which must allow the first refinement (n_max >= 16); if the next
     doubling would exceed it, the best estimate is returned flagged
-    nonconverged.
+    nonconverged.  tol must be finite and > 0.
     """
+    check_quad_tol(tol)
     if n_max < 16:
         raise ValueError(f"n_max must be >= 16, got {n_max}")
     x = vector(x)

@@ -83,7 +83,8 @@ class Kernel:
     """The computations of one norm family, bound to a spec's parameters.
 
     norm(xs) is the norm over the last axis of xs, for any leading shape,
-    in the precision of the input (complex128 or extended).
+    in the precision of the input (complex128 or extended); each row's
+    value does not depend on the rows stacked with it.
     rho_plus_rows(x, ys) and rho_inf(x, y) are the closed forms of the
     right derivative over the rows of ys and of the angular average; they
     are the default path of every functional.  bj_slope(x, y) is
@@ -93,6 +94,10 @@ class Kernel:
     slope is negative).  bj_argmin(x, y), for x and y of unit norm, is a
     complex xi minimizing |x + xi y|.  smooth says whether the family is
     smooth in every dimension; r_dual is R(X*), None when unknown.
+
+    rho_plus_pairs, rho_inf_pairs and bj_slope_pairs take stacked (n, d)
+    pairs, row i of xs with row i of ys, and equal the single-pair forms
+    row by row, bit for bit; the sampled audits evaluate through them.
     """
 
     norm: Callable[[np.ndarray], np.ndarray]
@@ -100,8 +105,39 @@ class Kernel:
     rho_inf: Callable[[np.ndarray, np.ndarray], complex]
     bj_slope: Callable[[np.ndarray, np.ndarray], float]
     bj_argmin: Callable[[np.ndarray, np.ndarray], complex]
+    rho_plus_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    rho_inf_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    bj_slope_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     smooth: bool
     r_dual: float | None
+
+
+# Stacked evaluation must give each row the bits of a single-vector call.
+# numpy computes a stacked (n, d) @ (d, m) product with other BLAS kernels
+# than (1, d) @ (d, m), so products go row by row as stacks of (1, d)
+# matrices, which numpy hands to BLAS one row at a time.
+
+
+def _row_apply(xs: np.ndarray, mt: np.ndarray) -> np.ndarray:
+    """xs @ mt over the last axis of xs, each row as its own (1, d) @ (d, m)
+    product; a 1-D xs gives the same bits as xs @ mt."""
+    return (xs[..., None, :] @ mt)[..., 0, :]
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a_k b_k for each row pair, as one (1, d) @ (d, 1) product per
+    row: the BLAS dot that ys @ coef takes for a single row ys."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _one_row(pairs, cast):
+    """The single-pair form of a pairs method: a one-row call."""
+    return lambda x, y: cast(pairs(x[None], y[None])[0])
+
+
+def _row_loop(fn, dtype):
+    """A pairs method as a loop over a single-pair form."""
+    return lambda xs, ys: np.array([fn(x, y) for x, y in zip(xs, ys)], dtype=dtype)
 
 
 # --- the four kernels; each factory below picks one of them -----------------
@@ -119,32 +155,43 @@ def _abs_sum_kernel(w: np.ndarray | None, dim: int) -> Kernel:
         def norm(xs):
             return (w * np.abs(xs)).sum(axis=-1)
 
+    def parts(xs):
+        """Row by row: N(x), the support of x and w_k conj(x_k)/|x_k| on
+        it (0 off it)."""
+        ax = np.abs(xs)
+        support = ax > 0
+        coef = np.where(support, w * xs.conj() / np.where(support, ax, 1.0), 0)
+        return (w * ax).sum(axis=-1), support, coef
+
+    # rho_plus(x,y) = |x| ( sum_{x_k != 0} w_k Re(conj(x_k) y_k)/|x_k|
+    #                       + sum_{x_k == 0} w_k |y_k| )
     def rho_plus_rows(x, ys):
-        # rho_plus(x,y) = |x| ( sum_{x_k != 0} w_k Re(conj(x_k) y_k)/|x_k|
-        #                       + sum_{x_k == 0} w_k |y_k| )
-        ax = np.abs(x)
-        nx = float((w * ax).sum())
-        support = ax > 0
-        coef = np.zeros(x.size, dtype=np.complex128)
-        coef[support] = w[support] * x[support].conj() / ax[support]
-        main = (ys @ coef).real
-        off = (w[~support] * np.abs(ys[:, ~support])).sum(axis=-1)
-        return nx * (main + off)
+        nx, support, coef = parts(x)
+        off = np.where(support, 0.0, w * np.abs(ys)).sum(axis=-1)
+        return nx * ((ys @ coef).real + off)
 
-    def rho_inf(x, y):
+    def rho_plus_pairs(xs, ys):
+        nx, support, coef = parts(xs)
+        off = np.where(support, 0.0, w * np.abs(ys)).sum(axis=-1)
+        return nx * (_row_dot(ys, coef).real + off)
+
+    def rho_inf_pairs(xs, ys):
         # |x|_w * sum over the support of x of w_k x_k conj(y_k) / |x_k|
-        ax = np.abs(x)
-        nx = (w * ax).sum()
+        ax = np.abs(xs)
         support = ax > 0
-        s = np.sum(w[support] * x[support] * y[support].conj() / ax[support])
-        return complex(nx * s)
+        terms = w * xs * ys.conj() / np.where(support, ax, 1.0)
+        return (w * ax).sum(axis=-1) * np.where(support, terms, 0).sum(axis=-1)
 
-    def bj_slope(x, y):
+    def bj_slope_pairs(xs, ys):
         # y -> e^{it} y turns the support term of rho_plus, of modulus
         # |rho_inf|, while the off-support term N(x) sum w_k |y_k| stays
-        off = x == 0
-        return (float((w * np.abs(x)).sum() * (w[off] * np.abs(y[off])).sum())
-                - abs(rho_inf(x, y)))
+        ax = np.abs(xs)
+        off = np.where(ax > 0, 0.0, w * np.abs(ys)).sum(axis=-1)
+        v = rho_inf_pairs(xs, ys)
+        return (w * ax).sum(axis=-1) * off - np.hypot(v.real, v.imag)
+
+    rho_inf = _one_row(rho_inf_pairs, complex)
+    bj_slope = _one_row(bj_slope_pairs, float)
 
     def bj_argmin(x, y):
         # |x + xi y| = sum_k w_k |y_k| |xi - z_k| + const, z_k = -x_k/y_k: a
@@ -166,6 +213,7 @@ def _abs_sum_kernel(w: np.ndarray | None, dim: int) -> Kernel:
         return _power_sum_argmin(x, y, w, 1.0, start)
 
     return Kernel(norm, rho_plus_rows, rho_inf, bj_slope, bj_argmin,
+                  rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
                   smooth=False, r_dual=2.0)
 
 
@@ -179,6 +227,9 @@ def _max_modulus_kernel(f: np.ndarray | None) -> Kernel:
     sinusoids Re(c_j e^{it}), c_j = conj(u_j) f_j y, and integrates exactly.
     N(x) times the envelope's minimum, which is -dist(0, conv{c_j}) when 0
     lies outside the hull, is the Birkhoff-James slope.
+
+    The pairs methods loop over the rows: the envelope has a different
+    number of pieces on every row.
     """
     if f is None:
         def norm(xs):
@@ -190,7 +241,7 @@ def _max_modulus_kernel(f: np.ndarray | None) -> Kernel:
         ft = f.T
 
         def norm(xs):
-            return np.abs(xs @ ft).max(axis=-1)
+            return np.abs(_row_apply(xs, ft)).max(axis=-1)
 
         def apply(v):
             return v @ ft
@@ -229,6 +280,8 @@ def _max_modulus_kernel(f: np.ndarray | None) -> Kernel:
         return complex(zs[np.argmin(np.abs(a + zs[:, None] * b).max(axis=1))])
 
     return Kernel(norm, rho_plus_rows, rho_inf, bj_slope, bj_argmin,
+                  _row_loop(lambda x, y: rho_plus_rows(x, y[None])[0], float),
+                  _row_loop(rho_inf, np.complex128), _row_loop(bj_slope, float),
                   smooth=False, r_dual=2.0 if f is None else None)
 
 
@@ -376,29 +429,40 @@ def _smooth_lp_kernel(p: float) -> Kernel:
         scaled = a / (m + (m == 0))[..., None]
         return m * (scaled**p).sum(axis=-1) ** (1.0 / p)
 
-    def gradient(x):
-        a = np.abs(x)
-        m = a.max()
-        if m == 0.0:  # both functionals vanish at x = 0
-            return np.zeros_like(x)
-        u = a / m
-        sgn = x / np.where(a > 0, a, 1.0)  # 0 on zero coordinates
-        return m * (u**p).sum() ** ((2.0 - p) / p) * u ** (p - 1.0) * sgn
+    def gradients(xs):
+        """The gradient functional of each row of xs; 0 on zero rows."""
+        a = np.abs(xs)
+        m = a.max(axis=-1)
+        live = m > 0.0  # both functionals vanish at x = 0
+        u = a / np.where(live, m, 1.0)[..., None]
+        sgn = xs / np.where(a > 0, a, 1.0)  # 0 on zero coordinates
+        # float_power is the libm pow of a scalar float; ** on an array
+        # may take a vectorized pow that differs in the last bit
+        s = np.float_power(np.where(live, (u**p).sum(axis=-1), 1.0), (2.0 - p) / p)
+        return np.where(live[..., None], (m * s)[..., None] * u ** (p - 1.0) * sgn, 0)
 
     def rho_plus_rows(x, ys):
-        return (ys @ gradient(x).conj()).real
+        return (ys @ gradients(x).conj()).real
 
-    def rho_inf(x, y):
-        return complex(np.sum(gradient(x) * y.conj()))
+    def rho_plus_pairs(xs, ys):
+        return _row_dot(ys, gradients(xs).conj()).real
 
-    def bj_slope(x, y):
-        return -abs(rho_inf(x, y))
+    def rho_inf_pairs(xs, ys):
+        return (gradients(xs) * ys.conj()).sum(axis=-1)
+
+    def bj_slope_pairs(xs, ys):
+        v = rho_inf_pairs(xs, ys)
+        return -np.hypot(v.real, v.imag)
+
+    rho_inf = _one_row(rho_inf_pairs, complex)
+    bj_slope = _one_row(bj_slope_pairs, float)
 
     def bj_argmin(x, y):
         # started at the minimizer of p = 2
         return _power_sum_argmin(x, y, 1.0, p, -rho_inf(x, y))
 
     return Kernel(norm, rho_plus_rows, rho_inf, bj_slope, bj_argmin,
+                  rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
                   smooth=True, r_dual=0.0)
 
 
@@ -413,24 +477,32 @@ def _pd_kernel(g: np.ndarray) -> Kernel:
         m = np.abs(xs).max(axis=-1)
         safe = np.where(m > 0, m, 1)
         scaled = xs / safe[..., None]
-        gx = scaled @ gt
+        gx = _row_apply(scaled, gt)
         q = (gx * scaled.conj()).sum(axis=-1).real
         return m * np.sqrt(np.maximum(q, 0))
 
     def rho_plus_rows(x, ys):
         return (ys.conj() @ (g @ x)).real
 
-    def rho_inf(x, y):
-        return complex(np.sum((g @ x) * y.conj()))
+    def rho_plus_pairs(xs, ys):
+        return _row_dot(ys.conj(), _row_apply(xs, gt)).real
 
-    def bj_slope(x, y):
-        return -abs(rho_inf(x, y))
+    def rho_inf_pairs(xs, ys):
+        return (_row_apply(xs, gt) * ys.conj()).sum(axis=-1)
+
+    def bj_slope_pairs(xs, ys):
+        v = rho_inf_pairs(xs, ys)
+        return -np.hypot(v.real, v.imag)
+
+    rho_inf = _one_row(rho_inf_pairs, complex)
+    bj_slope = _one_row(bj_slope_pairs, float)
 
     def bj_argmin(x, y):
         # the orthogonal projection: <x + xi y, y> = 0
         return -rho_inf(x, y) / rho_inf(y, y).real
 
     return Kernel(norm, rho_plus_rows, rho_inf, bj_slope, bj_argmin,
+                  rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
                   smooth=True, r_dual=0.0)
 
 

@@ -278,6 +278,18 @@ def test_tolerance_that_is_not_finite_and_nonnegative_exits_2(capsys, argv, tol)
     assert "--tol" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_quadrature_tolerance_that_is_not_finite_and_positive_exits_2(capsys, tol):
+    # nan, -1 and 0 would spend all 4096 nodes; inf would flag the first
+    # refinement converged whatever its error
+    code, out, err = run_cli(capsys, "eval", "--norm", "lp:p=inf:dim=3",
+                             "--x", "1,0+1i,-1", "--y", "0.3+0.2i,-1.1+0.7i,0.4-0.9i",
+                             "--functional", "rho_inf",
+                             "--force-path", "quadrature", "--quad-tol", tol)
+    assert code == 2 and out == ""
+    assert "--quad-tol" in err
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_max_witnesses_below_one_exits_2(capsys, count):
     code, out, err = run_cli(capsys, "search", "--norm", "lp:p=1:dim=2",

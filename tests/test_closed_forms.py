@@ -99,8 +99,9 @@ def test_pinned_reproducer_is_exact():
     v = nl.rho_inf(spec, PINNED_X, PINNED_Y)
     assert v.path == CLOSED_FORM and v.converged
     assert abs(v.value - PINNED_RHO_INF) <= 1e-12
-    # tol=0 runs the trapezoid rule to its 4096-node budget
-    quad4096, trace = nl.quadrature_rho_inf(spec, PINNED_X, PINNED_Y, tol=0.0)
+    # no gap here falls below tol=1e-300, so the trapezoid rule runs to its
+    # 4096-node budget
+    quad4096, trace = nl.quadrature_rho_inf(spec, PINNED_X, PINNED_Y, tol=1e-300)
     assert trace.node_counts[-1] == 4096
     assert abs(quad4096.value - PINNED_RHO_INF) <= 1e-6
     assert abs(nl.rho_n(spec, PINNED_X, PINNED_Y, 4096).value - PINNED_RHO_INF) <= 1e-6

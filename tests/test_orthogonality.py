@@ -98,6 +98,14 @@ def test_birkhoff_minimum_never_above_grid_and_simplex():
             assert m == pytest.approx(nl.norm(spec, x + xi * y), rel=1e-12)
 
 
+def construct_bj_pair(spec, x, y):
+    """relation_compare's Birkhoff-James construction of one pair."""
+    xs, ys = x[None], y[None]
+    a, b = orthogonality.construct_pairs(spec, nl.BIRKHOFF_JAMES, xs, ys,
+                                         spec.kernel.norm(xs))
+    return a[0], b[0]
+
+
 def test_bj_slope_agrees_with_the_minimum():
     # the closed-form criterion against the minimizer: a negative slope
     # means some xi beats xi = 0, and on the constructed pair, where the
@@ -110,7 +118,7 @@ def test_bj_slope_agrees_with_the_minimum():
             nx = nl.norm(spec, x)
             assert spec.kernel.bj_slope(x, y) < 0, spec
             assert nl.birkhoff_minimize(spec, x, y)[0] < nx * (1 - 1e-9), spec
-            a, b = orthogonality._construct_pair(spec, nl.BIRKHOFF_JAMES, x, y)
+            a, b = construct_bj_pair(spec, x, y)
             na = nl.norm(spec, a)
             assert spec.kernel.bj_slope(a, b) >= -1e-10 * na * nl.norm(spec, b), spec
             assert nl.birkhoff_minimize(spec, a, b)[0] >= na * (1 - 1e-12), spec
@@ -141,7 +149,7 @@ def test_bj_construction_is_always_accepted(name):
     for index in range(100):
         rng = np.random.default_rng((5, index))
         x, y = gaussian_pair(rng, spec.dim)
-        a, b = orthogonality._construct_pair(spec, nl.BIRKHOFF_JAMES, x, y)
+        a, b = construct_bj_pair(spec, x, y)
         v = nl.perp_birkhoff_james(spec, a, b)
         assert v.orthogonal and v.converged, (index, v.residual)
         assert v.residual <= 1e-10, (index, v.residual)
@@ -337,3 +345,10 @@ def test_relation_compare_validates():
         with pytest.raises(ValueError, match="max_witnesses"):
             relation_compare(L1, nl.RHO_PLUS, nl.RHO_INF,
                              SamplerConfig(dim=2, samples=5, max_witnesses=count))
+    # no samples is not the same as no witness
+    for samples in (0, -4):
+        with pytest.raises(ValueError, match="samples"):
+            relation_compare(L1, nl.RHO_INF, nl.BIRKHOFF_JAMES,
+                             SamplerConfig(dim=2, samples=samples))
+    with pytest.raises(ValueError, match="relation"):
+        relation_compare(L1, nl.RHO_INF, "sideways", SamplerConfig(dim=2, samples=5))

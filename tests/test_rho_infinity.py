@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,16 @@ def test_quadrature_stays_within_its_node_budget():
     for n_max in (4, 15, -5):
         with pytest.raises(ValueError, match="n_max"):
             nl.quadrature_rho_inf(spec, x, y, n_max=n_max)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_quadrature_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    spec = nl.lp(np.inf, 3)
+    with pytest.raises(ValueError, match="tol"):
+        nl.quadrature_rho_inf(spec, [1.0, 1.0j, -1.0], [0.3, -1.1, 0.4], tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        nl.rho_inf(spec, [1.0, 1.0j, -1.0], [0.3, -1.1, 0.4], tol=tol,
+                   force_path=nl.QUADRATURE)
 
 
 def test_quadrature_equals_rho_n_at_same_node_count(rng):
