@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, RUnknownError, ZeroMapError
 from .orthogonality import RHO_INF, check_tol, construct_pairs, relation_residuals
-from .sampling import gaussian_draws, index_batches, rng_for, sample_unit, unit_draws
+from .sampling import gaussian_draws, index_batches, unit_draws
 from .spaces import NormSpec, dual_segment_constant, format_cvector, norm
 
 UNIVERSAL_4_OVER_PI = "4_over_pi"
@@ -328,9 +328,8 @@ def operator_norm_estimate(spec_dom: NormSpec, spec_cod: NormSpec, t,
             return 0.0
         return norm(spec_cod, t @ x) / nx
 
-    candidates = [np.eye(d, dtype=np.complex128)[j] for j in range(d)]
-    for i in range(int(samples)):
-        candidates.append(sample_unit(spec_dom, rng_for(seed, 3, i)))
+    (drawn,) = unit_draws(spec_dom, seed, (3,), range(int(samples)), count=1)
+    candidates = [*np.eye(d, dtype=np.complex128), *drawn]
     values = [ratio(c) for c in candidates]
     k = int(np.argmax(values))
     best, best_vec = values[k], candidates[k]

@@ -26,11 +26,8 @@ from .orthogonality import (
     perp_rho_inf,
 )
 from .rho_infinity import QUADRATURE, rho_inf, rho_n
-from .sampling import complex_gaussian, rng_for, sample_unit
+from .sampling import rng_for, sample_unit
 from .spaces import (
-    LP,
-    PD_INNER,
-    WEIGHTED_L1,
     NormSpec,
     dual_segment_constant,
     gram_inner,
@@ -251,32 +248,11 @@ def check_symmetry_detector(spec: NormSpec, samples: int, seed: int) -> list[dic
     return out
 
 
-def _isometry_for(spec: NormSpec, seed: int) -> np.ndarray:
-    """A deterministic norm isometry of the spec's family."""
-    d = spec.dim
-    rng = rng_for(seed, 9000)
-    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, d))
-    if spec.family == LP:
-        perm = rng.permutation(d)
-        return (np.diag(phases)[:, perm]).astype(np.complex128)
-    if spec.family == PD_INNER:
-        # conjugate a unitary into the Gram geometry: A^{-1} Q A with G = A^H A
-        a = np.linalg.cholesky(spec.gram).conj().T
-        q, _ = np.linalg.qr(complex_gaussian(rng, d * d).reshape(d, d))
-        return np.linalg.solve(a, q @ a)
-    if spec.family == WEIGHTED_L1:
-        # per-coordinate phases preserve any absolute norm; permutations
-        # would have to permute the weights as well
-        return np.diag(phases)
-    # polyhedral: only a global phase is an isometry in general
-    return phases[0] * np.eye(d, dtype=np.complex128)
-
-
 def check_preservation(spec: NormSpec, samples: int, seed: int) -> list[dict]:
     """Both directions of the preservation theorem on generated maps."""
     suite = "preservation"
     tol = DEFAULT_TOL
-    iso = _isometry_for(spec, seed)
+    iso = spec.kernel.isometry(rng_for(seed, 9000))
     ma = analysis.map_preservation_analysis(spec, spec, iso,
                                             samples=samples, seed=seed, tol=tol)
     out = [

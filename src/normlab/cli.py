@@ -7,7 +7,8 @@ suite), ``search`` (orthogonality-relation witnesses), ``analyze-map``
 Exit codes: 0 success/pass, 1 internal error, 2 usage or precondition
 violation, 3 nonconvergence, 4 property-violation verdict.  Identical
 command lines (including seed) produce byte-identical output; the
-NORMLAB_SEED environment variable overrides the default seed 42.
+NORMLAB_SEED environment variable overrides the default seed 42.  A seed
+(from --seed or NORMLAB_SEED) must be an int >= 0, else the command exits 2.
 """
 
 from __future__ import annotations
@@ -54,14 +55,22 @@ JSON_LINES = "jsonl"
 DEFAULT_NORM = "lp:p=2.5:dim=4"
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+def _int_at_least(low: int):
+    """An argparse type: an int >= low."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+    return parse
+
+
+_positive_int = _int_at_least(1)
+# a seed is a stream key, and numpy's streams take non-negative ints only
+_seed_int = _int_at_least(0)
 
 
 def _checked_float(check):
@@ -79,7 +88,10 @@ def _checked_float(check):
 def _seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("NORMLAB_SEED", "42"))
+    try:
+        return _seed_int(os.environ.get("NORMLAB_SEED", "42"))
+    except argparse.ArgumentTypeError as exc:
+        raise SpecParseError(f"NORMLAB_SEED: {exc}") from None
 
 
 def _fmt_cell(v) -> str:
@@ -261,8 +273,8 @@ def _add_common(p: argparse.ArgumentParser, sampling: bool = True) -> None:
                    help="norm spec record, e.g. lp:p=1:dim=2")
     if sampling:
         p.add_argument("--samples", type=_positive_int, default=200)
-        p.add_argument("--seed", type=int, default=None,
-                       help="default 42, overridable via NORMLAB_SEED")
+        p.add_argument("--seed", type=_seed_int, default=None,
+                       help="an int >= 0; default 42, overridable via NORMLAB_SEED")
     p.add_argument("--format", choices=[TABLE, CSV, JSON_LINES], default=TABLE)
 
 

@@ -92,8 +92,13 @@ class Kernel:
     Birkhoff-James orthogonal to y (James 1947: t -> |x + t e^{is} y| is
     convex, so x minimizes along every complex direction iff no one-sided
     slope is negative).  bj_argmin(x, y), for x and y of unit norm, is a
-    complex xi minimizing |x + xi y|.  smooth says whether the family is
-    smooth in every dimension; r_dual is R(X*), None when unknown.
+    complex xi minimizing |x + xi y|.  isometry(rng) is a linear map that
+    preserves the norm, drawn from rng: coordinate phases for every
+    family, then a coordinate permutation for lp, none for weighted l1
+    (it would have to permute the weights), the conjugate of a unitary
+    into the Gram geometry for pd, and only a global phase for
+    polyhedral norms.  smooth says whether the family is smooth in every
+    dimension; r_dual is R(X*), None when unknown.
 
     rho_plus_pairs, rho_inf_pairs and bj_slope_pairs take stacked (n, d)
     pairs, row i of xs with row i of ys, and equal the single-pair forms
@@ -108,6 +113,7 @@ class Kernel:
     rho_plus_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     rho_inf_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bj_slope_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    isometry: Callable[[np.random.Generator], np.ndarray]
     smooth: bool
     r_dual: float | None
 
@@ -140,6 +146,20 @@ def _row_loop(fn, dtype):
     return lambda xs, ys: np.array([fn(x, y) for x, y in zip(xs, ys)], dtype=dtype)
 
 
+def _phases(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """dim uniform unit phases: the first draws of every isometry."""
+    return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim))
+
+
+def _permuted_phases(dim: int):
+    """The isometry of a norm symmetric under coordinate phases and
+    permutations (lp): random phases, then a random permutation."""
+    def isometry(rng):
+        phases = _phases(rng, dim)
+        return np.diag(phases)[:, rng.permutation(dim)]
+    return isometry
+
+
 # --- the four kernels; each factory below picks one of them -----------------
 
 
@@ -147,6 +167,7 @@ def _abs_sum_kernel(w: np.ndarray | None, dim: int) -> Kernel:
     """sum_k w_k |x_k|: weighted l1, and lp with p = 1, where w = None
     stands for unit weights and the norm skips the product."""
     if w is None:
+        isometry = _permuted_phases(dim)
         w = np.ones(dim)
 
         def norm(xs):
@@ -154,6 +175,9 @@ def _abs_sum_kernel(w: np.ndarray | None, dim: int) -> Kernel:
     else:
         def norm(xs):
             return (w * np.abs(xs)).sum(axis=-1)
+
+        def isometry(rng):
+            return np.diag(_phases(rng, dim))
 
     def parts(xs):
         """Row by row: N(x), the support of x and w_k conj(x_k)/|x_k| on
@@ -213,11 +237,11 @@ def _abs_sum_kernel(w: np.ndarray | None, dim: int) -> Kernel:
         return _power_sum_argmin(x, y, w, 1.0, start)
 
     return Kernel(norm, rho_plus_rows, rho_inf, bj_slope, bj_argmin,
-                  rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
+                  rho_plus_pairs, rho_inf_pairs, bj_slope_pairs, isometry,
                   smooth=False, r_dual=2.0)
 
 
-def _max_modulus_kernel(f: np.ndarray | None) -> Kernel:
+def _max_modulus_kernel(f: np.ndarray | None, dim: int) -> Kernel:
     """max_j |f_j(x)|: polyhedral, and lp with p = inf, where F = I and the
     product is skipped.  R(X*) is 2 for lp inf and unknown for polyhedral.
 
@@ -237,6 +261,8 @@ def _max_modulus_kernel(f: np.ndarray | None) -> Kernel:
 
         def apply(v):
             return v
+
+        isometry = _permuted_phases(dim)
     else:
         ft = f.T
 
@@ -245,6 +271,9 @@ def _max_modulus_kernel(f: np.ndarray | None) -> Kernel:
 
         def apply(v):
             return v @ ft
+
+        def isometry(rng):
+            return _phases(rng, dim)[0] * np.eye(dim, dtype=np.complex128)
 
     def active(x):
         """N(x), the indices of A(x) and conj(u_j) over A(x)."""
@@ -282,7 +311,7 @@ def _max_modulus_kernel(f: np.ndarray | None) -> Kernel:
     return Kernel(norm, rho_plus_rows, rho_inf, bj_slope, bj_argmin,
                   _row_loop(lambda x, y: rho_plus_rows(x, y[None])[0], float),
                   _row_loop(rho_inf, np.complex128), _row_loop(bj_slope, float),
-                  smooth=False, r_dual=2.0 if f is None else None)
+                  isometry, smooth=False, r_dual=2.0 if f is None else None)
 
 
 def _one_center_candidates(z: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -412,7 +441,7 @@ def _power_sum_newton(x, y, w, p: float, xi: complex) -> tuple[complex, complex]
                              (h12 * grad.real - h11 * grad.imag) / det)
 
 
-def _smooth_lp_kernel(p: float) -> Kernel:
+def _smooth_lp_kernel(p: float, dim: int) -> Kernel:
     """The p-norm for 1 < p < inf, scaled by the largest modulus.
 
     The norm is differentiable away from 0, with gradient functional w:
@@ -463,7 +492,7 @@ def _smooth_lp_kernel(p: float) -> Kernel:
 
     return Kernel(norm, rho_plus_rows, rho_inf, bj_slope, bj_argmin,
                   rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
-                  smooth=True, r_dual=0.0)
+                  _permuted_phases(dim), smooth=True, r_dual=0.0)
 
 
 def _pd_kernel(g: np.ndarray) -> Kernel:
@@ -501,8 +530,18 @@ def _pd_kernel(g: np.ndarray) -> Kernel:
         # the orthogonal projection: <x + xi y, y> = 0
         return -rho_inf(x, y) / rho_inf(y, y).real
 
+    def isometry(rng):
+        # conjugate a unitary Q into the Gram geometry: A^{-1} Q A with
+        # G = A^H A; the phases every isometry draws first go unused
+        d = len(g)
+        _phases(rng, d)
+        a = np.linalg.cholesky(g).conj().T
+        z = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+        q, _ = np.linalg.qr(z.reshape(d, d))
+        return np.linalg.solve(a, q @ a)
+
     return Kernel(norm, rho_plus_rows, rho_inf, bj_slope, bj_argmin,
-                  rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
+                  rho_plus_pairs, rho_inf_pairs, bj_slope_pairs, isometry,
                   smooth=True, r_dual=0.0)
 
 
@@ -539,9 +578,9 @@ def lp(p: float, dim: int) -> NormSpec:
     if p == 1.0:
         kernel = _abs_sum_kernel(None, dim)
     elif np.isinf(p):
-        kernel = _max_modulus_kernel(None)
+        kernel = _max_modulus_kernel(None, dim)
     else:
-        kernel = _smooth_lp_kernel(p)
+        kernel = _smooth_lp_kernel(p, dim)
     return NormSpec(LP, dim, p=p, kernel=kernel)
 
 
@@ -589,7 +628,7 @@ def polyhedral(functionals) -> NormSpec:
         raise ValueError("functionals do not separate points (rank deficient)")
     f = _frozen(f)
     return NormSpec(POLYHEDRAL, f.shape[1], functionals=f,
-                    kernel=_max_modulus_kernel(f))
+                    kernel=_max_modulus_kernel(f, f.shape[1]))
 
 
 def check_dim(spec: NormSpec, x: np.ndarray) -> None:

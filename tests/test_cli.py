@@ -310,3 +310,20 @@ def test_sample_count_below_one_exits_2(capsys, argv, samples):
     code, out, err = run_cli(capsys, *argv, "--samples", samples)
     assert code == 2 and out == ""
     assert "--samples" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", "abc"])
+def test_seed_that_is_not_a_nonnegative_int_exits_2(capsys, seed):
+    code, out, err = run_cli(capsys, "search", "--norm", "lp:p=1:dim=2",
+                             "--a", "rho_inf", "--b", "bj", "--seed", seed)
+    assert code == 2 and out == ""
+    assert "--seed" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", "abc", ""])
+def test_seed_env_that_is_not_a_nonnegative_int_exits_2(capsys, monkeypatch, seed):
+    monkeypatch.setenv("NORMLAB_SEED", seed)
+    code, out, err = run_cli(capsys, "search", "--norm", "lp:p=1:dim=2",
+                             "--a", "rho_inf", "--b", "bj", "--samples", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: NORMLAB_SEED: ")

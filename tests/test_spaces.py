@@ -165,3 +165,12 @@ def test_complex_literal_roundtrip(z):
 def test_cvector_roundtrip(values):
     vec = nl.vector(values)
     np.testing.assert_array_equal(nl.parse_cvector(nl.format_cvector(vec)), vec)
+
+
+@pytest.mark.parametrize("spec", family_specs(4), ids=lambda s: s.family + str(s.p or ""))
+def test_kernel_isometry_preserves_the_norm(spec, rng):
+    t = spec.kernel.isometry(np.random.default_rng(5))
+    assert t.shape == (4, 4) and t.dtype == np.complex128
+    xs = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+    np.testing.assert_allclose(norm_rows(spec, xs @ t.T), norm_rows(spec, xs),
+                               rtol=1e-12)
