@@ -9,7 +9,7 @@ which exists for every norm by convexity.  The left derivative, the
 Milicic mean, the lambda blend and its odd-root generalization are all
 derived from it.
 
-Every family's closed form (its kernel's rho_plus_rows) is the default
+Every family's closed form (its kernel's rho_plus_pairs) is the default
 path.  The convexity-exploiting numeric limit on a fixed step schedule
 stays as an independent oracle behind force_path=NUMERIC_LIMIT.  Its
 difference quotient is evaluated in extended precision when the platform
@@ -111,8 +111,10 @@ def rho_plus_rows(spec: NormSpec, x, ys, *, force_path: str | None = None):
 
     Returns (values, abs_errors, converged, path).  This is the shared
     engine behind the scalar functional, the roots-of-unity sums and the
-    quadrature: a batch of directions costs one pass over the step
-    schedule instead of one per direction.
+    quadrature.  The closed form is the kernel's rho_plus_pairs with x
+    stacked against every row, so each row has the bits of rho_plus(x, y)
+    for that direction alone; the numeric limit takes a batch of
+    directions in one pass over the step schedule.
     """
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     ys = np.atleast_2d(np.asarray(ys, dtype=np.complex128))
@@ -122,8 +124,8 @@ def rho_plus_rows(spec: NormSpec, x, ys, *, force_path: str | None = None):
 
     path = CLOSED_FORM if force_path is None else force_path
     if path == CLOSED_FORM:
-        return (spec.kernel.rho_plus_rows(x, ys), np.zeros(m),
-                np.ones(m, dtype=bool), CLOSED_FORM)
+        vals = spec.kernel.rho_plus_pairs(x[None].repeat(m, axis=0), ys)
+        return vals, np.zeros(m), np.ones(m, dtype=bool), CLOSED_FORM
 
     if path != NUMERIC_LIMIT:
         raise ValueError(f"unknown path {path!r}")

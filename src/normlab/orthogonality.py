@@ -166,8 +166,8 @@ def birkhoff_minimize(spec: NormSpec, x, y) -> tuple[float, complex]:
 
 def _bj_defect(spec: NormSpec, x, y) -> FunctionalValue:
     """How far rho_plus(x, e^{it} y) dips below zero over t."""
-    return FunctionalValue(complex(max(0.0, -spec.kernel.bj_slope(x, y))),
-                           0.0, CLOSED_FORM)
+    slope = spec.kernel.bj_slope_pairs(x[None], y[None]).item()
+    return FunctionalValue(complex(max(0.0, -slope)), 0.0, CLOSED_FORM)
 
 
 def perp_birkhoff_james(spec: NormSpec, x, y,

@@ -161,8 +161,8 @@ def rho_inf_traced(spec: NormSpec, x, y, *, tol: float = DEFAULT_QUAD_TOL,
     check_dim(spec, y)
     path = CLOSED_FORM if force_path is None else force_path
     if path == CLOSED_FORM:  # exact, and 0 when x or y is 0
-        return FunctionalValue(spec.kernel.rho_inf(x, y), 0.0, CLOSED_FORM,
-                               True), None
+        v = spec.kernel.rho_inf_pairs(x[None], y[None]).item()
+        return FunctionalValue(v, 0.0, CLOSED_FORM, True), None
     if path == QUADRATURE:
         return quadrature_rho_inf(spec, x, y, tol=tol, n_max=n_max)
     raise ValueError(f"unknown path {path!r}")

@@ -66,7 +66,7 @@ def vector(data) -> np.ndarray:
     arr = np.array(data, dtype=np.complex128, copy=True).reshape(-1)
     if arr.size < 1:
         raise ValueError("vector must have dimension >= 1")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("vector components must be finite (no NaN/Inf)")
     arr.setflags(write=False)
     return arr
@@ -83,45 +83,39 @@ class Kernel:
     """The computations of one norm family, bound to a spec's parameters.
 
     norm(xs) is the norm over the last axis of xs, for any leading shape,
-    in the precision of the input (complex128 or extended); each row's
-    value does not depend on the rows stacked with it.
-    rho_plus_rows(x, ys) and rho_inf(x, y) are the closed forms of the
-    right derivative over the rows of ys and of the angular average; they
-    are the default path of every functional.  bj_slope(x, y) is
-    min over t of rho_plus(x, e^{it} y), which is >= 0 iff x is
-    Birkhoff-James orthogonal to y (James 1947: t -> |x + t e^{is} y| is
-    convex, so x minimizes along every complex direction iff no one-sided
-    slope is negative).  bj_argmin(x, y), for x and y of unit norm, is a
-    complex xi minimizing |x + xi y|.  isometry(rng) is a linear map that
-    preserves the norm, drawn from rng: coordinate phases for every
-    family, then a coordinate permutation for lp, none for weighted l1
-    (it would have to permute the weights), the conjugate of a unitary
-    into the Gram geometry for pd, and only a global phase for
+    in the precision of the input (complex128 or extended).  The three
+    closed forms take stacked (n, d) pairs, row i of xs with row i of ys:
+    rho_plus_pairs is the right derivative, rho_inf_pairs the angular
+    average and bj_slope_pairs min over t of rho_plus(x, e^{it} y), which
+    is >= 0 iff x is Birkhoff-James orthogonal to y (James 1947: t ->
+    |x + t e^{is} y| is convex, so x minimizes along every complex
+    direction iff no one-sided slope is negative).  They are the default
+    path of every functional, and a single pair is a one-row call.  Each
+    row's value, of these and of norm, does not depend on the rows
+    stacked with it, bit for bit.  bj_argmin(x, y), for x and y of unit
+    norm, is a complex xi minimizing |x + xi y|.  isometry(rng) is a
+    linear map that preserves the norm, drawn from rng: coordinate phases
+    for every family, then a coordinate permutation for lp, none for
+    weighted l1 (it would have to permute the weights), the conjugate of a
+    unitary into the Gram geometry for pd, and only a global phase for
     polyhedral norms.  smooth says whether the family is smooth in every
     dimension; r_dual is R(X*), None when unknown.
-
-    rho_plus_pairs, rho_inf_pairs and bj_slope_pairs take stacked (n, d)
-    pairs, row i of xs with row i of ys, and equal the single-pair forms
-    row by row, bit for bit; the sampled audits evaluate through them.
     """
 
     norm: Callable[[np.ndarray], np.ndarray]
-    rho_plus_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    rho_inf: Callable[[np.ndarray, np.ndarray], complex]
-    bj_slope: Callable[[np.ndarray, np.ndarray], float]
-    bj_argmin: Callable[[np.ndarray, np.ndarray], complex]
     rho_plus_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     rho_inf_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bj_slope_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    bj_argmin: Callable[[np.ndarray, np.ndarray], complex]
     isometry: Callable[[np.random.Generator], np.ndarray]
     smooth: bool
     r_dual: float | None
 
 
-# Stacked evaluation must give each row the bits of a single-vector call.
-# numpy computes a stacked (n, d) @ (d, m) product with other BLAS kernels
-# than (1, d) @ (d, m), so products go row by row as stacks of (1, d)
-# matrices, which numpy hands to BLAS one row at a time.
+# Each row of a stacked evaluation must not depend on the rows stacked with
+# it.  numpy computes a stacked (n, d) @ (d, m) product with other BLAS
+# kernels than (1, d) @ (d, m), so products go row by row as stacks of
+# (1, d) matrices, which numpy hands to BLAS one row at a time.
 
 
 def _row_apply(xs: np.ndarray, mt: np.ndarray) -> np.ndarray:
@@ -132,18 +126,8 @@ def _row_apply(xs: np.ndarray, mt: np.ndarray) -> np.ndarray:
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_k a_k b_k for each row pair, as one (1, d) @ (d, 1) product per
-    row: the BLAS dot that ys @ coef takes for a single row ys."""
+    row."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _one_row(pairs, cast):
-    """The single-pair form of a pairs method: a one-row call."""
-    return lambda x, y: cast(pairs(x[None], y[None])[0])
-
-
-def _row_loop(fn, dtype):
-    """A pairs method as a loop over a single-pair form."""
-    return lambda xs, ys: np.array([fn(x, y) for x, y in zip(xs, ys)], dtype=dtype)
 
 
 def _phases(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -189,11 +173,6 @@ def _abs_sum_kernel(w: np.ndarray | None, dim: int) -> Kernel:
 
     # rho_plus(x,y) = |x| ( sum_{x_k != 0} w_k Re(conj(x_k) y_k)/|x_k|
     #                       + sum_{x_k == 0} w_k |y_k| )
-    def rho_plus_rows(x, ys):
-        nx, support, coef = parts(x)
-        off = np.where(support, 0.0, w * np.abs(ys)).sum(axis=-1)
-        return nx * ((ys @ coef).real + off)
-
     def rho_plus_pairs(xs, ys):
         nx, support, coef = parts(xs)
         off = np.where(support, 0.0, w * np.abs(ys)).sum(axis=-1)
@@ -214,9 +193,6 @@ def _abs_sum_kernel(w: np.ndarray | None, dim: int) -> Kernel:
         v = rho_inf_pairs(xs, ys)
         return (w * ax).sum(axis=-1) * off - np.hypot(v.real, v.imag)
 
-    rho_inf = _one_row(rho_inf_pairs, complex)
-    bj_slope = _one_row(bj_slope_pairs, float)
-
     def bj_argmin(x, y):
         # |x + xi y| = sum_k w_k |y_k| |xi - z_k| + const, z_k = -x_k/y_k: a
         # weighted Fermat-Weber problem, minimized at a data point z_k
@@ -227,18 +203,18 @@ def _abs_sum_kernel(w: np.ndarray | None, dim: int) -> Kernel:
         points[np.arange(live.size), live] = 0
         vals = norm(points)
         k = int(np.argmin(vals))
-        if bj_slope(points[k], y) >= -TIE_RTOL * vals[k]:
+        xk, yk = points[k][None], y[None]
+        if bj_slope_pairs(xk, yk).item() >= -TIE_RTOL * vals[k]:
             return complex(zs[k])
         # the minimizer is interior, where the norm is smooth; start just
         # off the kink at z_k, downhill: there the other terms have the
         # gradient rho_inf(x', y)/|x'|, and it outweighs the k-th term
-        g = rho_inf(points[k], y)
+        g = rho_inf_pairs(xk, yk).item()
         start = zs[k] - 1e-8 * (1.0 + abs(zs[k])) * g / abs(g)
         return _power_sum_argmin(x, y, w, 1.0, start)
 
-    return Kernel(norm, rho_plus_rows, rho_inf, bj_slope, bj_argmin,
-                  rho_plus_pairs, rho_inf_pairs, bj_slope_pairs, isometry,
-                  smooth=False, r_dual=2.0)
+    return Kernel(norm, rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
+                  bj_argmin, isometry, smooth=False, r_dual=2.0)
 
 
 def _max_modulus_kernel(f: np.ndarray | None, dim: int) -> Kernel:
@@ -252,13 +228,11 @@ def _max_modulus_kernel(f: np.ndarray | None, dim: int) -> Kernel:
     N(x) times the envelope's minimum, which is -dist(0, conv{c_j}) when 0
     lies outside the hull, is the Birkhoff-James slope.
 
-    The pairs methods loop over the rows: the envelope has a different
-    number of pieces on every row.
+    rho_plus_pairs is one max over the stacked rows, with the inactive
+    functionals masked out.  rho_inf_pairs and bj_slope_pairs loop over
+    the rows: the envelope has a different number of pieces on every row.
     """
     if f is None:
-        def norm(xs):
-            return np.abs(xs).max(axis=-1)
-
         def apply(v):
             return v
 
@@ -266,40 +240,42 @@ def _max_modulus_kernel(f: np.ndarray | None, dim: int) -> Kernel:
     else:
         ft = f.T
 
-        def norm(xs):
-            return np.abs(_row_apply(xs, ft)).max(axis=-1)
-
         def apply(v):
-            return v @ ft
+            return _row_apply(v, ft)
 
         def isometry(rng):
             return _phases(rng, dim)[0] * np.eye(dim, dtype=np.complex128)
 
-    def active(x):
-        """N(x), the indices of A(x) and conj(u_j) over A(x)."""
-        fx = apply(x)
+    def norm(xs):
+        return np.abs(apply(xs)).max(axis=-1)
+
+    def active(xs, ys):
+        """Row by row: N(x) as an (n, 1) column, the mask of A(x) and
+        c_j = conj(u_j) f_j y."""
+        fx = apply(xs)
         mod = np.abs(fx)
-        nx = mod.max()
-        idx = np.flatnonzero(mod >= nx * (1.0 - TIE_RTOL))
-        # at x = 0 every phase is taken as 0, so both closed forms give 0
-        return nx, idx, fx[idx].conj() / (mod[idx] + (nx == 0))
+        nx = mod.max(axis=-1, keepdims=True)
+        # a zero f_j x gets the phase 0, so at x = 0 every closed form is 0
+        c = fx.conj() / (mod + (mod == 0)) * apply(ys)
+        return nx, mod >= nx * (1.0 - TIE_RTOL), c
 
-    def rho_plus_rows(x, ys):
-        nx, idx, cu = active(x)
-        return nx * (apply(ys)[:, idx] * cu).real.max(axis=-1)
+    def rho_plus_pairs(xs, ys):
+        nx, act, c = active(xs, ys)
+        return nx[:, 0] * np.where(act, c.real, -np.inf).max(axis=-1)
 
-    def rho_inf(x, y):
-        nx, idx, cu = active(x)
-        c = cu * apply(y)[idx]
-        return complex(nx * _envelope_integral(c) / np.pi)
+    def rho_inf_pairs(xs, ys):
+        nx, act, c = active(xs, ys)
+        out = np.empty(len(nx), dtype=np.complex128)
+        for i in range(len(nx)):
+            out[i] = nx[i, 0] * _envelope_integral(c[i][act[i]]) / np.pi
+        return out
 
-    def bj_slope(x, y):
-        # on each piece of the envelope one sinusoid is on top, so its
-        # minimum is at a trough pi - arg(c_j) or at a crossing
-        nx, idx, cu = active(x)
-        c = cu * apply(y)[idx]
-        t = np.concatenate((np.pi - np.angle(c), _crossings(c)))
-        return float(nx * (np.exp(1j * t)[:, None] * c).real.max(axis=1).min())
+    def bj_slope_pairs(xs, ys):
+        nx, act, c = active(xs, ys)
+        out = np.empty(len(nx))
+        for i in range(len(nx)):
+            out[i] = nx[i, 0] * _envelope_min(c[i][act[i]])
+        return out
 
     def bj_argmin(x, y):
         a = apply(x)
@@ -308,10 +284,9 @@ def _max_modulus_kernel(f: np.ndarray | None, dim: int) -> Kernel:
         zs = _one_center_candidates(-a[live] / b[live], np.abs(b[live]))
         return complex(zs[np.argmin(np.abs(a + zs[:, None] * b).max(axis=1))])
 
-    return Kernel(norm, rho_plus_rows, rho_inf, bj_slope, bj_argmin,
-                  _row_loop(lambda x, y: rho_plus_rows(x, y[None])[0], float),
-                  _row_loop(rho_inf, np.complex128), _row_loop(bj_slope, float),
-                  isometry, smooth=False, r_dual=2.0 if f is None else None)
+    return Kernel(norm, rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
+                  bj_argmin, isometry, smooth=False,
+                  r_dual=2.0 if f is None else None)
 
 
 def _one_center_candidates(z: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -369,6 +344,14 @@ def _envelope_integral(c: np.ndarray) -> complex:
     top = c[np.argmax((np.exp(1j * mids)[:, None] * c).real, axis=1)]
     return (0.5 * (top.conj() @ np.diff(cuts))
             + (top @ np.diff(np.exp(2j * cuts))) / 4j)
+
+
+def _envelope_min(c: np.ndarray) -> float:
+    """min over t of max_j Re(c_j e^{it}).  On each piece of the envelope
+    one sinusoid is on top, so the minimum is at a trough pi - arg(c_j) or
+    at a crossing."""
+    t = np.concatenate((np.pi - np.angle(c), _crossings(c)))
+    return (np.exp(1j * t)[:, None] * c).real.max(axis=1).min()
 
 
 def _crossings(c: np.ndarray) -> np.ndarray:
@@ -470,9 +453,6 @@ def _smooth_lp_kernel(p: float, dim: int) -> Kernel:
         s = np.float_power(np.where(live, (u**p).sum(axis=-1), 1.0), (2.0 - p) / p)
         return np.where(live[..., None], (m * s)[..., None] * u ** (p - 1.0) * sgn, 0)
 
-    def rho_plus_rows(x, ys):
-        return (ys @ gradients(x).conj()).real
-
     def rho_plus_pairs(xs, ys):
         return _row_dot(ys, gradients(xs).conj()).real
 
@@ -483,16 +463,13 @@ def _smooth_lp_kernel(p: float, dim: int) -> Kernel:
         v = rho_inf_pairs(xs, ys)
         return -np.hypot(v.real, v.imag)
 
-    rho_inf = _one_row(rho_inf_pairs, complex)
-    bj_slope = _one_row(bj_slope_pairs, float)
-
     def bj_argmin(x, y):
         # started at the minimizer of p = 2
-        return _power_sum_argmin(x, y, 1.0, p, -rho_inf(x, y))
+        start = -rho_inf_pairs(x[None], y[None]).item()
+        return _power_sum_argmin(x, y, 1.0, p, start)
 
-    return Kernel(norm, rho_plus_rows, rho_inf, bj_slope, bj_argmin,
-                  rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
-                  _permuted_phases(dim), smooth=True, r_dual=0.0)
+    return Kernel(norm, rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
+                  bj_argmin, _permuted_phases(dim), smooth=True, r_dual=0.0)
 
 
 def _pd_kernel(g: np.ndarray) -> Kernel:
@@ -510,9 +487,6 @@ def _pd_kernel(g: np.ndarray) -> Kernel:
         q = (gx * scaled.conj()).sum(axis=-1).real
         return m * np.sqrt(np.maximum(q, 0))
 
-    def rho_plus_rows(x, ys):
-        return (ys.conj() @ (g @ x)).real
-
     def rho_plus_pairs(xs, ys):
         return _row_dot(ys.conj(), _row_apply(xs, gt)).real
 
@@ -523,12 +497,10 @@ def _pd_kernel(g: np.ndarray) -> Kernel:
         v = rho_inf_pairs(xs, ys)
         return -np.hypot(v.real, v.imag)
 
-    rho_inf = _one_row(rho_inf_pairs, complex)
-    bj_slope = _one_row(bj_slope_pairs, float)
-
     def bj_argmin(x, y):
         # the orthogonal projection: <x + xi y, y> = 0
-        return -rho_inf(x, y) / rho_inf(y, y).real
+        xy, yy = rho_inf_pairs(np.stack((x, y)), np.stack((y, y)))
+        return -complex(xy) / yy.real
 
     def isometry(rng):
         # conjugate a unitary Q into the Gram geometry: A^{-1} Q A with
@@ -540,9 +512,8 @@ def _pd_kernel(g: np.ndarray) -> Kernel:
         q, _ = np.linalg.qr(z.reshape(d, d))
         return np.linalg.solve(a, q @ a)
 
-    return Kernel(norm, rho_plus_rows, rho_inf, bj_slope, bj_argmin,
-                  rho_plus_pairs, rho_inf_pairs, bj_slope_pairs, isometry,
-                  smooth=True, r_dual=0.0)
+    return Kernel(norm, rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
+                  bj_argmin, isometry, smooth=True, r_dual=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -662,7 +633,7 @@ def gram_inner(spec: NormSpec, x, y) -> complex:
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
     check_dim(spec, x)
     check_dim(spec, y)
-    return spec.kernel.rho_inf(x, y)
+    return spec.kernel.rho_inf_pairs(x[None], y[None]).item()
 
 
 # --- dual geometry -----------------------------------------------------------
@@ -706,8 +677,10 @@ def is_smooth_family(spec: NormSpec) -> bool:
 
 
 def is_inner_product_family(spec: NormSpec) -> bool:
-    """Whether the norm comes from an inner product: pd, and lp with p = 2."""
-    return spec.family == PD_INNER or (spec.family == LP and spec.p == 2.0)
+    """Whether the norm comes from an inner product: pd, lp with p = 2, and
+    every norm on C^1, a multiple of the modulus."""
+    return (spec.dim == 1 or spec.family == PD_INNER
+            or (spec.family == LP and spec.p == 2.0))
 
 
 # --- text formats ------------------------------------------------------------

@@ -1,16 +1,16 @@
 """The stacked evaluation against the single-pair forms, bit for bit.
 
-The kernels' pairs methods must equal the single-pair closed forms row by
-row, the stacked draws the per-index streams, and relation_compare and the
-sampled audits the per-index loops they replaced; those loops are kept
-here as the reference.
+Each row of a kernel's pairs methods must equal a one-row call, which is
+the single-pair form, the stacked draws the per-index streams, and
+relation_compare and the sampled audits the per-index loops they
+replaced; those loops are kept here as the reference.
 """
 
 import numpy as np
 import pytest
 
 import normlab as nl
-from normlab import orthogonality, sampling
+from normlab import derivatives, orthogonality, sampling
 from normlab.orthogonality import BJ_CANCEL_RTOL, DEFAULT_TOL, SamplerConfig
 from normlab.sampling import complex_gaussian, rng_for, sample_unit
 
@@ -66,6 +66,7 @@ def hard_pairs(spec, rng):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
 def test_pairs_methods_equal_the_single_pair_forms(name):
+    # each row of a stacked call equals a one-row call of the same method
     spec = KERNEL_SPECS[name]
     k = spec.kernel
     xs, ys = hard_pairs(spec, np.random.default_rng((21, spec.dim)))
@@ -76,13 +77,27 @@ def test_pairs_methods_equal_the_single_pair_forms(name):
     assert plus.dtype == slope.dtype == norms.dtype == np.float64
     assert inf.dtype == np.complex128
     for i, (x, y) in enumerate(zip(xs, ys)):
-        assert bits(plus[i]) == bits(k.rho_plus_rows(x, y[None])[0]), i
-        assert bits(inf[i]) == bits(k.rho_inf(x, y)), i
-        assert bits(slope[i]) == bits(k.bj_slope(x, y)), i
+        assert bits(plus[i]) == bits(k.rho_plus_pairs(x[None], y[None])[0]), i
+        assert bits(inf[i]) == bits(k.rho_inf_pairs(x[None], y[None])[0]), i
+        assert bits(slope[i]) == bits(k.bj_slope_pairs(x[None], y[None])[0]), i
         assert bits(norms[i]) == bits(nl.norm(spec, x)), i
     # and every stacked value is a value: no overflow at 1e150, no 0/0 at 0
     assert np.isfinite(plus).all() and np.isfinite(inf).all()
     assert np.isfinite(slope).all()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_rho_plus_rows_equals_rho_plus_per_direction(name):
+    # the engine of rho_n, rho_minus, rho_milicic and the quadrature gives
+    # every direction the bits of rho_plus on that direction alone
+    spec = KERNEL_SPECS[name]
+    xs, _ = hard_pairs(spec, np.random.default_rng((21, spec.dim)))
+    rng = np.random.default_rng((22, spec.dim))
+    for x in xs:
+        ys = (rng.standard_normal((64, spec.dim))
+              + 1j * rng.standard_normal((64, spec.dim)))
+        got = derivatives.rho_plus_rows(spec, x, ys)[0]
+        assert bits(got) == bits([nl.rho_plus(spec, x, y).value for y in ys])
 
 
 def test_stacked_arithmetic_matches_python_scalars():

@@ -132,6 +132,18 @@ def test_check_suite_passes(capsys):
     assert out.strip().endswith("passed 3/3")
 
 
+@pytest.mark.parametrize("norm", ["lp:p=3:dim=1", "lp:p=1:dim=1", "wl1:w=2:dim=1",
+                                  "poly:f=1+1i:dim=1"])
+def test_symmetry_detector_treats_one_dimensional_norms_as_inner_product(capsys, norm):
+    # every norm on C^1 is a multiple of the modulus
+    code, out, _ = run_cli(capsys, "check", "--suite", "symmetry-detector",
+                           "--norm", norm, "--samples", "50", "--format", "jsonl")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
+    assert [r["assertion"] for r in rows] == ["ips-defect-small", "parallelogram-law"]
+    assert all(r["pass"] for r in rows)
+
+
 def test_check_unknown_suite_exits_2(capsys):
     code, _, err = run_cli(capsys, "check", "--suite", "nonesuch")
     assert code == 2 and "unknown suite" in err

@@ -116,11 +116,12 @@ def test_bj_slope_agrees_with_the_minimum():
         for _ in range(20):
             x, y = gaussian_pair(rng, spec.dim)
             nx = nl.norm(spec, x)
-            assert spec.kernel.bj_slope(x, y) < 0, spec
+            assert spec.kernel.bj_slope_pairs(x[None], y[None])[0] < 0, spec
             assert nl.birkhoff_minimize(spec, x, y)[0] < nx * (1 - 1e-9), spec
             a, b = construct_bj_pair(spec, x, y)
             na = nl.norm(spec, a)
-            assert spec.kernel.bj_slope(a, b) >= -1e-10 * na * nl.norm(spec, b), spec
+            slope = spec.kernel.bj_slope_pairs(a[None], b[None])[0]
+            assert slope >= -1e-10 * na * nl.norm(spec, b), spec
             assert nl.birkhoff_minimize(spec, a, b)[0] >= na * (1 - 1e-12), spec
 
 
