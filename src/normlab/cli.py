@@ -40,7 +40,13 @@ from .rho_infinity import (
     rho_inf_traced,
     rho_n,
 )
-from .spaces import QUADRATURE, format_complex, parse_cvector, parse_norm_spec
+from .spaces import (
+    QUADRATURE,
+    format_complex,
+    parse_complex,
+    parse_cvector,
+    parse_norm_spec,
+)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -226,8 +232,6 @@ def _read_matrix(path: str) -> np.ndarray:
         rows = [line.strip() for line in fh if line.strip()]
     if not rows:
         raise SpecParseError(f"matrix file {path!r} is empty")
-    from .spaces import parse_complex
-
     return np.array([[parse_complex(p) for p in row.split(",")] for row in rows])
 
 
@@ -342,13 +346,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except NormLabError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except OSError as exc:
+    except (NormLabError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - internal failure path

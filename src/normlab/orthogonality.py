@@ -11,10 +11,10 @@ Four relations are decided numerically:
 
 All residuals are normalized by |x| |y| so that one scale-free tolerance
 applies; the zero-vector cases are orthogonal by convention with residual
-zero.  relation_compare samples pairs satisfying one relation by direct
-construction and reports the ones violating another; it evaluates the
-samples in stacked batches through the kernels' pairs methods, with the
-same numbers as the single-pair functions.
+zero.  Each residual, the decomposition scalar and the semi-inner parts
+are written once, on stacked pairs; the verdicts, decomposition_alpha and
+semi_inner are one-row calls.  relation_compare constructs pairs that
+satisfy one relation and reports those violating another, by batches.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .derivatives import CLOSED_FORM, FunctionalValue, rho_plus
+from .derivatives import CLOSED_FORM, FunctionalValue
 from .errors import DimensionMismatchError, NotSmoothError, ZeroBaseError
-from .rho_infinity import rho_inf
 from .sampling import gaussian_draws, index_batches
 from .spaces import (
     NormSpec,
@@ -65,9 +64,9 @@ def check_tol(tol: float) -> None:
 class OrthoVerdict:
     """A boolean orthogonality decision with its residual and tolerance.
 
-    orthogonal is exactly (residual <= tol).  converged=False marks a
-    verdict built on a nonconverged functional value: treat it as
-    unknown rather than as a definite answer.
+    orthogonal is exactly (residual <= tol).  Every relation is decided
+    in closed form, so converged is always True; it stays for callers
+    that treat a nonconverged verdict as unknown.
     """
 
     orthogonal: bool
@@ -77,55 +76,27 @@ class OrthoVerdict:
     converged: bool = True
 
 
-def _relative(spec: NormSpec, fn, x, y, tol: float,
-              relation: str) -> OrthoVerdict:
-    """Verdict from the functional on unit-normalized inputs.
+def _verdict(spec: NormSpec, relation: str, x, y, tol: float) -> OrthoVerdict:
+    """relation_residuals on the one row pair (x, y), as a verdict."""
+    check_tol(tol)
+    x = np.asarray(x, dtype=np.complex128).reshape(1, -1)
+    y = np.asarray(y, dtype=np.complex128).reshape(1, -1)
+    residual = float(relation_residuals(spec, relation, x, y)[0])
+    return OrthoVerdict(residual <= tol, residual, tol, relation)
 
-    All relations are invariant under nonzero scalings, so evaluating on
-    x/|x|, y/|y| makes the residual |value|/(|x| |y|) directly and keeps
-    extreme scales away from overflow.  Zero vectors are orthogonal to
-    everything with residual zero.
-    """
-    x = vector(x)
-    y = vector(y)
-    nx = norm(spec, x)
-    ny = norm(spec, y)
-    if nx == 0.0 or ny == 0.0:
-        return OrthoVerdict(True, 0.0, tol, relation, True)
-    value = fn(spec, x / nx, y / ny)
-    residual = abs(value.value)  # the |x| |y| denominator is exactly 1 here
-    return OrthoVerdict(residual <= tol, residual, tol, relation,
-                        value.converged)
+
+def perp(spec: NormSpec, relation: str, x, y,
+         tol: float = DEFAULT_TOL) -> OrthoVerdict:
+    """The named relation's verdict on the pair (x, y)."""
+    return _verdict(spec, relation, x, y, tol)
 
 
 def perp_rho_inf(spec: NormSpec, x, y, tol: float = DEFAULT_TOL) -> OrthoVerdict:
-    return _relative(spec, rho_inf, x, y, tol, RHO_INF)
+    return _verdict(spec, RHO_INF, x, y, tol)
 
 
 def perp_rho_plus(spec: NormSpec, x, y, tol: float = DEFAULT_TOL) -> OrthoVerdict:
-    return _relative(spec, rho_plus, x, y, tol, RHO_PLUS)
-
-
-def semi_inner(spec: NormSpec, u, v) -> FunctionalValue:
-    """The unique semi-inner product [u, v] of a smooth norm.
-
-    [u, v] = |v| F_v(u) built from the support functional
-    F_v = f_v + i f_{iv} with f_v(u) = rho_plus(v, u)/|v|; by the phase
-    rule rho_plus(iv, u) = rho_plus(v, -iu), so no norm of iv is needed.
-    """
-    if not is_smooth_family(spec):
-        raise NotSmoothError(
-            f"{spec.family!r} is not a smooth family; the semi-inner product "
-            "is not unique and normlab refuses to pick one silently")
-    u = vector(u)
-    v = vector(v)
-    if norm(spec, v) == 0.0:
-        raise ZeroBaseError("semi-inner product requires a nonzero base point")
-    a = rho_plus(spec, v, u)
-    b = rho_plus(spec, v, -1j * u)
-    return FunctionalValue(complex(a.value.real, b.value.real),
-                           a.abs_error + b.abs_error,
-                           a.path, a.converged and b.converged)
+    return _verdict(spec, RHO_PLUS, x, y, tol)
 
 
 def perp_semi(spec: NormSpec, x, y, tol: float = DEFAULT_TOL) -> OrthoVerdict:
@@ -134,11 +105,79 @@ def perp_semi(spec: NormSpec, x, y, tol: float = DEFAULT_TOL) -> OrthoVerdict:
     Requires a nonzero base point x and a smooth norm; y = 0 is
     orthogonal trivially.
     """
-    if norm(spec, vector(x)) == 0.0:
-        raise ZeroBaseError("perp_semi requires x != 0")
+    return _verdict(spec, SEMI, x, y, tol)
+
+
+def perp_birkhoff_james(spec: NormSpec, x, y,
+                        tol: float = DEFAULT_TOL) -> OrthoVerdict:
+    """x perp_B y iff min over t of rho_plus(x, e^{it} y) >= 0.
+
+    By convexity of s -> |x + s e^{it} y| (James 1947), xi = 0 minimizes
+    |x + xi y| iff no one-sided slope from it is negative.  The residual
+    is max(0, -min_t rho_plus(x, e^{it} y)) / (|x| |y|), first order in
+    the distance from orthogonality like the other relations' residuals,
+    and each kernel gives the minimum in closed form.
+    """
+    return _verdict(spec, BIRKHOFF_JAMES, x, y, tol)
+
+
+def _check_smooth(spec: NormSpec) -> None:
+    if not is_smooth_family(spec):
+        raise NotSmoothError(
+            f"{spec.family!r} is not a smooth family; the semi-inner product "
+            "is not unique and normlab refuses to pick one silently")
+
+
+def _semi_parts(spec: NormSpec, xs: np.ndarray, ys: np.ndarray):
+    """The real and imaginary parts of [y, x], row by row.
+
+    [y, x] = |x| F_x(y) for the support functional F_x = f_x + i f_{ix}
+    with f_x(y) = rho_plus(x, y)/|x|; by the phase rule
+    rho_plus(ix, y) = rho_plus(x, -iy), so no norm of ix is needed.
+    """
     _check_smooth(spec)
-    return _relative(spec, lambda s, xu, yu: semi_inner(s, yu, xu), x, y,
-                     tol, SEMI)
+    k = spec.kernel
+    return k.rho_plus_pairs(xs, ys), k.rho_plus_pairs(xs, -1j * ys)
+
+
+def semi_inner(spec: NormSpec, u, v) -> FunctionalValue:
+    """The unique semi-inner product [u, v] of a smooth norm."""
+    _check_smooth(spec)
+    u = vector(u)
+    v = vector(v)
+    check_dim(spec, u)
+    if norm(spec, v) == 0.0:
+        raise ZeroBaseError("semi-inner product requires a nonzero base point")
+    re, im = _semi_parts(spec, v[None], u[None])
+    return FunctionalValue(complex(re[0], im[0]), 0.0, CLOSED_FORM)
+
+
+def _alpha(spec: NormSpec, xs: np.ndarray, ys: np.ndarray,
+           nx2: np.ndarray) -> np.ndarray:
+    """-conj(rho_inf(x, y)) / |x|^2 row by row, nx2 holding the |x|^2.
+
+    The parts are divided one by one, as Python divides a complex by a
+    float; numpy would multiply by the reciprocal.
+    """
+    v = spec.kernel.rho_inf_pairs(xs, ys)
+    alpha = np.empty_like(v)
+    alpha.real, alpha.imag = -v.real / nx2, v.imag / nx2
+    return alpha
+
+
+def decomposition_alpha(spec: NormSpec, x, y) -> complex:
+    """The scalar alpha with x perp_{rho_inf} (alpha x + y).
+
+    alpha = -conj(rho_inf(x, y)) / |x|^2; follows from the translation
+    rule rho_inf(x, a x + y) = conj(a) |x|^2 + rho_inf(x, y).
+    """
+    x = vector(x)
+    y = vector(y)
+    nx = norm(spec, x)
+    if nx == 0.0:
+        raise ZeroBaseError("decomposition requires x != 0")
+    check_dim(spec, y)
+    return complex(_alpha(spec, x[None], y[None], nx**2)[0])
 
 
 def birkhoff_minimize(spec: NormSpec, x, y) -> tuple[float, complex]:
@@ -162,56 +201,6 @@ def birkhoff_minimize(spec: NormSpec, x, y) -> tuple[float, complex]:
     yu = y / ny
     z = spec.kernel.bj_argmin(xu, yu)
     return nx * float(spec.kernel.norm(xu + z * yu)), z * nx / ny
-
-
-def _bj_defect(spec: NormSpec, x, y) -> FunctionalValue:
-    """How far rho_plus(x, e^{it} y) dips below zero over t."""
-    slope = spec.kernel.bj_slope_pairs(x[None], y[None]).item()
-    return FunctionalValue(complex(max(0.0, -slope)), 0.0, CLOSED_FORM)
-
-
-def perp_birkhoff_james(spec: NormSpec, x, y,
-                        tol: float = DEFAULT_TOL) -> OrthoVerdict:
-    """x perp_B y iff min over t of rho_plus(x, e^{it} y) >= 0.
-
-    By convexity of s -> |x + s e^{it} y| (James 1947), xi = 0 minimizes
-    |x + xi y| iff no one-sided slope from it is negative.  The residual
-    is max(0, -min_t rho_plus(x, e^{it} y)) / (|x| |y|), first order in
-    the distance from orthogonality like the other relations' residuals,
-    and each kernel gives the minimum in closed form.
-    """
-    return _relative(spec, _bj_defect, x, y, tol, BIRKHOFF_JAMES)
-
-
-def decomposition_alpha(spec: NormSpec, x, y) -> complex:
-    """The scalar alpha with x perp_{rho_inf} (alpha x + y).
-
-    alpha = -conj(rho_inf(x, y)) / |x|^2; follows from the translation
-    rule rho_inf(x, a x + y) = conj(a) |x|^2 + rho_inf(x, y).
-    """
-    x = vector(x)
-    y = vector(y)
-    nx = norm(spec, x)
-    if nx == 0.0:
-        raise ZeroBaseError("decomposition requires x != 0")
-    v = rho_inf(spec, x, y)
-    return -complex(v.value).conjugate() / nx**2
-
-
-_VERDICTS = {
-    RHO_INF: perp_rho_inf,
-    RHO_PLUS: perp_rho_plus,
-    BIRKHOFF_JAMES: perp_birkhoff_james,
-    SEMI: perp_semi,
-}
-
-
-def perp(spec: NormSpec, relation: str, x, y,
-         tol: float = DEFAULT_TOL) -> OrthoVerdict:
-    """Dispatch to the named relation's verdict function."""
-    if relation not in _VERDICTS:
-        raise ValueError(f"unknown relation {relation!r}")
-    return _VERDICTS[relation](spec, x, y, tol)
 
 
 @dataclass(frozen=True)
@@ -269,15 +258,11 @@ def construct_pairs(spec: NormSpec, relation: str, xs: np.ndarray,
         s = -k.rho_plus_pairs(xs, ys) / nx2
         return xs, s[:, None] * xs + ys
     if relation == RHO_INF:
-        v = k.rho_inf_pairs(xs, ys)
-        alpha = np.empty_like(v)  # decomposition_alpha, -conj(v) / |x|^2
-        alpha.real, alpha.imag = -v.real / nx2, v.imag / nx2
-        return xs, alpha[:, None] * xs + ys
+        return xs, _alpha(spec, xs, ys, nx2)[:, None] * xs + ys
     if relation == SEMI:
-        _check_smooth(spec)
-        c = np.empty(len(xs), dtype=np.complex128)  # semi_inner(y, x) / |x|^2
-        c.real = k.rho_plus_pairs(xs, ys) / nx2
-        c.imag = k.rho_plus_pairs(xs, -1j * ys) / nx2
+        re, im = _semi_parts(spec, xs, ys)
+        c = np.empty(len(xs), dtype=np.complex128)  # [y, x] / |x|^2
+        c.real, c.imag = re / nx2, im / nx2
         return xs, ys - c[:, None] * xs
     if relation == BIRKHOFF_JAMES:
         # birkhoff_minimize's xi, in its Python arithmetic
@@ -292,27 +277,19 @@ def construct_pairs(spec: NormSpec, relation: str, xs: np.ndarray,
     raise ValueError(f"unknown relation {relation!r}")
 
 
-def _check_smooth(spec: NormSpec) -> None:
-    if not is_smooth_family(spec):
-        raise NotSmoothError(f"{spec.family!r} is not a smooth family")
-
-
-def _finite(xs: np.ndarray) -> np.ndarray:
-    """The stacked form of vector's check."""
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("vector components must be finite (no NaN/Inf)")
-    return xs
-
-
 def _unit_pairs(spec: NormSpec, xs: np.ndarray, ys: np.ndarray):
-    """x/|x| and y/|y| row by row, as _relative normalizes one pair after
-    vector's check, and which rows have x = 0 and which y = 0."""
+    """x/|x| and y/|y| row by row, after vector's finiteness check, and
+    which rows have x = 0 and which y = 0."""
     check_dim(spec, xs)
     check_dim(spec, ys)
-    nx = spec.kernel.norm(_finite(xs))
-    ny = spec.kernel.norm(_finite(ys))
-    return (xs / np.where(nx == 0.0, 1.0, nx)[:, None],
-            ys / np.where(ny == 0.0, 1.0, ny)[:, None], nx == 0.0, ny == 0.0)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("vector components must be finite (no NaN/Inf)")
+    nx = spec.kernel.norm(xs)
+    ny = spec.kernel.norm(ys)
+    x_zero = nx == 0.0
+    y_zero = ny == 0.0
+    # nx + x_zero is exactly nx, or 1 on zero rows
+    return xs / (nx + x_zero)[:, None], ys / (ny + y_zero)[:, None], x_zero, y_zero
 
 
 def _residuals(spec: NormSpec, relation: str, xu: np.ndarray, yu: np.ndarray,
@@ -330,8 +307,7 @@ def _residuals(spec: NormSpec, relation: str, xu: np.ndarray, yu: np.ndarray,
         s = -k.bj_slope_pairs(xu, yu)
         r = np.where(s > 0.0, s, 0.0)  # max(0.0, s)
     elif relation == SEMI:
-        _check_smooth(spec)
-        r = np.hypot(k.rho_plus_pairs(xu, yu), k.rho_plus_pairs(xu, -1j * yu))
+        r = np.hypot(*_semi_parts(spec, xu, yu))
     else:
         raise ValueError(f"unknown relation {relation!r}")
     return np.where(x_zero | y_zero, 0.0, r)
@@ -339,12 +315,14 @@ def _residuals(spec: NormSpec, relation: str, xu: np.ndarray, yu: np.ndarray,
 
 def relation_residuals(spec: NormSpec, relation: str, xs: np.ndarray,
                        ys: np.ndarray) -> np.ndarray:
-    """The residual of perp(spec, relation, x, y) for each row pair.
+    """The residual of the relation for each row pair, i.e. its functional
+    divided by |x| |y|.
 
-    Like _relative, it evaluates the relation on x/|x|, y/|y|, gives
-    pairs with a zero vector residual zero, and refuses a zero base point
-    for semi; every kernel evaluates in closed form, so every verdict is
-    converged.  The residuals equal perp's bit for bit.
+    The relation is evaluated on x/|x|, y/|y|, which makes the residual
+    the functional's modulus directly and keeps extreme scales away from
+    overflow.  Pairs with a zero vector have residual zero, and a zero
+    base point is refused for semi.  perp and the perp_* are one-row
+    calls of this, and relation_compare judges its batches with it.
     """
     return _residuals(spec, relation, *_unit_pairs(spec, xs, ys))
 

@@ -13,6 +13,10 @@ POLY_ROWS = np.array([
     [-0.4j, 0.3, 0.5 + 0.3j],
 ])
 
+# each relation's own verdict function, beside nl.perp(spec, relation, ...)
+VERDICTS = {nl.RHO_INF: nl.perp_rho_inf, nl.RHO_PLUS: nl.perp_rho_plus,
+            nl.BIRKHOFF_JAMES: nl.perp_birkhoff_james, nl.SEMI: nl.perp_semi}
+
 
 def gaussian_pair(rng, dim):
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

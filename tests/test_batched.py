@@ -14,7 +14,7 @@ from normlab import derivatives, orthogonality, sampling
 from normlab.orthogonality import BJ_CANCEL_RTOL, DEFAULT_TOL, SamplerConfig
 from normlab.sampling import complex_gaussian, rng_for, sample_unit
 
-from conftest import POLY_ROWS, family_specs, random_pd_gram
+from conftest import POLY_ROWS, VERDICTS, family_specs, random_pd_gram
 from test_closed_forms import _tie
 
 # an odd sample count, so batches of 8 and the doubling batches 1, 2, 4, 8
@@ -160,7 +160,83 @@ def test_index_batches_cover_the_samples_in_order(doubling, monkeypatch):
     assert sizes == ([1, 2, 4, 8, 8, 8, 6] if doubling else [8, 8, 8, 8, 5])
 
 
-# --- the per-index loops the batched audits replaced ------------------------
+# --- the single-pair formulas and per-index loops the stacked code replaced --
+
+
+def reference_alpha(spec, x, y):
+    """-conj(rho_inf(x, y)) / |x|^2 in Python complex arithmetic."""
+    return -complex(nl.rho_inf(spec, x, y).value).conjugate() / nl.norm(spec, x) ** 2
+
+
+def reference_semi(spec, u, v):
+    """[u, v] = rho_plus(v, u) + i rho_plus(v, -iu)."""
+    return complex(nl.rho_plus(spec, v, u).value.real,
+                   nl.rho_plus(spec, v, -1j * u).value.real)
+
+
+def reference_residual(spec, relation, x, y):
+    """A verdict's residual pair by pair: the modulus of the relation's
+    functional on x/|x|, y/|y|, and 0 when x or y is 0."""
+    x = np.asarray(x, dtype=np.complex128)
+    y = np.asarray(y, dtype=np.complex128)
+    nx = nl.norm(spec, x)
+    ny = nl.norm(spec, y)
+    if relation == nl.SEMI:
+        if nx == 0.0:
+            raise nl.ZeroBaseError("perp_semi requires x != 0")
+        if not nl.is_smooth_family(spec):
+            raise nl.NotSmoothError(spec.family)
+    if nx == 0.0 or ny == 0.0:
+        return 0.0
+    xu = x / nx
+    yu = y / ny
+    if relation == nl.RHO_INF:
+        return abs(nl.rho_inf(spec, xu, yu).value)
+    if relation == nl.RHO_PLUS:
+        return abs(nl.rho_plus(spec, xu, yu).value)
+    if relation == nl.BIRKHOFF_JAMES:
+        return max(0.0, -spec.kernel.bj_slope_pairs(xu[None], yu[None]).item())
+    return abs(reference_semi(spec, yu, xu))
+
+
+@pytest.mark.parametrize("relation", nl.RELATIONS)
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_verdicts_equal_the_single_pair_formulas(name, relation):
+    spec = KERNEL_SPECS[name]
+    xs, ys = hard_pairs(spec, np.random.default_rng((21, spec.dim)))
+    one = VERDICTS[relation]
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        calls = (lambda: nl.perp(spec, relation, x, y), lambda: one(spec, x, y))
+        try:
+            expect = reference_residual(spec, relation, x, y)
+        except (nl.NotSmoothError, nl.ZeroBaseError) as exc:
+            for call in calls:
+                with pytest.raises(type(exc)):
+                    call()
+            continue
+        for call in calls:
+            v = call()
+            assert bits(v.residual) == bits(expect), i
+            assert (v.orthogonal, v.tol, v.relation, v.converged) == (
+                expect <= DEFAULT_TOL, DEFAULT_TOL, relation, True)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_scalars_equal_the_single_pair_formulas(name):
+    # the decomposition scalar's parts are divided one by one, which keeps
+    # Python's bits except the sign of a zero part (Python's complex
+    # division adds a signed zero product into each part); == ignores it
+    spec = KERNEL_SPECS[name]
+    xs, ys = hard_pairs(spec, np.random.default_rng((21, spec.dim)))
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if nl.norm(spec, x) == 0.0:
+            with pytest.raises(nl.ZeroBaseError):
+                nl.decomposition_alpha(spec, x, y)
+            continue
+        assert nl.decomposition_alpha(spec, x, y) == reference_alpha(spec, x, y), i
+        if nl.is_smooth_family(spec):
+            assert bits(nl.semi_inner(spec, y, x).value) == bits(
+                reference_semi(spec, y, x)), i
 
 
 def reference_construct(spec, relation, x, y):
@@ -169,10 +245,11 @@ def reference_construct(spec, relation, x, y):
         s = -nl.rho_plus(spec, x, y).value.real / nx2
         return x, s * x + y
     if relation == nl.RHO_INF:
-        return x, nl.decomposition_alpha(spec, x, y) * x + y
+        return x, reference_alpha(spec, x, y) * x + y
     if relation == nl.SEMI:
-        c = complex(nl.semi_inner(spec, y, x).value) / nx2
-        return x, y - c * x
+        if not nl.is_smooth_family(spec):
+            raise nl.NotSmoothError(spec.family)
+        return x, y - reference_semi(spec, y, x) / nx2 * x
     _, xi = nl.birkhoff_minimize(spec, x, y)
     a = x + xi * y
     a[np.abs(a) <= BJ_CANCEL_RTOL * (np.abs(x) + np.abs(xi * y))] = 0
@@ -188,12 +265,12 @@ def reference_compare(spec, relation_a, relation_b, samples, seed):
         if nl.norm(spec, x) < 1e-8 or nl.norm(spec, y) < 1e-8:
             continue
         a, b = reference_construct(spec, relation_a, x, y)
-        va = nl.perp(spec, relation_a, a, b, DEFAULT_TOL)
-        if not (va.orthogonal and va.converged):
+        ra = reference_residual(spec, relation_a, a, b)
+        if not ra <= DEFAULT_TOL:
             continue
-        vb = nl.perp(spec, relation_b, a, b, DEFAULT_TOL)
-        if vb.converged and not vb.orthogonal:
-            found.append((index, bits(a), bits(b), bits(va.residual), bits(vb.residual)))
+        rb = reference_residual(spec, relation_b, a, b)
+        if not rb <= DEFAULT_TOL:
+            found.append((index, bits(a), bits(b), bits(ra), bits(rb)))
     return found
 
 
@@ -307,13 +384,13 @@ def reference_map(spec_dom, spec_cod, t, samples, seed, tol=DEFAULT_TOL):
         y = complex_gaussian(rng, spec_dom.dim)
         if nl.norm(spec_dom, x) < 1e-8:
             continue
-        b = nl.decomposition_alpha(spec_dom, x, y) * x + y
-        va = nl.perp_rho_inf(spec_dom, x, b, tol)
-        if not (va.orthogonal and va.converged):
+        b = reference_alpha(spec_dom, x, y) * x + y
+        ra = reference_residual(spec_dom, nl.RHO_INF, x, b)
+        if not ra <= tol:
             continue
-        vb = nl.perp_rho_inf(spec_cod, t @ x, t @ b, tol)
-        if vb.converged and not vb.orthogonal:
-            witnesses.append((bits(x), bits(b), bits(va.residual), bits(vb.residual)))
+        rb = reference_residual(spec_cod, nl.RHO_INF, t @ x, t @ b)
+        if not rb <= tol:
+            witnesses.append((bits(x), bits(b), bits(ra), bits(rb)))
     return est, iso, scale, witnesses
 
 

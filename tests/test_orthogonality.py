@@ -7,7 +7,14 @@ import normlab as nl
 from normlab import analysis, orthogonality
 from normlab.orthogonality import SamplerConfig, relation_compare
 
-from conftest import POLY_ROWS, family_specs, gaussian_pair, random_pd_gram, unit_pair
+from conftest import (
+    POLY_ROWS,
+    VERDICTS,
+    family_specs,
+    gaussian_pair,
+    random_pd_gram,
+    unit_pair,
+)
 
 L1 = nl.lp(1, 2)
 L3 = nl.lp(3, 3)
@@ -279,16 +286,15 @@ def test_perp_semi_zero_direction_is_orthogonal():
     assert nl.perp_semi(PD2, [1, 0], [0, 0]).orthogonal
 
 
-def test_nonconverged_becomes_unknown_verdict(monkeypatch):
-    # every default path is a closed form, so a nonconverged value is fed
-    # in: quadrature capped at 16 nodes at a three-way tie of lp inf
-    spec = nl.lp(np.inf, 3)
-    x = [1.0, 1.0j, -1.0]
-    y = [0.3 + 0.2j, -1.1 + 0.7j, 0.4 - 0.9j]
-    capped = functools.partial(nl.rho_inf, force_path=nl.QUADRATURE, n_max=16)
-    monkeypatch.setattr(orthogonality, "rho_inf", capped)
-    v = nl.perp_rho_inf(spec, x, y)
-    assert not v.converged  # treat as unknown, not as a definite verdict
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("relation", nl.RELATIONS)
+def test_verdicts_reject_a_tol_that_is_not_finite_and_nonnegative(relation, tol):
+    # against inf x would be orthogonal to itself, against nan or -1 no
+    # pair would be orthogonal
+    for verdict in (functools.partial(nl.perp, PD2, relation),
+                    functools.partial(VERDICTS[relation], PD2)):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            verdict([1, 0], [1, 0], tol)
 
 
 def test_relation_compare_finds_documented_witnesses():
