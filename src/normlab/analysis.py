@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DimensionMismatchError, RUnknownError, ZeroMapError
 from .orthogonality import RHO_INF, check_tol, construct_pairs, relation_residuals
 from .sampling import gaussian_draws, index_batches, unit_draws
-from .spaces import NormSpec, dual_segment_constant, format_cvector, norm
+from .spaces import NormSpec, _modulus, dual_segment_constant, format_cvector, norm
 
 UNIVERSAL_4_OVER_PI = "4_over_pi"
 DUAL_CONSTANT = "dual_constant"
@@ -34,12 +34,6 @@ def _check_dim(spec: NormSpec, dim: int) -> None:
     if spec.dim != int(dim):
         raise DimensionMismatchError(
             f"requested dim {dim} does not match spec dim {spec.dim}")
-
-
-def _modulus(z: np.ndarray) -> np.ndarray:
-    """|z| as Python's abs of a complex gives it; np.abs differs in the
-    last bit on about a third of the values."""
-    return np.hypot(z.real, z.imag)
 
 
 def _first_max(values: np.ndarray, best: float) -> int | None:

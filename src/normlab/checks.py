@@ -5,6 +5,17 @@ samples, evaluates the assertion, and returns one record per assertion
 with the observed and reference values.  A record passes when the
 observed side satisfies its comparison against the reference within tol;
 the direction of the comparison is baked in per assertion.
+
+Every suite evaluates its samples a batch at a time
+(sampling.index_batches): nd-properties, rho-n-props, homogeneity,
+translation, lp1-closed-form and smooth-equivalence draw a batch with
+unit_draws and evaluate it through the stacked forms, namely the kernels'
+pairs methods, rho_plus_directions (the numeric limit included),
+limit_quotient_tables, rho_n_pairs, quadrature_pairs and
+relation_residuals; bounds, symmetry-detector and preservation run the
+batched audits of analysis.  Sample i draws x, y and then any scalars
+from stream (seed, i), and every record has the bits of a loop over the
+samples with the single-pair functions.
 """
 
 from __future__ import annotations
@@ -15,22 +26,22 @@ from . import analysis
 from .derivatives import (
     NUMERIC_LIMIT,
     QUOTIENT_NOISE,
-    limit_quotient_table,
-    rho_minus,
-    rho_plus,
+    limit_quotient_tables,
+    rho_plus_directions,
 )
 from .orthogonality import (
+    BIRKHOFF_JAMES,
     DEFAULT_TOL,
-    decomposition_alpha,
-    perp_birkhoff_james,
-    perp_rho_inf,
+    RHO_INF,
+    construct_pairs,
+    relation_residuals,
 )
-from .rho_infinity import QUADRATURE, rho_inf, rho_n
-from .sampling import rng_for, sample_unit
+from .rho_infinity import quadrature_pairs, rho_n_pairs
+from .sampling import index_batches, rng_for, unit_draws
 from .spaces import (
     NormSpec,
+    _modulus,
     dual_segment_constant,
-    gram_inner,
     is_inner_product_family,
     is_smooth_family,
     lp,
@@ -45,41 +56,67 @@ def record(suite: str, assertion: str, lhs: float, rhs: float, tol: float,
             "seed": int(seed)}
 
 
-def _pair(spec: NormSpec, seed: int, index: int):
-    rng = rng_for(seed, index)
-    return sample_unit(spec, rng), sample_unit(spec, rng), rng
+def _pairs(spec: NormSpec, seed: int, batch: range, scalars: int = 0):
+    """The unit pairs x, y of the batch's samples, sample i on stream
+    (seed, i), followed by `scalars` complex scalars per sample, each
+    complex(re, im) of the next two standard normals of its stream, as
+    (len(batch),) arrays."""
+    x, y, *extra = unit_draws(spec, seed, (), batch, extra=2 * scalars)
+    out = [x, y]
+    for k in range(scalars):
+        z = np.empty(len(batch), dtype=np.complex128)  # complex(re, im)
+        z.real, z.imag = extra[0][:, 2 * k], extra[0][:, 2 * k + 1]
+        out.append(z)
+    return out
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise as Python multiplies two complex numbers; numpy's
+    complex product of arrays may fuse the multiply-adds."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _rho_plus(spec: NormSpec, xs: np.ndarray, ys: np.ndarray,
+              force_path: str | None = None):
+    """rho_plus and its abs_error for each row pair of xs and ys."""
+    vals, errs, _, _ = rho_plus_directions(spec, xs, ys[:, None, :],
+                                           force_path=force_path)
+    return vals[:, 0], errs[:, 0]
 
 
 def check_nd_properties(spec: NormSpec, samples: int, seed: int) -> list[dict]:
     """(nd1)-(nd4) plus convexity monotonicity of the quotient steps."""
     suite = "nd-properties"
     nd1 = nd2 = nd3 = nd4 = mono = 0.0
-    for i in range(samples):
-        x, y, rng = _pair(spec, seed, i)
-        # nd1 through independent numeric-limit evaluation of both sides
-        lhs = rho_minus(spec, x, y, force_path=NUMERIC_LIMIT).value.real
-        rhs = -rho_plus(spec, x, -y, force_path=NUMERIC_LIMIT).value.real
-        nd1 = max(nd1, abs(lhs - rhs))
+    for batch in index_batches(int(samples)):
+        x, y, a, b = _pairs(spec, seed, batch, scalars=2)
+        # nd1: rho_minus(x, y) = -rho_plus(x, -y), each side through its own
+        # numeric-limit evaluation; rho_minus is defined by this identity, so
+        # the two sides run the same computation
+        lhs = -_rho_plus(spec, x, -y, NUMERIC_LIMIT)[0]
+        rhs = -_rho_plus(spec, x, -y, NUMERIC_LIMIT)[0]
+        nd1 = max(nd1, float(np.abs(lhs - rhs).max()))
         # nd2: rho_plus(x, a x + y) = Re(a) |x|^2 + rho_plus(x, y)
-        a = complex(*rng.standard_normal(2))
-        va = rho_plus(spec, x, a * x + y)
-        vb = rho_plus(spec, x, y)
-        allow = max(1e-8, 2.0 * (va.abs_error + vb.abs_error))
-        nd2 = max(nd2, abs(va.value.real - (a.real + vb.value.real)) / allow)
+        va, ea = _rho_plus(spec, x, a[:, None] * x + y)
+        vb, eb = _rho_plus(spec, x, y)
+        allow = np.maximum(1e-8, 2.0 * (ea + eb))
+        nd2 = max(nd2, float((np.abs(va - (a.real + vb)) / allow).max()))
         # nd3: rho_plus(a x, b y) = |ab| rho_plus(x, e^{i(arg b - arg a)} y)
-        b = complex(*rng.standard_normal(2))
-        vl = rho_plus(spec, a * x, b * y)
+        vl, el = _rho_plus(spec, a[:, None] * x, b[:, None] * y)
         phase = np.exp(1j * (np.angle(b) - np.angle(a)))
-        vr = rho_plus(spec, x, phase * y)
-        allow = max(1e-8, 2.0 * (vl.abs_error + abs(a * b) * vr.abs_error)) \
-            * max(1.0, abs(a * b))
-        nd3 = max(nd3, abs(vl.value.real - abs(a * b) * vr.value.real) / allow)
+        vr, er = _rho_plus(spec, x, phase[:, None] * y)
+        ab = _modulus(_product(a, b))
+        allow = np.maximum(1e-8, 2.0 * (el + ab * er)) * np.maximum(1.0, ab)
+        nd3 = max(nd3, float((np.abs(vl - ab * vr) / allow).max()))
         # nd4: |rho_plus| <= |x| |y| (unit samples)
-        nd4 = max(nd4, abs(vb.value.real) - 1.0)
+        nd4 = max(nd4, float((np.abs(vb) - 1.0).max()))
         # convexity: the difference quotient is nondecreasing in t, so the
         # table along the decreasing schedule must not rise beyond noise
-        quot = limit_quotient_table(spec, x, y)
-        mono = max(mono, float(np.max(quot[1:] - quot[:-1])))
+        quot = limit_quotient_tables(spec, x, y)
+        mono = max(mono, float((quot[:, 1:] - quot[:, :-1]).max()))
     return [
         record(suite, "nd1-independent-limits", nd1, 0.0, 1e-12, nd1 <= 1e-12, seed),
         record(suite, "nd2-translation", nd2, 1.0, 0.0, nd2 <= 1.0, seed),
@@ -97,15 +134,17 @@ def check_rho_n_props(spec: NormSpec, samples: int, seed: int) -> list[dict]:
     d_self = d_bound = 0.0
     pd_spec = spec if spec.gram is not None else pd_inner(np.eye(spec.dim))
     d_ip = 0.0
-    for i in range(samples):
-        x, y, _ = _pair(spec, seed, i)
+    for batch in index_batches(int(samples)):
+        x, y = _pairs(spec, seed, batch)
+        u, v = _pairs(pd_spec, seed, batch)
+        inner = pd_spec.kernel.rho_inf_pairs(u, v)
         for n in ns:
-            d_self = max(d_self, abs(rho_n(spec, x, x, n).value - 1.0))
-            d_bound = max(d_bound, abs(rho_n(spec, x, y, n).value) - 2.0)
-        u, v, _ = _pair(pd_spec, seed, i)
-        for n in ns:
-            d_ip = max(d_ip, abs(rho_n(pd_spec, u, v, n).value
-                                 - gram_inner(pd_spec, u, v)))
+            self_n = rho_n_pairs(spec, x, x, n)[0]
+            pair_n = rho_n_pairs(spec, x, y, n)[0]
+            ip_n = rho_n_pairs(pd_spec, u, v, n)[0]
+            d_self = max(d_self, float(_modulus(self_n - 1.0).max()))
+            d_bound = max(d_bound, float((_modulus(pair_n) - 2.0).max()))
+            d_ip = max(d_ip, float(_modulus(ip_n - inner).max()))
     return [
         record(suite, "rho-n-self-is-norm-squared", d_self, 0.0, 1e-6,
                d_self <= 1e-6, seed),
@@ -116,29 +155,28 @@ def check_rho_n_props(spec: NormSpec, samples: int, seed: int) -> list[dict]:
 
 
 def _homogeneity_defect(spec: NormSpec, samples: int, seed: int) -> float:
+    # the closed forms are exact (abs_error 0), so each allowance is its floor
+    k = spec.kernel
     worst = 0.0
-    for i in range(samples):
-        x, y, rng = _pair(spec, seed, i)
-        a = complex(*rng.standard_normal(2))
-        b = complex(*rng.standard_normal(2))
-        va = rho_inf(spec, a * x, b * y)
-        vb = rho_inf(spec, x, y)
-        ab = a * b.conjugate()
-        allow = max(1e-7, 3.0 * (va.abs_error + abs(ab) * vb.abs_error)) \
-            * (1.0 + abs(ab))
-        worst = max(worst, abs(va.value - ab * vb.value) / allow)
+    for batch in index_batches(int(samples)):
+        x, y, a, b = _pairs(spec, seed, batch, scalars=2)
+        va = k.rho_inf_pairs(a[:, None] * x, b[:, None] * y)
+        vb = k.rho_inf_pairs(x, y)
+        ab = _product(a, b.conj())
+        allow = 1e-7 * (1.0 + _modulus(ab))
+        worst = max(worst, float((_modulus(va - _product(ab, vb)) / allow).max()))
     return worst
 
 
 def _translation_defect(spec: NormSpec, samples: int, seed: int) -> float:
+    k = spec.kernel
     worst = 0.0
-    for i in range(samples):
-        x, y, rng = _pair(spec, seed, i)
-        a = complex(*rng.standard_normal(2))
-        va = rho_inf(spec, x, a * x + y)
-        vb = rho_inf(spec, x, y)
-        allow = max(1e-7, 3.0 * (va.abs_error + vb.abs_error)) * (1.0 + abs(a)) * 2.0
-        worst = max(worst, abs(va.value - (a.conjugate() + vb.value)) / allow)
+    for batch in index_batches(int(samples)):
+        x, y, a = _pairs(spec, seed, batch, scalars=1)
+        va = k.rho_inf_pairs(x, a[:, None] * x + y)
+        vb = k.rho_inf_pairs(x, y)
+        allow = 1e-7 * (1.0 + _modulus(a)) * 2.0
+        worst = max(worst, float((_modulus(va - (a.conj() + vb)) / allow).max()))
     return worst
 
 
@@ -175,14 +213,14 @@ def check_lp1_closed_form(spec: NormSpec, samples: int, seed: int) -> list[dict]
     suite = "lp1-closed-form"
     l1 = lp(1.0, spec.dim)
     d_plus = d_inf = 0.0
-    for i in range(samples):
-        x, y, _ = _pair(l1, seed, i)
-        closed = rho_plus(l1, x, y).value.real
-        numeric = rho_plus(l1, x, y, force_path=NUMERIC_LIMIT).value.real
-        d_plus = max(d_plus, abs(closed - numeric))
-        ci = rho_inf(l1, x, y).value
-        qi = rho_inf(l1, x, y, force_path=QUADRATURE).value
-        d_inf = max(d_inf, abs(ci - qi))
+    for batch in index_batches(int(samples)):
+        x, y = _pairs(l1, seed, batch)
+        closed = _rho_plus(l1, x, y)[0]
+        numeric = _rho_plus(l1, x, y, NUMERIC_LIMIT)[0]
+        d_plus = max(d_plus, float(np.abs(closed - numeric).max()))
+        ci = l1.kernel.rho_inf_pairs(x, y)
+        qi = quadrature_pairs(l1, x, y)[0]
+        d_inf = max(d_inf, float(_modulus(ci - qi).max()))
     return [
         record(suite, "rho-plus-numeric-vs-closed", d_plus, 0.0, 1e-6,
                d_plus <= 1e-6, seed),
@@ -206,19 +244,18 @@ def check_smooth_equivalence(spec: NormSpec, samples: int, seed: int) -> list[di
     verdict_tol = 1e-5
     disagreements = 0
     d_path = 0.0
-    for i in range(samples):
-        x, y, _ = _pair(spec, seed, i)
-        vi = perp_rho_inf(spec, x, y, verdict_tol)
-        vb = perp_birkhoff_james(spec, x, y, verdict_tol)
-        if vi.orthogonal != vb.orthogonal:
-            disagreements += 1
+    for batch in index_batches(int(samples)):
+        x, y = _pairs(spec, seed, batch)
+        vi = relation_residuals(spec, RHO_INF, x, y) <= verdict_tol
+        vb = relation_residuals(spec, BIRKHOFF_JAMES, x, y) <= verdict_tol
+        disagreements += int(np.count_nonzero(vi != vb))
         # constructed rho_inf-orthogonal pair must be BJ-orthogonal too
-        z = decomposition_alpha(spec, x, y) * x + y
-        if not perp_birkhoff_james(spec, x, z, verdict_tol).orthogonal:
-            disagreements += 1
-        closed = rho_inf(spec, x, y).value
-        quad = rho_inf(spec, x, y, force_path=QUADRATURE).value
-        d_path = max(d_path, abs(closed - quad))
+        _, z = construct_pairs(spec, RHO_INF, x, y, spec.kernel.norm(x))
+        disagreements += int(np.count_nonzero(
+            ~(relation_residuals(spec, BIRKHOFF_JAMES, x, z) <= verdict_tol)))
+        closed = spec.kernel.rho_inf_pairs(x, y)
+        quad = quadrature_pairs(spec, x, y)[0]
+        d_path = max(d_path, float(_modulus(closed - quad).max()))
     return [
         record(suite, "verdict-agreement-rho-inf-vs-bj", disagreements, 0.0,
                0.0, disagreements == 0, seed),
@@ -304,4 +341,6 @@ def suite_applies(name: str, spec: NormSpec) -> bool:
 def run_suite(name: str, spec: NormSpec, samples: int, seed: int) -> list[dict]:
     if name not in SUITES:
         raise KeyError(name)
+    # a suite over no samples would report its start values as evidence
+    analysis._check_samples(samples)
     return SUITES[name](spec, samples, seed)

@@ -63,92 +63,107 @@ class FunctionalValue:
         return self.value.real
 
 
-def _quotient_table(spec: NormSpec, x_unit: np.ndarray,
+def _quotient_table(spec: NormSpec, x_units: np.ndarray,
                     y_units: np.ndarray) -> np.ndarray:
-    """(|x + t_j y| - |x|) / t_j for every step t_j (rows) and every row y
-    of y_units (columns), evaluated in extended precision."""
-    xs = x_unit.astype(_XDTYPE)
+    """(|x + t_j y| - |x|) / t_j for every step t_j, every row x of x_units
+    (n, d) and every direction y of that row in y_units (n, m, d), as a
+    (steps, n, m) table evaluated in extended precision."""
+    xs = x_units.astype(_XDTYPE)
     ys = y_units.astype(_XDTYPE)
-    base = norm_rows(spec, xs[None, :])[0]
-    m = ys.shape[0]
+    n, m, d = ys.shape
+    base = norm_rows(spec, xs)
     ts = STEPS.astype(np.finfo(_XDTYPE).dtype)
-    # one flattened (steps x rows) norm evaluation instead of a step loop
-    shifted = xs[None, None, :] + ts[:, None, None] * ys[None, :, :]
-    norms = norm_rows(spec, shifted.reshape(STEPS.size * m, -1))
-    return (norms.reshape(STEPS.size, m) - base) / ts[:, None]
+    # one flattened (steps x n x m) norm evaluation instead of a step loop;
+    # each row's norm does not depend on the rows stacked with it
+    shifted = xs[None, :, None, :] + ts[:, None, None, None] * ys[None]
+    norms = norm_rows(spec, shifted.reshape(-1, d)).reshape(STEPS.size, n, m)
+    return (norms - base[:, None]) / ts[:, None, None]
 
 
-def _limit_quotients(spec: NormSpec, x_unit: np.ndarray, y_units: np.ndarray):
-    """Difference quotients of the norm along each row of y_units.
+def _limit_quotients(spec: NormSpec, x_units: np.ndarray, y_units: np.ndarray):
+    """Difference quotients of the norm at each row x of x_units (n, d)
+    along each of its directions in y_units (n, m, d).
 
-    Both x_unit and every row of y_units must already have unit norm.
-    Returns (values, abs_errors, converged) per row, as float64 arrays.
-    The quotient g(t) is nondecreasing in t by convexity, so the step
-    values decrease monotonically onto rho_plus; a row stops early at the
+    Every x and every direction must already have unit norm.  Returns
+    (values, abs_errors, converged), each an (n, m) float64 array.  The
+    quotient g(t) is nondecreasing in t by convexity, so the step values
+    decrease monotonically onto rho_plus; a direction stops early at the
     first gap below GAP_TOL, otherwise the smallest observed value is the
     best estimate (every quotient lies above the limit).
     """
-    m = y_units.shape[0]
-    g64 = np.asarray(_quotient_table(spec, x_unit, y_units), dtype=float)
+    n, m = y_units.shape[:2]
+    table = _quotient_table(spec, x_units, y_units)
+    g64 = np.asarray(table, dtype=float).reshape(STEPS.size, n * m)
     gaps = np.abs(np.diff(g64, axis=0))
     hit = gaps < GAP_TOL
     stopped = hit.any(axis=0)
     first = np.argmax(hit, axis=0)
-    rows = np.arange(m)
+    cols = np.arange(n * m)
     min_idx = np.argmin(g64, axis=0)
 
-    vals = np.where(stopped, g64[first + 1, rows], g64[min_idx, rows])
+    vals = np.where(stopped, g64[first + 1, cols], g64[min_idx, cols])
     t_used = np.where(stopped, STEPS[first + 1], STEPS[min_idx])
-    trunc = np.where(stopped, gaps[first, rows], gaps[-1])
+    trunc = np.where(stopped, gaps[first, cols], gaps[-1])
     cancel_floor = 4.0 * _XEPS / t_used
     errs = trunc + cancel_floor
     conv = stopped | (gaps[-1] <= NONCONVERGED_GAP)
-    return vals, errs, conv
+    return vals.reshape(n, m), errs.reshape(n, m), conv.reshape(n, m)
 
 
-def rho_plus_rows(spec: NormSpec, x, ys, *, force_path: str | None = None):
-    """rho_plus(x, y) for every row y of ys.
+def rho_plus_directions(spec: NormSpec, xs, ys, *,
+                        force_path: str | None = None):
+    """rho_plus(x_i, y) for each row x_i of xs (n, d) and each direction y
+    of ys[i], where ys is (n, m, d).
 
-    Returns (values, abs_errors, converged, path).  This is the shared
-    engine behind the scalar functional, the roots-of-unity sums and the
-    quadrature.  The closed form is the kernel's rho_plus_pairs with x
-    stacked against every row, so each row has the bits of rho_plus(x, y)
-    for that direction alone; the numeric limit takes a batch of
-    directions in one pass over the step schedule.
+    Returns (values, abs_errors, converged, path), the first three (n, m)
+    arrays.  This is the shared engine behind the scalar functional, the
+    roots-of-unity sums and the quadrature: rho_plus_rows is its one-row
+    call.  The closed form is the kernel's rho_plus_pairs with each x
+    stacked against its directions, so every entry has the bits of
+    rho_plus(x, y) for that pair alone; the numeric limit takes every
+    pair in one pass over the step schedule.
     """
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    ys = np.atleast_2d(np.asarray(ys, dtype=np.complex128))
-    check_dim(spec, x)
+    xs = np.asarray(xs, dtype=np.complex128)
+    ys = np.asarray(ys, dtype=np.complex128)
+    check_dim(spec, xs)
     check_dim(spec, ys)
-    m = ys.shape[0]
+    n, m, d = ys.shape
 
     path = CLOSED_FORM if force_path is None else force_path
     if path == CLOSED_FORM:
-        vals = spec.kernel.rho_plus_pairs(x[None].repeat(m, axis=0), ys)
-        return vals, np.zeros(m), np.ones(m, dtype=bool), CLOSED_FORM
+        vals = spec.kernel.rho_plus_pairs(np.repeat(xs, m, axis=0),
+                                          ys.reshape(n * m, d))
+        return (vals.reshape(n, m), np.zeros((n, m)),
+                ~np.zeros((n, m), dtype=bool), CLOSED_FORM)
 
     if path != NUMERIC_LIMIT:
         raise ValueError(f"unknown path {path!r}")
 
-    nx = float(norm_rows(spec, x[None, :])[0])
-    nys = np.asarray(norm_rows(spec, ys), dtype=float)
-    vals = np.zeros(m)
-    errs = np.zeros(m)
-    conv = np.ones(m, dtype=bool)
-    if nx == 0.0:
-        # rho_plus(0, y) = lim |t y|^2 / (2 t) = 0 directly from the definition
-        return vals, errs, conv, NUMERIC_LIMIT
-    live = nys > 0.0
-    if live.any():
-        # scale to unit norms, rescale after: rho_plus is positively
-        # homogeneous in each slot
-        yu = ys[live] / nys[live][:, None]
-        v, e, c = _limit_quotients(spec, x / nx, yu)
-        scale = nx * nys[live]
-        vals[live] = v * scale
-        errs[live] = e * scale
-        conv[live] = c
-    return vals, errs, conv, NUMERIC_LIMIT
+    nx = np.asarray(norm_rows(spec, xs), dtype=float)
+    ny = np.asarray(norm_rows(spec, ys.reshape(n * m, d)), dtype=float).reshape(n, m)
+    # rho_plus(0, y) = lim |t y|^2 / (2 t) = 0 directly from the definition,
+    # and rho_plus(x, 0) = 0; such pairs are evaluated on a unit divisor and
+    # set to 0 after
+    live = (nx > 0.0)[:, None] & (ny > 0.0)
+    nx = np.where(nx > 0.0, nx, 1.0)
+    ny = np.where(live, ny, 1.0)
+    # scale to unit norms, rescale after: rho_plus is positively homogeneous
+    # in each slot
+    v, e, c = _limit_quotients(spec, xs / nx[:, None], ys / ny[:, :, None])
+    scale = nx[:, None] * ny
+    return (np.where(live, v * scale, 0.0), np.where(live, e * scale, 0.0),
+            c | ~live, NUMERIC_LIMIT)
+
+
+def rho_plus_rows(spec: NormSpec, x, ys, *, force_path: str | None = None):
+    """rho_plus(x, y) for every row y of ys: the one-row call of
+    rho_plus_directions.  Returns (values, abs_errors, converged, path),
+    the first three of length len(ys)."""
+    x = np.asarray(x, dtype=np.complex128).reshape(-1)
+    ys = np.atleast_2d(np.asarray(ys, dtype=np.complex128))
+    vals, errs, conv, path = rho_plus_directions(spec, x[None], ys[None],
+                                                 force_path=force_path)
+    return vals[0], errs[0], conv[0], path
 
 
 def rho_plus(spec: NormSpec, x, y, *, force_path: str | None = None) -> FunctionalValue:
@@ -158,19 +173,27 @@ def rho_plus(spec: NormSpec, x, y, *, force_path: str | None = None) -> Function
     return FunctionalValue(complex(vals[0], 0.0), float(errs[0]), path, bool(conv[0]))
 
 
-def limit_quotient_table(spec: NormSpec, x, y) -> np.ndarray:
-    """The quotient sequence g(t_j) the numeric limit evaluates, on
-    unit-normalized inputs.  Diagnostic: convexity makes it nonincreasing
-    along the (decreasing) step schedule, up to rounding noise.
+def limit_quotient_tables(spec: NormSpec, xs, ys) -> np.ndarray:
+    """The quotient sequence g(t_j) the numeric limit evaluates for each
+    row pair of xs and ys (n, d), on unit-normalized inputs, as an
+    (n, steps) array; a pair with x = 0 or y = 0 gets zeros.  Diagnostic:
+    convexity makes each sequence nonincreasing along the (decreasing)
+    step schedule, up to rounding noise.
     """
-    x = vector(x)
-    y = vector(y)
-    nx = float(norm_rows(spec, x[None, :])[0])
-    ny = float(norm_rows(spec, y[None, :])[0])
-    if nx == 0.0 or ny == 0.0:
-        return np.zeros(STEPS.size)
-    g = _quotient_table(spec, x / nx, (y / ny)[None, :])
-    return np.asarray(g[:, 0], dtype=float)
+    xs = np.asarray(xs, dtype=np.complex128)
+    ys = np.asarray(ys, dtype=np.complex128)
+    nx = np.asarray(norm_rows(spec, xs), dtype=float)
+    ny = np.asarray(norm_rows(spec, ys), dtype=float)
+    # a pair with x = 0 or y = 0 is evaluated on unit divisors, then zeroed
+    live = (nx > 0.0) & (ny > 0.0)
+    g = _quotient_table(spec, xs / np.where(live, nx, 1.0)[:, None],
+                        (ys / np.where(live, ny, 1.0)[:, None])[:, None, :])
+    return np.where(live[:, None], np.asarray(g[:, :, 0], dtype=float).T, 0.0)
+
+
+def limit_quotient_table(spec: NormSpec, x, y) -> np.ndarray:
+    """limit_quotient_tables on the one pair (x, y)."""
+    return limit_quotient_tables(spec, vector(x)[None], vector(y)[None])[0]
 
 
 # rounding allowance for monotonicity checks of the quotient table: the

@@ -17,21 +17,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .derivatives import CLOSED_FORM, QUADRATURE, FunctionalValue, rho_plus_rows
+from .derivatives import CLOSED_FORM, QUADRATURE, FunctionalValue, rho_plus_directions
 from .errors import NTooSmallError
-from .spaces import NormSpec, check_dim, norm, vector
+from .spaces import NormSpec, _modulus, check_dim, vector
 
 DEFAULT_QUAD_TOL = 1e-7
 DEFAULT_N_MAX = 4096
 
 
+@lru_cache(maxsize=64)
+def _roots(n: int) -> np.ndarray:
+    """roots_of_unity(n), built once per n and read-only, for rho_n."""
+    c = np.exp(2j * np.pi * np.arange(1, n + 1) / n)
+    c.setflags(write=False)
+    return c
+
+
 def roots_of_unity(n: int) -> np.ndarray:
     """The nth roots of unity e^{2 pi i k / n}, k = 1..n."""
-    k = np.arange(1, n + 1)
-    return np.exp(2j * np.pi * k / n)
+    return _roots(int(n)).copy()
 
 
 def root_sum_identity(n: int) -> complex:
@@ -47,24 +55,39 @@ def root_sum_identity(n: int) -> complex:
     return complex(np.sum(c * c))
 
 
+def rho_n_pairs(spec: NormSpec, xs, ys, n: int, *,
+                force_path: str | None = None):
+    """rho_n(x, y) for each row pair of xs and ys (rows, d).
+
+    Returns (values, abs_errors, converged, path): a complex, a float and
+    a bool array over the rows, and the path of the rho_plus engine.
+    Every pair's n directions c_k y are one (rows, n, d) call of
+    rho_plus_directions.  Requires n > 2, as rho_n does.
+    """
+    n = int(n)
+    if n <= 2:
+        raise NTooSmallError(f"rho_n requires n > 2, got {n}")
+    xs = np.asarray(xs, dtype=np.complex128)
+    ys = np.asarray(ys, dtype=np.complex128)
+    c = _roots(n)
+    vals, errs, conv, path = rho_plus_directions(
+        spec, xs, c[None, :, None] * ys[:, None, :], force_path=force_path)
+    w = 2.0 / n
+    return (w * np.add.reduce(c * vals, axis=1), w * np.add.reduce(errs, axis=1),
+            np.logical_and.reduce(conv, axis=1), path)
+
+
 def rho_n(spec: NormSpec, x, y, n: int, *,
           force_path: str | None = None) -> FunctionalValue:
     """The finite roots-of-unity sum (2/n) sum_k c_k rho_plus(x, c_k y).
 
     Requires n > 2: at n = 2 the root squares sum to 2 instead of 0 and
-    the functional degenerates to twice the real part.
+    the functional degenerates to twice the real part.  A one-row call of
+    rho_n_pairs.
     """
-    n = int(n)
-    if n <= 2:
-        raise NTooSmallError(f"rho_n requires n > 2, got {n}")
-    x = vector(x)
-    y = vector(y)
-    c = roots_of_unity(n)
-    vals, errs, conv, path = rho_plus_rows(spec, x, c[:, None] * y[None, :],
-                                           force_path=force_path)
-    value = (2.0 / n) * np.sum(c * vals)
-    return FunctionalValue(complex(value), (2.0 / n) * float(errs.sum()),
-                           path, bool(conv.all()))
+    values, errs, conv, path = rho_n_pairs(spec, vector(x)[None], vector(y)[None],
+                                           n, force_path=force_path)
+    return FunctionalValue(complex(values[0]), float(errs[0]), path, bool(conv[0]))
 
 
 def check_quad_tol(tol: float) -> None:
@@ -91,62 +114,111 @@ class QuadratureTrace:
     final_gap: float
 
 
-def quadrature_rho_inf(spec: NormSpec, x, y, *, tol: float = DEFAULT_QUAD_TOL,
-                       n_max: int = DEFAULT_N_MAX
-                       ) -> tuple[FunctionalValue, QuadratureTrace]:
-    """rho_inf by periodic trapezoid rule with node doubling.
+@lru_cache(maxsize=32)
+def _nodes(n: int) -> np.ndarray:
+    """The phases e^{2 pi i k / n}, k = 0..n-1, of the n-node trapezoid
+    rule (n = 8 * 2**j), read-only: the 8-node rule directly, every later
+    one as the nodes of the n/2-node rule interleaved with the new ones."""
+    if n == 8:
+        phases = np.exp(2j * np.pi * np.arange(n) / n)
+    else:
+        half = n // 2
+        phases = np.empty(n, dtype=np.complex128)
+        phases[0::2] = _nodes(half)
+        phases[1::2] = np.exp(2j * np.pi * (2 * np.arange(half) + 1) / n)
+    phases.setflags(write=False)
+    return phases
+
+
+def quadrature_pairs(spec: NormSpec, xs, ys, *, tol: float = DEFAULT_QUAD_TOL,
+                     n_max: int = DEFAULT_N_MAX):
+    """rho_inf by periodic trapezoid rule with node doubling, for each row
+    pair of xs and ys (rows, d).
 
     The N-node rule coincides with rho_N; refinement doubles N starting
-    from 8, reusing every already-evaluated node, and stops when two
-    successive estimates differ by less than tol.  N never exceeds n_max,
-    which must allow the first refinement (n_max >= 16); if the next
-    doubling would exceed it, the best estimate is returned flagged
+    from 8, reusing every already-evaluated node, and a row stops when two
+    successive estimates differ by less than tol.  Every doubling
+    evaluates the new nodes of the rows still active in one call of
+    rho_plus_directions; a row leaves the active set once it settles, or
+    at the last doubling that keeps N within n_max (which must allow the
+    first refinement, n_max >= 16), where its best estimate is flagged
     nonconverged.  tol must be finite and > 0.
+
+    Returns (values, abs_errors, converged, estimates, levels): per row the
+    value, the modulus of its last refinement step, and whether that step
+    was below tol, all scaled back by |x| |y|; estimates[k, i] is row i's
+    scaled estimate at 8 * 2**k nodes, for k < levels[i].  A pair with
+    |x| |y| = 0 has value 0, as homogeneity forces
+    (rho_inf(a x, b y) = a conj(b) rho_inf(x, y)), and no estimates.
     """
     check_quad_tol(tol)
     if n_max < 16:
         raise ValueError(f"n_max must be >= 16, got {n_max}")
-    x = vector(x)
-    y = vector(y)
-    check_dim(spec, x)
-    check_dim(spec, y)
-    nx = norm(spec, x)
-    ny = norm(spec, y)
+    xs = np.asarray(xs, dtype=np.complex128)
+    ys = np.asarray(ys, dtype=np.complex128)
+    check_dim(spec, xs)
+    check_dim(spec, ys)
+    nx = spec.kernel.norm(xs)
+    ny = spec.kernel.norm(ys)
     scale = nx * ny
-    if scale == 0.0:
-        # forced by homogeneity: rho_inf(a x, b y) = a conj(b) rho_inf(x, y)
-        return (FunctionalValue(0j, 0.0, QUADRATURE, True),
-                QuadratureTrace((), (), 0.0))
-    xu = x / nx
-    yu = y / ny
+    # a pair with scale 0 is evaluated on a unit divisor, settles at once
+    # (its rho_plus values are 0 or underflow) and is set to 0 after
+    zero = scale == 0.0
+    xu = xs / (nx + zero)[:, None]  # exactly nx / ny on the other rows
+    yu = ys / (ny + zero)[:, None]
+
+    rows = len(xs)
+    depth = int(n_max // 8).bit_length()  # the rules of 8, 16, ... <= n_max nodes
+    ests = np.zeros((depth, rows), dtype=np.complex128)
+    gaps = np.zeros(rows)
+    levels = np.ones(rows, dtype=int)
 
     n = 8
-    phases = np.exp(2j * np.pi * np.arange(n) / n)
-    vals = rho_plus_rows(spec, xu, phases[:, None] * yu[None, :])[0]
-    counts = [n]
-    ests = [(2.0 / n) * complex(np.sum(phases * vals))]
-
+    phases = _nodes(n)
+    vals = rho_plus_directions(spec, xu, phases[None, :, None] * yu[:, None, :])[0]
+    ests[0] = (2.0 / n) * (phases * vals).sum(axis=1)
+    active = slice(None)  # the rows still refining: all, until one settles
+    level = 0
     # n_max >= 16, so the first refinement always runs and defines the gap
-    while 2 * n <= n_max:
-        n2 = 2 * n
-        new_phases = np.exp(2j * np.pi * (2 * np.arange(n) + 1) / n2)
-        nvals = rho_plus_rows(spec, xu, new_phases[:, None] * yu[None, :])[0]
-        phases2 = np.empty(n2, dtype=np.complex128)
-        vals2 = np.empty(n2)
-        phases2[0::2], phases2[1::2] = phases, new_phases
-        vals2[0::2], vals2[1::2] = vals, nvals
-        phases, vals, n = phases2, vals2, n2
+    while 2 * n <= n_max and len(vals):
+        n *= 2
+        new_phases = _nodes(n)[1::2]
+        nvals = rho_plus_directions(spec, xu, new_phases[None, :, None] * yu[:, None, :])[0]
+        # the n-node rule reuses every node of the n/2-node rule
+        vals2 = np.empty((len(vals), n))
+        vals2[:, 0::2], vals2[:, 1::2] = vals, nvals
+        phases, vals = _nodes(n), vals2
 
-        counts.append(n)
-        ests.append((2.0 / n) * complex(np.sum(phases * vals)))
-        gap = abs(ests[-1] - ests[-2])
-        if gap < tol:
-            break
+        level += 1
+        est = (2.0 / n) * (phases * vals).sum(axis=1)
+        ests[level, active] = est
+        levels[active] = level + 1
+        gap = _modulus(est - ests[level - 1, active])
+        gaps[active] = gap
+        keep = ~(gap < tol)
+        if not keep.all():
+            active = np.arange(rows)[active][keep]
+            vals, xu, yu = vals[keep], xu[keep], yu[keep]
 
-    fv = FunctionalValue(ests[-1] * scale, float(gap) * scale, QUADRATURE,
-                         bool(gap < tol))
-    trace = QuadratureTrace(tuple(counts), tuple(e * scale for e in ests),
-                            float(gap) * scale)
+    last = ests[levels - 1, np.arange(rows)]
+    return (np.where(zero, 0j, last * scale), np.where(zero, 0.0, gaps * scale),
+            zero | (gaps < tol), ests * scale, np.where(zero, 0, levels))
+
+
+def quadrature_rho_inf(spec: NormSpec, x, y, *, tol: float = DEFAULT_QUAD_TOL,
+                       n_max: int = DEFAULT_N_MAX
+                       ) -> tuple[FunctionalValue, QuadratureTrace]:
+    """rho_inf by periodic trapezoid rule with node doubling: the one-row
+    call of quadrature_pairs, with its refinement history as a trace."""
+    x = vector(x)
+    y = vector(y)
+    values, errs, conv, ests, levels = quadrature_pairs(
+        spec, x[None], y[None], tol=tol, n_max=n_max)
+    k = int(levels[0])
+    fv = FunctionalValue(complex(values[0]), float(errs[0]), QUADRATURE,
+                         bool(conv[0]))
+    trace = QuadratureTrace(tuple(8 << j for j in range(k)),
+                            tuple(complex(e) for e in ests[:k, 0]), float(errs[0]))
     return fv, trace
 
 

@@ -184,37 +184,48 @@ def index_batches(samples: int, doubling: bool = False) -> Iterator[range]:
 
 
 def gaussian_draws(dim: int, seed: int, keys: Sequence[int],
-                   indices: Sequence[int], count: int = 2) -> list[np.ndarray]:
+                   indices: Sequence[int], count: int = 2,
+                   extra: int = 0) -> list[np.ndarray]:
     """The first count complex_gaussian draws of stream (seed, *keys, i)
-    for each i in indices, as count arrays of shape (len(indices), dim).
+    for each i in indices, as count arrays of shape (len(indices), dim),
+    followed, when extra > 0, by the next extra standard normals of each
+    stream as one (len(indices), extra) array.
 
     One standard_normal call per index gives the same numbers as count
-    complex_gaussian calls in a row on that stream.
+    complex_gaussian calls and then standard_normal(extra) on that stream.
     """
     # its seed 0 is never drawn from: each index sets the state first
     bit_gen = np.random.PCG64(0)
     gen = np.random.Generator(bit_gen)
     pcg = {"state": 0, "inc": 0}
     full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    g = np.empty((len(indices), 2 * count * dim))
+    width = 2 * count * dim
+    g = np.empty((len(indices), width + extra))
     for row, (state, inc) in zip(g, _stream_states(seed, keys, indices)):
         pcg["state"], pcg["inc"] = state, inc
         bit_gen.state = full
         gen.standard_normal(out=row)
-    g = g.reshape(-1, count, 2, dim)
-    z = g[:, :, 0] + 1j * g[:, :, 1]
-    return [np.ascontiguousarray(z[:, j]) for j in range(count)]
+    z = g[:, :width].reshape(-1, count, 2, dim)
+    z = z[:, :, 0] + 1j * z[:, :, 1]
+    draws = [np.ascontiguousarray(z[:, j]) for j in range(count)]
+    if extra:
+        draws.append(np.ascontiguousarray(g[:, width:]))
+    return draws
 
 
 def unit_draws(spec: NormSpec, seed: int, keys: Sequence[int],
-               indices: Sequence[int], count: int = 2) -> list[np.ndarray]:
+               indices: Sequence[int], count: int = 2,
+               extra: int = 0) -> list[np.ndarray]:
     """The first count sample_unit draws of stream (seed, *keys, i) for
-    each i in indices, stacked as in gaussian_draws.
+    each i in indices, and the extra standard normals drawn after them,
+    stacked as in gaussian_draws.
 
     An index where a draw falls at or below UNIT_MIN_NORM is drawn again
-    with sample_unit, whose redraw shifts the rest of that stream.
+    with sample_unit, whose redraw shifts the rest of that stream, its
+    extra normals included.
     """
-    zs = gaussian_draws(spec.dim, seed, keys, indices, count)
+    drawn = gaussian_draws(spec.dim, seed, keys, indices, count, extra)
+    zs, extras = drawn[:count], drawn[count:]
     norms = [spec.kernel.norm(z) for z in zs]
     ok = np.logical_and.reduce([n > UNIT_MIN_NORM for n in norms])
     units = [z / np.where(ok, n, 1.0)[:, None] for z, n in zip(zs, norms)]
@@ -222,4 +233,6 @@ def unit_draws(spec: NormSpec, seed: int, keys: Sequence[int],
         rng = rng_for(seed, *keys, indices[k])
         for u in units:
             u[k] = sample_unit(spec, rng)
-    return units
+        for e in extras:
+            e[k] = rng.standard_normal(extra)
+    return units + extras

@@ -2,15 +2,17 @@
 
 Each row of a kernel's pairs methods must equal a one-row call, which is
 the single-pair form, the stacked draws the per-index streams, and
-relation_compare and the sampled audits the per-index loops they
-replaced; those loops are kept here as the reference.
+relation_compare, the sampled audits, the report suites and the stacked
+quadrature the per-index loops they replaced; those loops are kept here
+as the reference.
 """
 
 import numpy as np
 import pytest
 
 import normlab as nl
-from normlab import derivatives, orthogonality, sampling
+from normlab import checks, derivatives, orthogonality, rho_infinity, sampling
+from normlab.derivatives import NUMERIC_LIMIT, QUADRATURE
 from normlab.orthogonality import BJ_CANCEL_RTOL, DEFAULT_TOL, SamplerConfig
 from normlab.sampling import complex_gaussian, rng_for, sample_unit
 
@@ -459,3 +461,322 @@ def test_map_analysis_equals_the_per_index_loops(family, cod, batch_rows):
     assert [(bits(w.x), bits(w.y), bits(w.domain_residual), bits(w.image_residual))
             for w in ma.witnesses] == witnesses
     assert ma.preserves == (not witnesses)
+
+
+# --- the report suites: per-sample loops, stacked draws and stacked oracles --
+
+
+def reference_pair(spec, seed, index):
+    rng = rng_for(seed, index)
+    return sample_unit(spec, rng), sample_unit(spec, rng), rng
+
+
+def reference_nd_properties(spec, samples, seed):
+    suite = "nd-properties"
+    nd1 = nd2 = nd3 = nd4 = mono = 0.0
+    for i in range(samples):
+        x, y, rng = reference_pair(spec, seed, i)
+        lhs = nl.rho_minus(spec, x, y, force_path=NUMERIC_LIMIT).value.real
+        rhs = -nl.rho_plus(spec, x, -y, force_path=NUMERIC_LIMIT).value.real
+        nd1 = max(nd1, abs(lhs - rhs))
+        a = complex(*rng.standard_normal(2))
+        va = nl.rho_plus(spec, x, a * x + y)
+        vb = nl.rho_plus(spec, x, y)
+        allow = max(1e-8, 2.0 * (va.abs_error + vb.abs_error))
+        nd2 = max(nd2, abs(va.value.real - (a.real + vb.value.real)) / allow)
+        b = complex(*rng.standard_normal(2))
+        vl = nl.rho_plus(spec, a * x, b * y)
+        phase = np.exp(1j * (np.angle(b) - np.angle(a)))
+        vr = nl.rho_plus(spec, x, phase * y)
+        allow = max(1e-8, 2.0 * (vl.abs_error + abs(a * b) * vr.abs_error)) \
+            * max(1.0, abs(a * b))
+        nd3 = max(nd3, abs(vl.value.real - abs(a * b) * vr.value.real) / allow)
+        nd4 = max(nd4, abs(vb.value.real) - 1.0)
+        quot = derivatives.limit_quotient_table(spec, x, y)
+        mono = max(mono, float(np.max(quot[1:] - quot[:-1])))
+    noise = derivatives.QUOTIENT_NOISE
+    return [
+        checks.record(suite, "nd1-independent-limits", nd1, 0.0, 1e-12, nd1 <= 1e-12, seed),
+        checks.record(suite, "nd2-translation", nd2, 1.0, 0.0, nd2 <= 1.0, seed),
+        checks.record(suite, "nd3-phase-homogeneity", nd3, 1.0, 0.0, nd3 <= 1.0, seed),
+        checks.record(suite, "nd4-cauchy-schwarz", nd4, 0.0, 1e-9, nd4 <= 1e-9, seed),
+        checks.record(suite, "quotient-monotone-in-t", mono, 0.0, noise, mono <= noise, seed),
+    ]
+
+
+def reference_rho_n_props(spec, samples, seed):
+    suite = "rho-n-props"
+    ns = (3, 4, 7, 16)
+    d_self = d_bound = 0.0
+    pd_spec = spec if spec.gram is not None else nl.pd_inner(np.eye(spec.dim))
+    d_ip = 0.0
+    for i in range(samples):
+        x, y, _ = reference_pair(spec, seed, i)
+        for n in ns:
+            d_self = max(d_self, abs(nl.rho_n(spec, x, x, n).value - 1.0))
+            d_bound = max(d_bound, abs(nl.rho_n(spec, x, y, n).value) - 2.0)
+        u, v, _ = reference_pair(pd_spec, seed, i)
+        for n in ns:
+            d_ip = max(d_ip, abs(nl.rho_n(pd_spec, u, v, n).value
+                                 - nl.gram_inner(pd_spec, u, v)))
+    return [
+        checks.record(suite, "rho-n-self-is-norm-squared", d_self, 0.0, 1e-6,
+                      d_self <= 1e-6, seed),
+        checks.record(suite, "rho-n-bound-two", d_bound, 0.0, 1e-9, d_bound <= 1e-9, seed),
+        checks.record(suite, "rho-n-inner-product-recovery", d_ip, 0.0, 1e-8,
+                      d_ip <= 1e-8, seed),
+    ]
+
+
+def reference_homogeneity(spec, samples, seed):
+    worst = 0.0
+    for i in range(samples):
+        x, y, rng = reference_pair(spec, seed, i)
+        a = complex(*rng.standard_normal(2))
+        b = complex(*rng.standard_normal(2))
+        va = nl.rho_inf(spec, a * x, b * y)
+        vb = nl.rho_inf(spec, x, y)
+        ab = a * b.conjugate()
+        allow = max(1e-7, 3.0 * (va.abs_error + abs(ab) * vb.abs_error)) \
+            * (1.0 + abs(ab))
+        worst = max(worst, abs(va.value - ab * vb.value) / allow)
+    return [checks.record("homogeneity", "rho-inf-homogeneity", worst, 1.0, 0.0,
+                          worst <= 1.0, seed)]
+
+
+def reference_translation(spec, samples, seed):
+    worst = 0.0
+    for i in range(samples):
+        x, y, rng = reference_pair(spec, seed, i)
+        a = complex(*rng.standard_normal(2))
+        va = nl.rho_inf(spec, x, a * x + y)
+        vb = nl.rho_inf(spec, x, y)
+        allow = max(1e-7, 3.0 * (va.abs_error + vb.abs_error)) * (1.0 + abs(a)) * 2.0
+        worst = max(worst, abs(va.value - (a.conjugate() + vb.value)) / allow)
+    return [checks.record("translation", "rho-inf-translation", worst, 1.0, 0.0,
+                          worst <= 1.0, seed)]
+
+
+def reference_lp1_closed_form(spec, samples, seed):
+    suite = "lp1-closed-form"
+    l1 = nl.lp(1.0, spec.dim)
+    d_plus = d_inf = 0.0
+    for i in range(samples):
+        x, y, _ = reference_pair(l1, seed, i)
+        closed = nl.rho_plus(l1, x, y).value.real
+        numeric = nl.rho_plus(l1, x, y, force_path=NUMERIC_LIMIT).value.real
+        d_plus = max(d_plus, abs(closed - numeric))
+        ci = nl.rho_inf(l1, x, y).value
+        qi = nl.rho_inf(l1, x, y, force_path=QUADRATURE).value
+        d_inf = max(d_inf, abs(ci - qi))
+    return [
+        checks.record(suite, "rho-plus-numeric-vs-closed", d_plus, 0.0, 1e-6,
+                      d_plus <= 1e-6, seed),
+        checks.record(suite, "rho-inf-quadrature-vs-closed", d_inf, 0.0, 1e-6,
+                      d_inf <= 1e-6, seed),
+    ]
+
+
+def reference_smooth_equivalence(spec, samples, seed):
+    suite = "smooth-equivalence"
+    if not nl.is_smooth_family(spec):
+        raise ValueError("smooth-equivalence requires a smooth norm family")
+    verdict_tol = 1e-5
+    disagreements = 0
+    d_path = 0.0
+    for i in range(samples):
+        x, y, _ = reference_pair(spec, seed, i)
+        vi = nl.perp_rho_inf(spec, x, y, verdict_tol)
+        vb = nl.perp_birkhoff_james(spec, x, y, verdict_tol)
+        if vi.orthogonal != vb.orthogonal:
+            disagreements += 1
+        z = nl.decomposition_alpha(spec, x, y) * x + y
+        if not nl.perp_birkhoff_james(spec, x, z, verdict_tol).orthogonal:
+            disagreements += 1
+        closed = nl.rho_inf(spec, x, y).value
+        quad = nl.rho_inf(spec, x, y, force_path=QUADRATURE).value
+        d_path = max(d_path, abs(closed - quad))
+    return [
+        checks.record(suite, "verdict-agreement-rho-inf-vs-bj", disagreements, 0.0,
+                      0.0, disagreements == 0, seed),
+        checks.record(suite, "quadrature-vs-closed-form", d_path, 0.0, 1e-6,
+                      d_path <= 1e-6, seed),
+    ]
+
+
+REFERENCE_SUITES = {
+    "nd-properties": reference_nd_properties,
+    "rho-n-props": reference_rho_n_props,
+    "homogeneity": reference_homogeneity,
+    "translation": reference_translation,
+    "lp1-closed-form": reference_lp1_closed_form,
+    "smooth-equivalence": reference_smooth_equivalence,
+}
+
+
+def record_bits(records):
+    """The records with every float replaced by its bytes."""
+    return [{k: bits(v) if isinstance(v, float) else v for k, v in r.items()}
+            for r in records]
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+@pytest.mark.parametrize("suite", sorted(REFERENCE_SUITES))
+def test_suites_equal_the_per_sample_loops(suite, name, seed, monkeypatch):
+    # batches of 8 end inside the 37 samples
+    spec = KERNEL_SPECS[name]
+    monkeypatch.setattr(sampling, "BATCH_ROWS", 8)
+    try:
+        expect = REFERENCE_SUITES[suite](spec, SAMPLES, seed)
+    except ValueError:
+        with pytest.raises(ValueError):
+            checks.run_suite(suite, spec, SAMPLES, seed)
+        return
+    got = checks.run_suite(suite, spec, SAMPLES, seed)
+    assert record_bits(got) == record_bits(expect)
+
+
+@pytest.mark.parametrize("suite", sorted(checks.SUITES))
+@pytest.mark.parametrize("samples", [0, -3])
+def test_suites_refuse_fewer_than_one_sample(suite, samples):
+    # over no samples a suite would report its start values as passing evidence
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        checks.run_suite(suite, nl.lp(2.5, 3), samples, 7)
+
+
+@pytest.mark.parametrize("extra", [1, 4])
+def test_gaussian_draws_take_the_extra_normals_after_the_pairs(extra):
+    indices = [0, 3, 12, 1000]
+    x, y, e = sampling.gaussian_draws(3, 9, (), indices, 2, extra)
+    assert e.shape == (len(indices), extra)
+    for k, i in enumerate(indices):
+        rng = rng_for(9, i)
+        assert bits(x[k]) == bits(complex_gaussian(rng, 3))
+        assert bits(y[k]) == bits(complex_gaussian(rng, 3))
+        assert bits(e[k]) == bits(rng.standard_normal(extra))
+
+
+@pytest.mark.parametrize("threshold", [None, 2.0], ids=["gaussian", "redraws"])
+def test_unit_draws_with_extra_equal_the_suite_stream(threshold, monkeypatch):
+    # x, y and then the suites' scalars, on stream (seed, i); with the
+    # rejection threshold raised, a third of the indices take the redraw
+    spec = nl.lp(1, 2)
+    if threshold is not None:
+        monkeypatch.setattr(sampling, "UNIT_MIN_NORM", threshold)
+        first, second = sampling.gaussian_draws(2, 4, (), range(SAMPLES))
+        rejected = ((spec.kernel.norm(first) <= threshold)
+                    | (spec.kernel.norm(second) <= threshold))
+        assert 5 <= rejected.sum() < SAMPLES
+    xs, ys, extra = sampling.unit_draws(spec, 4, (), range(SAMPLES), extra=4)
+    for i in range(SAMPLES):
+        x, y, rng = reference_pair(spec, 4, i)
+        assert bits(xs[i]) == bits(x)
+        assert bits(ys[i]) == bits(y)
+        assert bits(extra[i]) == bits(rng.standard_normal(4))
+
+
+def reference_quadrature(spec, x, y, tol, n_max):
+    """The single-pair trapezoid doubling the stacked quadrature replaced:
+    value, abs_error, converged, node counts and estimates."""
+    nx = nl.norm(spec, x)
+    ny = nl.norm(spec, y)
+    scale = nx * ny
+    if scale == 0.0:
+        return 0j, 0.0, True, (), ()
+    xu = x / nx
+    yu = y / ny
+    n = 8
+    phases = np.exp(2j * np.pi * np.arange(n) / n)
+    vals = derivatives.rho_plus_rows(spec, xu, phases[:, None] * yu[None, :])[0]
+    counts = [n]
+    ests = [(2.0 / n) * complex(np.sum(phases * vals))]
+    while 2 * n <= n_max:
+        n2 = 2 * n
+        new_phases = np.exp(2j * np.pi * (2 * np.arange(n) + 1) / n2)
+        nvals = derivatives.rho_plus_rows(spec, xu, new_phases[:, None] * yu[None, :])[0]
+        phases2 = np.empty(n2, dtype=np.complex128)
+        vals2 = np.empty(n2)
+        phases2[0::2], phases2[1::2] = phases, new_phases
+        vals2[0::2], vals2[1::2] = vals, nvals
+        phases, vals, n = phases2, vals2, n2
+        counts.append(n)
+        ests.append((2.0 / n) * complex(np.sum(phases * vals)))
+        gap = abs(ests[-1] - ests[-2])
+        if gap < tol:
+            break
+    return (ests[-1] * scale, float(gap) * scale, bool(gap < tol), tuple(counts),
+            tuple(e * scale for e in ests))
+
+
+def check_quadrature_rows(spec, xs, ys, tol, n_max):
+    """Every row of quadrature_pairs, and its one-row call, against the
+    reference; returns the levels the rows stopped at."""
+    values, errs, conv, ests, levels = rho_infinity.quadrature_pairs(
+        spec, xs, ys, tol=tol, n_max=n_max)
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        value, err, ok, counts, history = reference_quadrature(spec, x, y, tol, n_max)
+        assert bits(values[i]) == bits(value), i
+        assert bits(errs[i]) == bits(err) and conv[i] == ok, i
+        assert bits(ests[:levels[i], i]) == bits(history), i
+        fv, trace = nl.quadrature_rho_inf(spec, x, y, tol=tol, n_max=n_max)
+        assert bits(fv.value) == bits(value) and fv.converged == ok, i
+        assert trace.node_counts == counts and bits(trace.estimates) == bits(history), i
+    return set(levels.tolist())
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_stacked_quadrature_equals_the_single_pair_doubling(name):
+    # zero rows have no estimates, smooth rows settle at 16 nodes, ties run
+    # to the budget
+    spec = KERNEL_SPECS[name]
+    xs, ys = hard_pairs(spec, np.random.default_rng((23, spec.dim)))
+    assert len(check_quadrature_rows(spec, xs, ys, 1e-9, 512)) >= 2
+
+
+@pytest.mark.parametrize("name", ["lpinf-3", "poly-rows"])
+def test_stacked_quadrature_rows_settle_at_every_level(name):
+    # at a loose tol, tie rows settle after different doublings, so the
+    # active set shrinks several times before the budget
+    spec = KERNEL_SPECS[name]
+    f = np.eye(3) if spec.functionals is None else spec.functionals
+    rng = np.random.default_rng(5)
+    xs = np.array([_tie(rng, f, 2 + i % 2)[0] for i in range(40)])
+    ys = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+    assert len(check_quadrature_rows(spec, xs, ys, 1e-4, 1024)) >= 4
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_stacked_rho_n_and_numeric_limit_equal_the_one_row_calls(name):
+    # rows of the stacked forms against one-row calls, and rho_n against its
+    # roots-of-unity sum over single rho_plus values
+    spec = KERNEL_SPECS[name]
+    xs, ys = hard_pairs(spec, np.random.default_rng((24, spec.dim)))
+    for path in (None, NUMERIC_LIMIT):
+        for n in (3, 16):
+            values, errs, conv, _ = rho_infinity.rho_n_pairs(spec, xs, ys, n,
+                                                             force_path=path)
+            for i, (x, y) in enumerate(zip(xs, ys)):
+                one = nl.rho_n(spec, x, y, n, force_path=path)
+                assert bits(values[i]) == bits(one.value), (path, n, i)
+                assert bits(errs[i]) == bits(one.abs_error), (path, n, i)
+                assert conv[i] == one.converged, (path, n, i)
+        c = nl.roots_of_unity(16)
+        plus = np.array([[nl.rho_plus(spec, x, ck * y, force_path=path).value.real
+                          for ck in c] for x, y in zip(xs, ys)])
+        assert bits(rho_infinity.rho_n_pairs(spec, xs, ys, 16, force_path=path)[0]) == bits(
+            [(2.0 / 16) * np.sum(c * row) for row in plus])
+    tables = derivatives.limit_quotient_tables(spec, xs, ys)
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        assert bits(tables[i]) == bits(derivatives.limit_quotient_table(spec, x, y)), i
+
+
+def test_roots_of_unity_stay_fresh_arrays():
+    # rho_n reads a cached, read-only copy; the public function hands out
+    # an array the caller may write to
+    c = nl.roots_of_unity(7)
+    c[0] = 0.0
+    assert nl.roots_of_unity(7)[0] != 0.0
+    assert bits(nl.roots_of_unity(7)) == bits(np.exp(2j * np.pi * np.arange(1, 8) / 7))
+    with pytest.raises(ValueError):
+        rho_infinity._roots(7)[0] = 0.0
