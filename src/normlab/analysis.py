@@ -14,14 +14,14 @@ indices with the single-pair functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
 from .errors import DimensionMismatchError, RUnknownError, ZeroMapError
 from .orthogonality import RHO_INF, check_tol, construct_pairs, relation_residuals
 from .sampling import gaussian_draws, index_batches, unit_draws
-from .spaces import NormSpec, _modulus, dual_segment_constant, format_cvector, norm
+from .spaces import (NormSpec, _modulus, _row_apply, dual_segment_constant,
+                     format_cvector, lp, operator_norm_formula)
 
 UNIVERSAL_4_OVER_PI = "4_over_pi"
 DUAL_CONSTANT = "dual_constant"
@@ -230,10 +230,15 @@ class MapAnalysis:
     preserves means no sampled orthogonal pair had non-orthogonal images;
     isometry_defect is max over sampled unit x of ||Tx| - est|; the scale
     identity defect is max |rho_inf(Tx,Ty) - est^2 rho_inf(x,y)| over
-    unit pairs.
+    unit pairs.  operator_norm_exact says whether est is the closed form
+    of |T| (spaces.operator_norm_formula): from an abs-sum domain (lp1,
+    wl1) into any codomain, from any domain but poly into a max-modulus
+    codomain (lp inf, poly), and between pd and lp2.  Elsewhere est is
+    an iterated lower estimate.
     """
 
     operator_norm_est: float
+    operator_norm_exact: bool
     isometry_defect: float
     preserves: bool
     scale_identity_defect: float
@@ -256,86 +261,188 @@ def _check_map(spec_dom: NormSpec, spec_cod: NormSpec, t: np.ndarray) -> np.ndar
     return t
 
 
-def _nelder_mead(f, start, edges, xatol: float, maxfev: int = 2000):
-    """Nelder-Mead over a complex vector, for the operator-norm ascent.
+# the operator-norm ascent runs on this many of the best candidates, for at
+# most this many steps; a row stops earlier once its ratio stops rising
+ASCENT_ROWS = 4
+ASCENT_STEPS = 100
 
-    The initial simplex is start and start + e for each edge e, one edge
-    per real dimension.  Standard reflection/expansion/inside-contraction/
-    shrink coefficients; the run stops once every vertex lies within xatol
-    of the best one (largest coordinate modulus) or after maxfev
-    evaluations.  A function-value criterion is deliberately absent: at
-    the kinked maxima of norm ratios the value spread never collapses.
-    Returns the best (value, vertex).
+# |z| on C^1: the codomain of a functional, whose operator norm is its dual
+# norm
+MODULUS = lp(1.0, 1)
+
+
+def _ratios(spec_dom: NormSpec, spec_cod: NormSpec, t: np.ndarray,
+            xs: np.ndarray) -> np.ndarray:
+    """|T x|_cod / |x|_dom for each row x of xs (no zero rows)."""
+    return spec_cod.kernel.norm(_row_apply(xs, t.T)) / spec_dom.kernel.norm(xs)
+
+
+def _power_ascent(spec_dom, spec_cod, t, xs, ratios):
+    """Boyd's power step x <- J*_dom(J_cod(T x) T) on each row.
+
+    With h = J_cod(T x) and g = h T, |T x'| >= Re(h T x') = dual_dom(g) >=
+    |g x| = |T x| for x' = J*_dom(g), so the ratio never falls; it stops
+    rising at a stationary point of the ratio (Boyd, LAA 9, 1974; Higham,
+    Numer. Math. 62, 1992).
     """
-    value = itemgetter(0)
-    n = len(edges)
-    simplex = [(f(p), p) for p in [start] + [start + e for e in edges]]
-    fev = n + 1
-    while fev < maxfev:
-        simplex.sort(key=value)  # stable: ties keep their order
-        f_best, best = simplex[0]
-        f_worst, worst = simplex[n]
-        if max([np.abs(p - best).max() for _, p in simplex[1:]]) <= xatol:
+    dom, cod = spec_dom.kernel.frame, spec_cod.kernel.frame
+    live = np.flatnonzero(ratios > 0)  # J_cod(0) = 0 leads nowhere
+    for _ in range(ASCENT_STEPS):
+        if not live.size:
             break
-        centroid = sum([p for _, p in simplex[1:n]], best) / n
-        refl = centroid + (centroid - worst)
-        f_refl = f(refl)
-        fev += 1
-        if f_best <= f_refl < simplex[n - 1][0]:
-            simplex[n] = (f_refl, refl)
-        elif f_refl < f_best:
-            exp = centroid + 2.0 * (centroid - worst)
-            f_exp = f(exp)
-            fev += 1
-            simplex[n] = (f_exp, exp) if f_exp < f_refl else (f_refl, refl)
-        else:
-            contr = centroid + 0.5 * (worst - centroid)
-            f_contr = f(contr)
-            fev += 1
-            if f_contr < f_worst:
-                simplex[n] = (f_contr, contr)
-            else:  # shrink toward the best vertex
-                for i in range(1, n + 1):
-                    p = best + 0.5 * (simplex[i][1] - best)
-                    simplex[i] = (f(p), p)
-                fev += n
-    return min(simplex, key=value)
+        new = dom.dual_point(_row_apply(cod.norming(_row_apply(xs[live], t.T)), t))
+        r = _ratios(spec_dom, spec_cod, t, new)
+        up = r > ratios[live]
+        live = live[up]
+        xs[live], ratios[live] = new[up], r[up]
+    return xs
+
+
+def _min_norm_point(points: np.ndarray) -> np.ndarray:
+    """The point of least 2-norm in the convex hull of the rows of points
+    (complex vectors, read as vectors of R^2d), by Wolfe's algorithm
+    (Math. Programming 11, 1976): add the point that most lowers the norm,
+    then drop points until the affine minimum of the kept ones has
+    positive weights."""
+    n = len(points)
+    # the Gram matrix bordered by ones: the affine minimum over a set S of
+    # points has weights mu with [G_S 1; 1 0] [mu; nu] = [0; 1]
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n] = (points.conj() @ points.T).real
+    kkt[n, n] = 0.0
+    diag = kkt.diagonal()[:n]
+    tol = 1e-12 * diag.max()
+    kept, lam = [int(np.argmin(diag))], np.ones(1)
+    for _ in range(4 * n):
+        dots = kkt[:n, kept] @ lam  # <p_j, x>
+        j = int(np.argmin(dots))
+        if j in kept or lam @ dots[kept] - dots[j] <= tol:
+            break
+        kept, lam = kept + [j], np.append(lam, 0.0)
+        while True:
+            idx = kept + [n]
+            rhs = np.zeros(len(idx))
+            rhs[-1] = 1.0
+            mu = np.linalg.solve(kkt[idx][:, idx], rhs)[:-1]
+            if (mu > 0).all():
+                lam = mu
+                break
+            # move toward mu until a weight reaches 0, and drop that point
+            out = mu <= 0
+            step = np.where(out, lam / np.where(out, lam - mu, 1.0), np.inf)
+            i = int(np.argmin(step))
+            lam = lam + step[i] * (mu - lam)
+            keep = lam > 0
+            keep[i] = False
+            kept, lam = [q for q, on in zip(kept, keep) if on], lam[keep]
+    return lam @ points[kept]
+
+
+def _subgradient_ascent(spec_dom, spec_cod, maps, xs):
+    """Ascent of log |T x|_cod - log |x|_dom for a max-modulus domain with
+    no closed-form dual map (polyhedral), row i under its own map maps[i];
+    a row's step is halved on failure.
+
+    A single subgradient of the domain norm zigzags across the ridges where
+    two |f_j x| tie, and the maximum lies where d of them do.  So each row
+    steps along the shortest element of the subgradients over the
+    functionals within half its step of the maximum (gradient
+    sampling): its inner product with every one of them is positive, so
+    the step climbs along the ridge.  A step that raises log r by a tenth
+    of the first-order gain (Armijo) is doubled, up to 1/2, one that does
+    not is halved; the row stops once its step is below rounding.  Steps
+    are relative to the length of x.
+    """
+    dom, cod = spec_dom.kernel, spec_cod.kernel
+    f = dom.frame.m  # the functionals, as rows
+
+    def image(rows, x):
+        return (maps[rows] @ x[:, :, None])[:, :, 0]
+
+    ratios = cod.norm(image(slice(None), xs)) / dom.norm(xs)
+    steps = np.full(len(xs), 0.5)
+    live = np.flatnonzero(ratios > 0)  # J_cod(0) = 0 leads nowhere
+    for _ in range(ASCENT_STEPS):
+        if not live.size:
+            break
+        x = xs[live]
+        y = image(live, x)
+        # gradients of log |T x|_cod and of each log |f_j x|
+        pull = (cod.frame.norming(y)[:, None, :] @ maps[live])[:, 0, :]
+        up_grad = pull.conj() / cod.norm(y)[:, None]
+        fx = _row_apply(x, f.T)
+        mod = np.abs(fx)
+        moves = np.empty_like(x)
+        for i, row in enumerate(live):
+            near = mod[i] >= (1.0 - 0.5 * steps[row]) * mod[i].max()
+            down = fx[i, near, None] * f[near].conj() / mod[i, near, None] ** 2
+            moves[i] = _min_norm_point(up_grad[i] - down)
+        size = np.linalg.norm(moves, axis=1)
+        moving = size > 1e-15 * np.linalg.norm(up_grad, axis=1)
+        length = steps[live] * np.linalg.norm(x, axis=1)
+        new = x + (length / np.where(moving, size, 1.0))[:, None] * moves
+        r = cod.norm(image(live, new)) / dom.norm(new)
+        # log r rises at a rate >= size along the move; ask for a tenth of it
+        up = moving & (r > ratios[live] * np.exp(0.1 * length * size))
+        xs[live[up]] = new[up] / dom.norm(new[up])[:, None]
+        ratios[live[up]] = r[up]
+        steps[live] = np.where(up, np.minimum(2.0 * steps[live], 0.5), 0.5 * steps[live])
+        live = live[steps[live] > 1e-15]
+    return xs
+
+
+def _polyhedral_ascent(spec_dom, spec_cod, t, xs, ratios):
+    """The subgradient ascent on a polyhedral domain, from the candidates
+    xs with their ratios.
+
+    Into a max-modulus codomain |T| = max_j dual_dom(f_j T), and the dual
+    norm, sup |g x| / |x|, has no local maximum below its maximum (on the
+    segment from a unit x to a unit maximizer, |g x| grows linearly and
+    |x| stays <= 1).  So each f_j T is ascended as a map into C^1 from its
+    best candidate.  Elsewhere the ratio of T is ascended from the best
+    ASCENT_ROWS candidates.
+    """
+    cod = spec_cod.kernel.frame
+    if np.isinf(cod.p):
+        gs = cod.m @ t
+        scores = np.abs(_row_apply(xs, gs.T)) / spec_dom.kernel.norm(xs)[:, None]
+        return _subgradient_ascent(spec_dom, MODULUS, gs[:, None, :],
+                                   xs[np.argmax(scores, axis=0)])
+    top = np.argsort(-ratios, kind="stable")[:ASCENT_ROWS]
+    return _subgradient_ascent(spec_dom, spec_cod, np.broadcast_to(t, (len(top),) + t.shape),
+                               xs[top])
 
 
 def operator_norm_estimate(spec_dom: NormSpec, spec_cod: NormSpec, t,
                            samples: int = 200,
                            seed: int = 42) -> tuple[float, np.ndarray]:
-    """Estimate |T| = sup |Tx| / |x| by sampling plus local ascent.
+    """|T| = sup |Tx| / |x|: exact where spaces.operator_norm_formula has a
+    closed form, else estimated by sampling plus a local ascent.
 
-    Candidates are the basis vectors and seeded unit-sphere samples; the
-    best one seeds a Nelder-Mead ascent of the scale-invariant ratio over
-    C^d, whose initial edges step 5% along each nonzero real and
-    imaginary coordinate (2.5e-4 along a zero one).  Returns (estimate,
-    attaining unit vector).
+    The candidates are the basis vectors and seeded unit-sphere samples,
+    scored in one stacked pass.  The best ASCENT_ROWS of them run Boyd's
+    power iteration as one stack; a polyhedral domain, which has no
+    closed-form dual map, takes the subgradient ascent instead (see
+    _polyhedral_ascent).  The estimate is the best ratio reached; samples
+    and seed matter only there.  Returns (estimate, attaining unit vector).
     """
     t = _check_map(spec_dom, spec_cod, t)
-    d = spec_dom.dim
-
-    def ratio(x: np.ndarray) -> float:
-        nx = norm(spec_dom, x)
-        if nx < 1e-12:
-            return 0.0
-        return norm(spec_cod, t @ x) / nx
-
-    (drawn,) = unit_draws(spec_dom, seed, (3,), range(int(samples)), count=1)
-    candidates = [*np.eye(d, dtype=np.complex128), *drawn]
-    values = [ratio(c) for c in candidates]
-    k = int(np.argmax(values))
-    best, best_vec = values[k], candidates[k]
-
-    coords = np.concatenate([best_vec.real, best_vec.imag])
-    steps = np.where(coords != 0.0, 0.05 * coords, 2.5e-4)
-    edges = steps[:, None] * np.concatenate([np.eye(d), 1j * np.eye(d)])
-    neg_max, vec = _nelder_mead(lambda x: -ratio(x), best_vec, edges,
-                                xatol=1e-9, maxfev=8000)
-    if -neg_max > best:
-        best, best_vec = -neg_max, vec
-    return float(best), best_vec / norm(spec_dom, best_vec)
+    formula = operator_norm_formula(spec_dom, spec_cod)
+    if formula is not None:
+        best, x = formula(t)
+    else:
+        (drawn,) = unit_draws(spec_dom, seed, (3,), range(int(samples)), count=1)
+        xs = np.concatenate((np.eye(spec_dom.dim, dtype=np.complex128), drawn))
+        ratios = _ratios(spec_dom, spec_cod, t, xs)
+        if spec_dom.kernel.dual_norm is None:
+            xs = _polyhedral_ascent(spec_dom, spec_cod, t, xs, ratios)
+        else:
+            top = np.argsort(-ratios, kind="stable")[:ASCENT_ROWS]
+            xs = _power_ascent(spec_dom, spec_cod, t, xs[top], ratios[top])
+        ratios = _ratios(spec_dom, spec_cod, t, xs)
+        k = int(np.argmax(ratios))
+        best, x = float(ratios[k]), xs[k]
+    return best, x / spec_dom.kernel.norm(x)
 
 
 def map_preservation_analysis(spec_dom: NormSpec, spec_cod: NormSpec, t,
@@ -379,6 +486,7 @@ def map_preservation_analysis(spec_dom: NormSpec, spec_cod: NormSpec, t,
         witnesses += [MapWitness(x[j].copy(), b[j].copy(), float(res_a[j]), float(r))
                       for j, r in zip(ok, res_b) if not r <= tol]
 
-    return MapAnalysis(est, float(iso_defect), not witnesses,
+    return MapAnalysis(est, operator_norm_formula(spec_dom, spec_cod) is not None,
+                       float(iso_defect), not witnesses,
                        float(scale_defect), witnesses, int(samples),
                        int(seed), float(tol))

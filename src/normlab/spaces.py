@@ -99,7 +99,10 @@ class Kernel:
     weighted l1 (it would have to permute the weights), the conjugate of a
     unitary into the Gram geometry for pd, and only a global phase for
     polyhedral norms.  smooth says whether the family is smooth in every
-    dimension; r_dual is R(X*), None when unknown.
+    dimension; r_dual is R(X*), None when unknown.  frame writes the norm
+    as |M x|_p and gives its duality maps; dual_norm(gs) is the stacked
+    dual norm sup_{|x| <= 1} |sum_k g_k x_k|, None where it has no closed
+    form (polyhedral).
     """
 
     norm: Callable[[np.ndarray], np.ndarray]
@@ -110,6 +113,106 @@ class Kernel:
     isometry: Callable[[np.random.Generator], np.ndarray]
     smooth: bool
     r_dual: float | None
+    frame: Frame
+
+    @property
+    def dual_norm(self) -> Callable[[np.ndarray], np.ndarray] | None:
+        return None if self.frame.m_inv is None else self.frame.dual_norm
+
+
+def _conjugate(p: float) -> float:
+    """q with 1/p + 1/q = 1."""
+    return np.inf if p == 1.0 else 1.0 if np.isinf(p) else p / (p - 1.0)
+
+
+def _power_norm(xs: np.ndarray, p: float) -> np.ndarray:
+    """The p-norm over the last axis, 1 < p < inf, scaled by the largest
+    modulus so that every power stays in range."""
+    a = np.abs(xs)
+    m = a.max(axis=-1)
+    # m + (m == 0) is exactly m, or 1 on zero rows; unlike np.where it
+    # stays a scalar on single (1-D) vectors
+    scaled = a / (m + (m == 0))[..., None]
+    return m * (scaled**p).sum(axis=-1) ** (1.0 / p)
+
+
+def _power_gradients(xs: np.ndarray, p: float) -> np.ndarray:
+    """The gradient functional of the p-norm at each row of xs, 1 < p < inf
+    (see _smooth_lp_kernel); 0 on zero rows."""
+    a = np.abs(xs)
+    m = a.max(axis=-1)
+    live = m > 0.0  # both functionals vanish at x = 0
+    u = a / np.where(live, m, 1.0)[..., None]
+    sgn = xs / np.where(a > 0, a, 1.0)  # 0 on zero coordinates
+    # float_power is the libm pow of a scalar float; ** on an array
+    # may take a vectorized pow that differs in the last bit
+    s = np.float_power(np.where(live, (u**p).sum(axis=-1), 1.0), (2.0 - p) / p)
+    return np.where(live[..., None], (m * s)[..., None] * u ** (p - 1.0) * sgn, 0)
+
+
+def _lp_norm(zs: np.ndarray, p: float) -> np.ndarray:
+    """The p-norm over the last axis, 1 <= p <= inf."""
+    if p == 1.0:
+        return np.abs(zs).sum(axis=-1)
+    if np.isinf(p):
+        return np.abs(zs).max(axis=-1)
+    return _power_norm(zs, p)
+
+
+def _lp_norming(zs: np.ndarray, p: float) -> np.ndarray:
+    """Row by row, the functional h with h . z = |z|_p and |h|_q = 1 (q the
+    conjugate exponent), 0 on zero rows: h_k = conj(sgn z_k) (|z_k| /
+    |z|_p)^(p-1), the gradient of the norm.  Where the norm has a kink this
+    picks one subgradient: 0 on the zero coordinates at p = 1, the first
+    largest coordinate alone at p = inf."""
+    a = np.abs(zs)
+    sgn = zs.conj() / np.where(a > 0, a, 1.0)
+    if p == 1.0:
+        return sgn
+    if np.isinf(p):
+        first = np.argmax(a, axis=-1)[..., None]
+        return np.where(np.arange(a.shape[-1]) == first, sgn, 0)
+    n = _power_norm(zs, p)
+    return _power_gradients(zs, p).conj() / np.where(n > 0, n, 1.0)[..., None]
+
+
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """A kernel's norm written as |M x|_p, and its duality maps.
+
+    lp is M = I; weighted l1 is p = 1 with M = diag(w); polyhedral is
+    p = inf with the functionals f_j as the rows of M; pd is p = 2 with
+    M = A, G = A^H A.  A functional g acts by g . x = sum_k g_k x_k, and q
+    is the conjugate exponent of p.  All three maps work row by row:
+
+    * norming(xs), the duality map J: a functional h with h . x = |x| and
+      dual norm 1 (0 on zero rows), J_p(M x) M with J_p as in _lp_norming;
+    * dual_norm(gs): sup over |x| <= 1 of |g . x|, which is |g M^-1|_q;
+    * dual_point(gs), the dual map J*: a unit x with g . x = dual_norm(g),
+      M^-1 J_q(g M^-1).
+
+    The last two need m_inv, M^-1.  A polyhedral M has more rows than
+    columns and its dual norm is an l1 minimization with no closed form:
+    there m_inv is None.
+    """
+
+    p: float
+    m: np.ndarray
+    m_inv: np.ndarray | None
+
+    def norming(self, xs: np.ndarray) -> np.ndarray:
+        return _row_apply(_lp_norming(_row_apply(xs, self.m.T), self.p), self.m)
+
+    def dual_norm(self, gs: np.ndarray) -> np.ndarray:
+        return _lp_norm(_row_apply(gs, self.m_inv), _conjugate(self.p))
+
+    def dual_point(self, gs: np.ndarray) -> np.ndarray:
+        z = _lp_norming(_row_apply(gs, self.m_inv), _conjugate(self.p))
+        return _row_apply(z, self.m_inv.T)
+
+
+def _frame(p: float, m: np.ndarray, m_inv: np.ndarray | None) -> Frame:
+    return Frame(float(p), _frozen(m), None if m_inv is None else _frozen(m_inv))
 
 
 # Each row of a stacked evaluation must not depend on the rows stacked with
@@ -159,6 +262,7 @@ def _abs_sum_kernel(w: np.ndarray | None, dim: int) -> Kernel:
     if w is None:
         isometry = _permuted_phases(dim)
         w = np.ones(dim)
+        frame = _frame(1.0, np.eye(dim), np.eye(dim))
 
         def norm(xs):
             return np.abs(xs).sum(axis=-1)
@@ -168,6 +272,8 @@ def _abs_sum_kernel(w: np.ndarray | None, dim: int) -> Kernel:
 
         def isometry(rng):
             return np.diag(_phases(rng, dim))
+
+        frame = _frame(1.0, np.diag(w), np.diag(1.0 / w))
 
     def parts(xs):
         """Row by row: N(x), the support of x and w_k conj(x_k)/|x_k| on
@@ -220,7 +326,7 @@ def _abs_sum_kernel(w: np.ndarray | None, dim: int) -> Kernel:
         return _power_sum_argmin(x, y, w, 1.0, start)
 
     return Kernel(norm, rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
-                  bj_argmin, isometry, smooth=False, r_dual=2.0)
+                  bj_argmin, isometry, smooth=False, r_dual=2.0, frame=frame)
 
 
 def _max_modulus_kernel(f: np.ndarray | None, dim: int) -> Kernel:
@@ -243,8 +349,10 @@ def _max_modulus_kernel(f: np.ndarray | None, dim: int) -> Kernel:
             return v
 
         isometry = _permuted_phases(dim)
+        frame = _frame(np.inf, np.eye(dim), np.eye(dim))
     else:
         ft = f.T
+        frame = _frame(np.inf, f, None)
 
         def apply(v):
             return _row_apply(v, ft)
@@ -292,7 +400,7 @@ def _max_modulus_kernel(f: np.ndarray | None, dim: int) -> Kernel:
 
     return Kernel(norm, rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
                   bj_argmin, isometry, smooth=False,
-                  r_dual=2.0 if f is None else None)
+                  r_dual=2.0 if f is None else None, frame=frame)
 
 
 def _one_center_candidates(z: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -377,7 +485,8 @@ def _power_sum_argmin(x, y, w, p: float, start: complex) -> complex:
     which the first-order Birkhoff-James criterion reads, is still about
     sqrt(eps) times the curvature; Newton steps then go on while they
     shrink the gradient.  Both loops are driven by the gradient, so unlike
-    a simplex they do not stall beside a kink of F.
+    a search that compares values only they do not stall beside a kink of
+    F.
     """
     live = y != 0  # the other terms do not depend on xi
     x, y, w = x[live], y[live], np.broadcast_to(w, live.shape)[live]
@@ -440,24 +549,10 @@ def _smooth_lp_kernel(p: float, dim: int) -> Kernel:
     """
 
     def norm(xs):
-        a = np.abs(xs)
-        m = a.max(axis=-1)
-        # m + (m == 0) is exactly m, or 1 on zero rows; unlike np.where it
-        # stays a scalar on single (1-D) vectors
-        scaled = a / (m + (m == 0))[..., None]
-        return m * (scaled**p).sum(axis=-1) ** (1.0 / p)
+        return _power_norm(xs, p)
 
     def gradients(xs):
-        """The gradient functional of each row of xs; 0 on zero rows."""
-        a = np.abs(xs)
-        m = a.max(axis=-1)
-        live = m > 0.0  # both functionals vanish at x = 0
-        u = a / np.where(live, m, 1.0)[..., None]
-        sgn = xs / np.where(a > 0, a, 1.0)  # 0 on zero coordinates
-        # float_power is the libm pow of a scalar float; ** on an array
-        # may take a vectorized pow that differs in the last bit
-        s = np.float_power(np.where(live, (u**p).sum(axis=-1), 1.0), (2.0 - p) / p)
-        return np.where(live[..., None], (m * s)[..., None] * u ** (p - 1.0) * sgn, 0)
+        return _power_gradients(xs, p)
 
     def rho_plus_pairs(xs, ys):
         return _row_dot(ys, gradients(xs).conj()).real
@@ -475,12 +570,15 @@ def _smooth_lp_kernel(p: float, dim: int) -> Kernel:
         return _power_sum_argmin(x, y, 1.0, p, start)
 
     return Kernel(norm, rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
-                  bj_argmin, _permuted_phases(dim), smooth=True, r_dual=0.0)
+                  bj_argmin, _permuted_phases(dim), smooth=True, r_dual=0.0,
+                  frame=_frame(p, np.eye(dim), np.eye(dim)))
 
 
 def _pd_kernel(g: np.ndarray) -> Kernel:
-    """sqrt(<x,x>) for a Hermitian positive-definite Gram matrix."""
+    """sqrt(<x,x>) for a Hermitian positive-definite Gram matrix, which is
+    |A x|_2 for its Cholesky factor, G = A^H A."""
     gt = g.T
+    a = np.linalg.cholesky(g).conj().T
 
     def norm(xs):
         # <x,x> = sum_a (G x)_a conj(x_a), real and >= 0 up to rounding;
@@ -513,13 +611,13 @@ def _pd_kernel(g: np.ndarray) -> Kernel:
         # G = A^H A; the phases every isometry draws first go unused
         d = len(g)
         _phases(rng, d)
-        a = np.linalg.cholesky(g).conj().T
         z = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
         q, _ = np.linalg.qr(z.reshape(d, d))
         return np.linalg.solve(a, q @ a)
 
     return Kernel(norm, rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
-                  bj_argmin, isometry, smooth=True, r_dual=0.0)
+                  bj_argmin, isometry, smooth=True, r_dual=0.0,
+                  frame=_frame(2.0, a, np.linalg.inv(a)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -676,6 +774,40 @@ def dual_segment_constant(spec: NormSpec) -> DualInfo:
         return DualInfo(0.0, True, TABLE)
     k = spec.kernel
     return DualInfo(k.r_dual, k.smooth, UNKNOWN if k.r_dual is None else TABLE)
+
+
+def operator_norm_formula(spec_dom: NormSpec, spec_cod: NormSpec):
+    """The closed form of |T| = sup |T x|_cod / |x|_dom, or None where none
+    is known.  The closed form maps a (cod dim, dom dim) matrix T to |T|
+    and a vector x of unit norm with |T x| = |T|, up to rounding.
+
+    * An abs-sum domain (lp1, wl1), into any codomain: its unit ball is
+      the hull of the e^{it} e_k / w_k, so |T| = max_k |T e_k|_cod / w_k.
+    * A max-modulus codomain (lp inf, poly), from any domain with a
+      closed-form dual norm (all but poly): |T| = max_j dual_dom(f_j T).
+    * Euclidean to Euclidean (pd and lp2, frames with p = 2): the spectral
+      norm of A_cod T A_dom^-1.
+    """
+    dom, cod = spec_dom.kernel, spec_cod.kernel
+    if dom.frame.p == 1.0:
+        def formula(t):
+            xs = dom.frame.m_inv.T  # row k is e_k / w_k
+            values = cod.norm(xs @ t.T)
+            k = int(np.argmax(values))
+            return float(values[k]), xs[k]
+    elif np.isinf(cod.frame.p) and dom.dual_norm is not None:
+        def formula(t):
+            gs = cod.frame.m @ t  # row j is f_j T
+            values = dom.dual_norm(gs)
+            j = int(np.argmax(values))
+            return float(values[j]), dom.frame.dual_point(gs[j:j + 1])[0]
+    elif dom.frame.p == cod.frame.p == 2.0:
+        def formula(t):
+            _, s, vh = np.linalg.svd(cod.frame.m @ t @ dom.frame.m_inv)
+            return float(s[0]), dom.frame.m_inv @ vh[0].conj()
+    else:
+        return None
+    return formula
 
 
 def is_smooth_family(spec: NormSpec) -> bool:

@@ -1,0 +1,257 @@
+"""Operator norms |T| = sup |T x|_cod / |x|_dom: the kernels' duality maps,
+the closed forms against independent formulas, the iterated estimates
+against dense sampling, and the hard points (rank one, zero columns,
+extreme scales, dimension one, non-square maps through the CLI)."""
+
+import functools
+import json
+
+import numpy as np
+import pytest
+
+import normlab as nl
+from normlab.cli import EXIT_VIOLATION, main
+from normlab.sampling import unit_draws
+from normlab.spaces import _conjugate, operator_norm_formula
+
+from conftest import POLY_ROWS, family_specs, random_pd_gram
+
+MAPS = 20
+GOLDEN_POLY = nl.parse_norm_spec("poly:f=1,0;0,1;0.5+0.5i,0.5:dim=2")
+GRAM = random_pd_gram(np.random.default_rng(5), 3)
+
+
+def seeded_map(i, rows, cols):
+    rng = np.random.default_rng((77, i))
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def ratio(spec_dom, spec_cod, t, x):
+    return nl.norm(spec_cod, t @ x) / nl.norm(spec_dom, x)
+
+
+@functools.cache
+def unit_samples(spec):
+    """4096 seeded unit vectors of spec."""
+    (xs,) = unit_draws(spec, 5, (9,), range(4096), count=1)
+    return xs
+
+
+def best_sampled_ratio(spec_dom, spec_cod, t):
+    xs = unit_samples(spec_dom)
+    return (spec_cod.kernel.norm(xs @ t.T) / spec_dom.kernel.norm(xs)).max()
+
+
+def lq(rows, q):
+    return (np.abs(rows) ** q).sum(axis=-1) ** (1.0 / q)
+
+
+# --- the duality maps of every kernel ----------------------------------------
+
+
+@pytest.mark.parametrize("spec", family_specs() + [nl.lp(2, 3), nl.lp(1.2, 3), nl.lp(7, 3)],
+                         ids=repr)
+def test_duality_maps(spec):
+    rng = np.random.default_rng(3)
+    xs = rng.standard_normal((40, spec.dim)) + 1j * rng.standard_normal((40, spec.dim))
+    xs[:5, 0] = 0  # zero coordinates: kinks of l1
+    xs[5:10, 1] = xs[5:10, 0]  # ties of l-inf
+    k, nx = spec.kernel, spec.kernel.norm(xs)
+    h = k.frame.norming(xs)
+    assert np.allclose((h * xs).sum(axis=1), nx, rtol=1e-14, atol=0)
+    if k.dual_norm is None:
+        assert spec.family == "poly"
+        return
+    assert np.allclose(k.dual_norm(h), 1.0, rtol=1e-14, atol=0)
+    x = k.frame.dual_point(xs)  # xs as functionals
+    assert np.allclose(k.norm(x), 1.0, rtol=1e-14, atol=0)
+    assert np.allclose((xs * x).sum(axis=1), k.dual_norm(xs), rtol=1e-14, atol=0)
+
+
+def test_dual_norms_are_the_closed_forms():
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((30, 3)) + 1j * rng.standard_normal((30, 3))
+    w = np.array([0.5, 1.0, 2.0])
+    expected = {
+        nl.lp(1, 3): np.abs(g).max(axis=1),
+        nl.weighted_l1(w): (np.abs(g) / w).max(axis=1),
+        nl.lp(np.inf, 3): np.abs(g).sum(axis=1),
+        nl.lp(2.5, 3): lq(g, 2.5 / 1.5),
+        nl.lp(1.5, 3): lq(g, 3.0),
+        nl.pd_inner(GRAM): np.sqrt(np.einsum("ij,jk,ik->i", g, np.linalg.inv(GRAM),
+                                             g.conj()).real),
+    }
+    for spec, value in expected.items():
+        assert np.allclose(spec.kernel.dual_norm(g), value, rtol=1e-13, atol=0), spec
+    assert nl.polyhedral(POLY_ROWS).kernel.dual_norm is None
+    assert [_conjugate(p) for p in (1.0, 2.0, 4.0, np.inf)] == [np.inf, 2.0, 4.0 / 3.0, 1.0]
+
+
+# --- exact where a closed form exists ----------------------------------------
+
+
+def spectral(t, gram_dom, gram_cod):
+    """|T| between two Gram norms: the root of the largest eigenvalue of
+    G_dom^-1 T^H G_cod T."""
+    m = np.linalg.solve(gram_dom, t.conj().T @ gram_cod @ t)
+    return np.sqrt(np.linalg.eigvals(m).real.max())
+
+
+W3 = np.array([0.5, 1.0, 2.0])
+EXACT = {
+    # (domain, codomain, |T| by an independent formula)
+    "lp1": (nl.lp(1, 3), nl.lp(1, 3), lambda t: np.abs(t).sum(axis=0).max()),
+    "wl1": (nl.weighted_l1(W3), nl.weighted_l1(W3),
+            lambda t: ((W3[:, None] * np.abs(t)).sum(axis=0) / W3).max()),
+    "lpinf": (nl.lp(np.inf, 3), nl.lp(np.inf, 3), lambda t: np.abs(t).sum(axis=1).max()),
+    "pd-I": (nl.pd_inner(np.eye(3)), nl.pd_inner(np.eye(3)),
+             lambda t: spectral(t, np.eye(3), np.eye(3))),
+    "pd-gram": (nl.pd_inner(GRAM), nl.pd_inner(GRAM), lambda t: spectral(t, GRAM, GRAM)),
+    "lp2-to-pd": (nl.lp(2, 3), nl.pd_inner(GRAM), lambda t: spectral(t, np.eye(3), GRAM)),
+    "lp2.5-to-lpinf": (nl.lp(2.5, 3), nl.lp(np.inf, 3), lambda t: lq(t, 2.5 / 1.5).max()),
+    "pd-to-lpinf": (nl.pd_inner(GRAM), nl.lp(np.inf, 3), lambda t: np.sqrt(np.einsum(
+        "ij,jk,ik->i", t, np.linalg.inv(GRAM), t.conj()).real).max()),
+    "wl1-to-lpinf": (nl.weighted_l1(W3), nl.lp(np.inf, 3), lambda t: (np.abs(t) / W3).max()),
+    "lp1-to-lp2.5": (nl.lp(1, 3), nl.lp(2.5, 3), lambda t: lq(t.T, 2.5).max()),
+    "lp2.5-to-poly": (nl.lp(2.5, 3), nl.polyhedral(POLY_ROWS),
+                      lambda t: lq(POLY_ROWS @ t, 2.5 / 1.5).max()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT))
+def test_closed_forms_are_exact(case):
+    spec_dom, spec_cod, exact = EXACT[case]
+    assert operator_norm_formula(spec_dom, spec_cod) is not None
+    for i in range(MAPS):
+        t = seeded_map(i, spec_cod.dim, spec_dom.dim)
+        est, x = nl.operator_norm_estimate(spec_dom, spec_cod, t, samples=30, seed=i)
+        assert est == pytest.approx(exact(t), rel=1e-12, abs=0), (case, i)
+        assert nl.norm(spec_dom, x) == pytest.approx(1.0, rel=1e-12)
+        assert ratio(spec_dom, spec_cod, t, x) == pytest.approx(est, rel=1e-12)
+
+
+# --- iterated elsewhere: attained, and above dense sampling ------------------
+
+ITERATED = {
+    "lp2.5": (nl.lp(2.5, 3), nl.lp(2.5, 3)),
+    "lp1.5-dim4": (nl.lp(1.5, 4), nl.lp(1.5, 4)),
+    "lp2.5-to-lp1": (nl.lp(2.5, 3), nl.lp(1, 3)),
+    "lpinf-to-pd": (nl.lp(np.inf, 3), nl.pd_inner(GRAM)),
+    "poly": (nl.polyhedral(POLY_ROWS), nl.polyhedral(POLY_ROWS)),
+    "poly-golden": (GOLDEN_POLY, GOLDEN_POLY),
+    "poly-to-lp2.5": (nl.polyhedral(POLY_ROWS), nl.lp(2.5, 3)),
+    # into max-modulus codomains the ascent runs once per codomain functional
+    "poly-to-lpinf": (nl.polyhedral(POLY_ROWS), nl.lp(np.inf, 3)),
+    "poly-golden-to-lpinf-dim4": (GOLDEN_POLY, nl.lp(np.inf, 4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ITERATED))
+def test_iterated_estimates_attain_and_beat_sampling(case):
+    spec_dom, spec_cod = ITERATED[case]
+    assert operator_norm_formula(spec_dom, spec_cod) is None
+    for i in range(MAPS):
+        t = seeded_map(i, spec_cod.dim, spec_dom.dim)
+        est, x = nl.operator_norm_estimate(spec_dom, spec_cod, t, samples=30, seed=i)
+        assert nl.norm(spec_dom, x) == pytest.approx(1.0, rel=1e-12)
+        assert ratio(spec_dom, spec_cod, t, x) == pytest.approx(est, rel=1e-12)
+        assert est >= best_sampled_ratio(spec_dom, spec_cod, t), (case, i)
+
+
+def test_exact_flag_of_the_map_analysis():
+    t = seeded_map(0, 3, 3)
+    specs = family_specs()
+    lp1, lp25, lpinf, wl1, pd, poly = specs
+    exact = {(a, b) for a in (lp1, wl1) for b in specs}
+    exact |= {(a, b) for a in (lp1, lp25, lpinf, wl1, pd) for b in (lpinf, poly)}
+    exact |= {(pd, pd)}
+    for a in specs:
+        for b in specs:
+            ma = nl.map_preservation_analysis(a, b, t, samples=4, seed=1)
+            assert ma.operator_norm_exact == ((a, b) in exact), (a, b)
+
+
+# --- hard points -------------------------------------------------------------
+
+HARD = [nl.lp(1, 3), nl.lp(2.5, 3), nl.lp(np.inf, 3), nl.weighted_l1(W3),
+        nl.pd_inner(GRAM), nl.polyhedral(POLY_ROWS)]
+
+
+def dual(spec, g):
+    """The dual norm of a functional, from the closed form or, on a
+    polyhedral norm, from below by dense sampling."""
+    if spec.kernel.dual_norm is not None:
+        return spec.kernel.dual_norm(g[None])[0]
+    return np.abs(unit_samples(spec) @ g).max()
+
+
+@pytest.mark.parametrize("spec", HARD, ids=repr)
+def test_rank_one_maps(spec):
+    # T x = u (v . x), so |T| = |u| dual(v)
+    for i in range(MAPS):
+        rng = np.random.default_rng((78, i))
+        u, v = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        est, x = nl.operator_norm_estimate(spec, spec, np.outer(u, v), samples=30, seed=i)
+        value = nl.norm(spec, u) * dual(spec, v)
+        if spec.family == "poly":
+            assert est >= value
+        else:
+            assert est == pytest.approx(value, rel=1e-12)
+        assert ratio(spec, spec, np.outer(u, v), x) == pytest.approx(est, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", HARD, ids=repr)
+def test_zero_columns_and_extreme_scales(spec):
+    # every step of the estimate is invariant under scaling up to rounding;
+    # where an exact formula or the power iteration has converged, the
+    # scaled estimate agrees to rounding as well, but the polyhedral ascent
+    # can stop at its step cap, and a path that differs in rounding stops
+    # a little apart (up to 6e-12 over 60 seeded maps)
+    rel = 1e-9 if spec.kernel.dual_norm is None else 1e-12
+    for i in range(5):
+        t = seeded_map(i, 3, 3)
+        t[:, i % 3] = 0
+        est, x = nl.operator_norm_estimate(spec, spec, t, samples=30, seed=i)
+        assert est >= best_sampled_ratio(spec, spec, t)
+        assert ratio(spec, spec, t, x) == pytest.approx(est, rel=1e-12)
+        for scale in (1e150, 1e-150):
+            big, y = nl.operator_norm_estimate(spec, spec, scale * t, samples=30, seed=i)
+            assert np.isfinite(big) and np.isfinite(y).all()
+            assert big == pytest.approx(scale * est, rel=rel)
+
+
+def test_dimension_one():
+    # every norm on C^1 is c |x|, so |T| = |t| c_cod / c_dom
+    specs = {nl.lp(1, 1): 1.0, nl.lp(3, 1): 1.0, nl.lp(np.inf, 1): 1.0,
+             nl.weighted_l1([2.5]): 2.5, nl.pd_inner([[4.0]]): 2.0,
+             nl.polyhedral([[1.0], [0.6 + 0.8j], [3j]]): 3.0}
+    t = np.array([[0.3 - 1.2j]])
+    for a, ca in specs.items():
+        for b, cb in specs.items():
+            est, x = nl.operator_norm_estimate(a, b, t, samples=5, seed=1)
+            assert est == pytest.approx(abs(t[0, 0]) * cb / ca, rel=1e-12), (a, b)
+            assert nl.norm(a, x) == pytest.approx(1.0, rel=1e-12)
+
+
+def analyze(capsys, tmp_path, t, *norms):
+    path = tmp_path / "t.txt"
+    path.write_text("\n".join(",".join(nl.format_complex(z) for z in row) for row in t))
+    code = main(["analyze-map", "--norm", norms[0], "--cod-norm", norms[1],
+                 "--matrix", str(path), "--samples", "40", "--format", "jsonl"])
+    first = capsys.readouterr().out.splitlines()[0]
+    return code, json.loads(first)
+
+
+def test_analyze_map_between_two_families(capsys, tmp_path):
+    t = np.array([[1.0, 0.5j], [-0.25, 2.0], [0.5 + 0.5j, 1.0]])
+    # pd to lp inf: the largest row 2-norm, in closed form
+    code, rec = analyze(capsys, tmp_path, t, "pd:gram=I:dim=2", "lp:p=inf:dim=3")
+    assert code == EXIT_VIOLATION and not rec["preserves"]
+    assert rec["operator_norm_est"] == pytest.approx(np.linalg.norm(t, axis=1).max(),
+                                                     rel=1e-12)
+    assert set(rec) == {"operator_norm_est", "isometry_defect", "scale_identity_defect",
+                        "preserves", "witnesses", "samples", "seed"}
+    # lp 2.5 to lp 1: iterated
+    code, rec = analyze(capsys, tmp_path, t, "lp:p=2.5:dim=2", "lp:p=1:dim=3")
+    assert code == EXIT_VIOLATION
+    assert rec["operator_norm_est"] >= best_sampled_ratio(nl.lp(2.5, 2), nl.lp(1, 3), t)

@@ -1,10 +1,11 @@
 import functools
+from operator import itemgetter
 
 import numpy as np
 import pytest
 
 import normlab as nl
-from normlab import analysis, orthogonality
+from normlab import orthogonality
 from normlab.orthogonality import SamplerConfig, relation_compare
 
 from conftest import (
@@ -76,6 +77,53 @@ def test_birkhoff_minimizer_never_exceeds_norm_x(rng):
             assert m <= nl.norm(spec, x) * (1 + 1e-12)
 
 
+def _nelder_mead(f, start, edges, xatol: float, maxfev: int = 2000):
+    """Nelder-Mead over a complex vector, the reference minimizer of
+    _grid_simplex_minimum.
+
+    The initial simplex is start and start + e for each edge e, one edge
+    per real dimension.  Standard reflection/expansion/inside-contraction/
+    shrink coefficients; the run stops once every vertex lies within xatol
+    of the best one (largest coordinate modulus) or after maxfev
+    evaluations.  A function-value criterion is deliberately absent: at
+    the kinked maxima of norm ratios the value spread never collapses.
+    Returns the best (value, vertex).
+    """
+    value = itemgetter(0)
+    n = len(edges)
+    simplex = [(f(p), p) for p in [start] + [start + e for e in edges]]
+    fev = n + 1
+    while fev < maxfev:
+        simplex.sort(key=value)  # stable: ties keep their order
+        f_best, best = simplex[0]
+        f_worst, worst = simplex[n]
+        if max([np.abs(p - best).max() for _, p in simplex[1:]]) <= xatol:
+            break
+        centroid = sum([p for _, p in simplex[1:n]], best) / n
+        refl = centroid + (centroid - worst)
+        f_refl = f(refl)
+        fev += 1
+        if f_best <= f_refl < simplex[n - 1][0]:
+            simplex[n] = (f_refl, refl)
+        elif f_refl < f_best:
+            exp = centroid + 2.0 * (centroid - worst)
+            f_exp = f(exp)
+            fev += 1
+            simplex[n] = (f_exp, exp) if f_exp < f_refl else (f_refl, refl)
+        else:
+            contr = centroid + 0.5 * (worst - centroid)
+            f_contr = f(contr)
+            fev += 1
+            if f_contr < f_worst:
+                simplex[n] = (f_contr, contr)
+            else:  # shrink toward the best vertex
+                for i in range(1, n + 1):
+                    p = best + 0.5 * (simplex[i][1] - best)
+                    simplex[i] = (f(p), p)
+                fev += n
+    return min(simplex, key=value)
+
+
 def _grid_simplex_minimum(spec, x, y):
     """min over xi of |x + xi y| as an earlier minimizer found it: a polar
     grid of 64 angles x 25 log-spaced moduli plus xi = 0, then a simplex
@@ -88,9 +136,9 @@ def _grid_simplex_minimum(spec, x, y):
     vals = spec.kernel.norm(xu + zs[:, None] * yu)
     z0 = zs[np.argmin(vals)]
     step = max(0.25 * abs(z0), 1e-3)
-    best, _ = analysis._nelder_mead(lambda z: float(spec.kernel.norm(xu + z[0] * yu)),
-                                    np.array([z0]), (np.array([step]), np.array([1j * step])),
-                                    1e-10)
+    best, _ = _nelder_mead(lambda z: float(spec.kernel.norm(xu + z[0] * yu)),
+                           np.array([z0]), (np.array([step]), np.array([1j * step])),
+                           1e-10)
     return nx * min(best, vals.min())
 
 
