@@ -304,12 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--quad-tol", type=_checked_float(check_quad_tol),
                         default=None)
     p_eval.add_argument("--nmax", type=int, default=None)
-    p_eval.set_defaults(func=cmd_eval)
 
     p_check = sub.add_parser("check", help="run a named theorem suite")
     _add_common(p_check)
     p_check.add_argument("--suite", required=True)
-    p_check.set_defaults(func=cmd_check)
 
     p_search = sub.add_parser("search", help="search for relation witnesses")
     _add_common(p_search)
@@ -318,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--tol", type=_checked_float(check_tol),
                           default=DEFAULT_TOL)
     p_search.add_argument("--max-witnesses", type=_positive_int, default=None)
-    p_search.set_defaults(func=cmd_search)
 
     p_map = sub.add_parser("analyze-map",
                            help="audit a linear map for orthogonality preservation")
@@ -329,23 +326,29 @@ def build_parser() -> argparse.ArgumentParser:
                        help="codomain norm spec (default: same as --norm)")
     p_map.add_argument("--tol", type=_checked_float(check_tol),
                        default=DEFAULT_TOL)
-    p_map.set_defaults(func=cmd_analyze_map)
 
     p_report = sub.add_parser("report", help="run every applicable suite")
     _add_common(p_report)
-    p_report.set_defaults(func=cmd_report)
 
     return parser
 
 
+# built by the first main call, not at import, and reused by later calls
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # the handler is looked up at call time, so a patched cmd_* is the one run
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (NormLabError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

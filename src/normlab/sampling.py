@@ -7,14 +7,20 @@ order-independent no matter how the sample loop is scheduled.
 
 The sampled audits draw a batch of indices at once (gaussian_draws,
 unit_draws), with the same numbers as complex_gaussian and sample_unit on
-each index's stream.  rng_for stays the definition of a stream: the batch
-runs numpy's SeedSequence hash on every index at once (_stream_states)
-and sets one local PCG64 to each index's state in turn, instead of
-seeding one generator per index.
+each index's stream.  rng_for stays the definition of a stream.  The
+batch runs numpy's SeedSequence hash on every index at once and returns,
+per index, the PCG64 words one LCG step before the seeded state
+(_stream_states).  Each thread keeps one PCG64, built on its first draw,
+whose state words it writes in place; numpy's own step (one random_raw
+call) then finishes the seeding, so no index builds a generator, sets a
+state dict or multiplies 128-bit ints in Python.
 """
 
 from __future__ import annotations
 
+import ctypes
+import sys
+import threading
 from collections.abc import Iterator, Sequence
 
 import numpy as np
@@ -34,13 +40,11 @@ BATCH_ROWS = 1024
 # a pool of 4 uint32 words; every hashmix call XORs with the next constant
 # of its sequence and multiplies by the one after it
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _XSHIFT = 16
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
@@ -124,9 +128,15 @@ def _mixed_pool(entropy: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 
 def _stream_states(seed: int, keys: Sequence[int],
-                   indices: Sequence[int]) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) of rng_for(seed, *keys, i) for each i in
-    indices (each below 2**63), computed for all indices at once."""
+                   indices: Sequence[int]) -> np.ndarray:
+    """The PCG64 words of rng_for(seed, *keys, i) for each i in indices
+    (each below 2**63), computed for all indices at once, as an (n, 4)
+    uint64 array: the low and high words of S + inc, then of inc.
+
+    PCG64 seeds the 128-bit words (S, q) of generate_state(4, uint64) as
+    inc = 2q + 1 and state = (S + inc) * M + inc (mod 2**128), so S + inc
+    and inc are its words one LCG step before the seeded state.
+    """
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     if idx.size and idx.min() < 0:
         raise ValueError(f"stream seeds, keys and indices must be >= 0, "
@@ -139,14 +149,89 @@ def _stream_states(seed: int, keys: Sequence[int],
     entropy[m] = idx & _MASK32
     entropy[m + 1] = idx >> 32
     pool = _mixed_pool(entropy, m + 1 + (idx > _MASK32))
-    # generate_state(4, uint64): little-endian pairs of the 8 hashed words
+    # generate_state(4, uint64): little-endian pairs of the 8 hashed words,
+    # S_hi, S_lo, q_hi, q_lo; reversed, each pair is low word first
     out = _hashmix(pool, _STATE_XOR, _STATE_MULT)
     u64 = np.ascontiguousarray(out.reshape(8, -1).T, dtype="<u4").view("<u8")
-    states = []
-    for s_hi, s_lo, q_hi, q_lo in u64.tolist():
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
-    return states
+    q, s = u64[:, :1:-1], u64[:, 1::-1]
+    words = np.empty((len(idx), 4), dtype=np.uint64)
+    pre, inc = words[:, :2], words[:, 2:]
+    np.left_shift(q, 1, out=inc)
+    inc[:, 0] |= 1
+    inc[:, 1] |= q[:, 0] >> 63
+    np.add(s, inc, out=pre)
+    pre[:, 1] += pre[:, 0] < s[:, 0]  # the carry out of the low word
+    return words
+
+
+# the orders numpy may keep the 4 words of _stream_states in, as the word
+# in each slot of its state struct: a __uint128_t is stored low word
+# first (on a little-endian machine), the struct that emulates one high
+# word first
+_WORD_ORDERS = ([0, 1, 2, 3], [1, 0, 3, 2])
+# the known words the probe writes, in _stream_states order (inc is odd)
+_PROBE_WORDS = np.array([0x0011223344556677, 0x0123456789ABCDEF,
+                         0x0F1E2D3C4B5A6979, 0x8899AABBCCDDEEFF], dtype=np.uint64)
+
+
+def _pcg_words(state: dict) -> np.ndarray:
+    """The state and inc of a PCG64 state dict as 4 words in
+    _stream_states order."""
+    pcg = state["state"]
+    return np.array([v >> shift & 0xFFFFFFFFFFFFFFFF
+                     for v in (pcg["state"], pcg["inc"]) for shift in (0, 64)],
+                    dtype=np.uint64)
+
+
+class _StreamWriter:
+    """One PCG64 and a view of its 4 state words.
+
+    bit_generator.ctypes.state_address is numpy's pcg64_state, whose first
+    field points to the state struct inside the PCG64 object.  A probe
+    fixes the word order once: the view must lie inside the object and
+    hold the current state in one of _WORD_ORDERS, and known words written
+    in that order must read back through the bit_generator.state getter.
+    Anything else raises RuntimeError; there is no other way to draw.
+    """
+
+    def __init__(self):
+        # its seed 0 is never drawn from: each index writes the state first
+        self.bit_generator = np.random.PCG64(0)
+        self.generator = np.random.Generator(self.bit_generator)
+        start = id(self.bit_generator)
+        address = ctypes.c_void_p.from_address(
+            self.bit_generator.ctypes.state_address).value
+        if not (address and start <= address
+                and address + 32 <= start + sys.getsizeof(self.bit_generator)):
+            raise RuntimeError("the PCG64 state words are not inside the bit "
+                               "generator: this numpy's layout is not supported")
+        # the view does not own its memory; the PCG64 kept beside it does
+        self.words = np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
+        self.order = self._probe()
+
+    def _probe(self) -> np.ndarray:
+        """The word order of _WORD_ORDERS that round-trips."""
+        current = _pcg_words(self.bit_generator.state)
+        for order in _WORD_ORDERS:
+            if (self.words == current[order]).all():
+                self.words[:] = _PROBE_WORDS[order]
+                if (_pcg_words(self.bit_generator.state) == _PROBE_WORDS).all():
+                    return np.array(order)
+                break
+        raise RuntimeError("the PCG64 state words do not read back through "
+                           "bit_generator.state in any known word order")
+
+
+_per_thread = threading.local()
+
+
+def _stream_writer() -> _StreamWriter:
+    """This thread's _StreamWriter, built on its first draw."""
+    try:
+        return _per_thread.writer
+    except AttributeError:
+        _per_thread.writer = _StreamWriter()
+        return _per_thread.writer
 
 
 def rng_for(seed: int, *keys: int) -> np.random.Generator:
@@ -194,17 +279,18 @@ def gaussian_draws(dim: int, seed: int, keys: Sequence[int],
     One standard_normal call per index gives the same numbers as count
     complex_gaussian calls and then standard_normal(extra) on that stream.
     """
-    # its seed 0 is never drawn from: each index sets the state first
-    bit_gen = np.random.PCG64(0)
-    gen = np.random.Generator(bit_gen)
-    pcg = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    writer = _stream_writer()
+    view, raw = writer.words, writer.bit_generator.random_raw
+    normal = writer.generator.standard_normal
     width = 2 * count * dim
     g = np.empty((len(indices), width + extra))
-    for row, (state, inc) in zip(g, _stream_states(seed, keys, indices)):
-        pcg["state"], pcg["inc"] = state, inc
-        bit_gen.state = full
-        gen.standard_normal(out=row)
+    # each index: write the words one step before its seeded state, let
+    # random_raw take numpy's LCG step onto it, then draw (the generator
+    # never draws 32-bit values, so has_uint32 stays 0)
+    for row, words in zip(g, _stream_states(seed, keys, indices)[:, writer.order]):
+        view[:] = words
+        raw()
+        normal(out=row)
     z = g[:, :width].reshape(-1, count, 2, dim)
     z = z[:, :, 0] + 1j * z[:, :, 1]
     draws = [np.ascontiguousarray(z[:, j]) for j in range(count)]

@@ -825,11 +825,13 @@ def is_inner_product_family(spec: NormSpec) -> bool:
 #
 # Complex literal grammar: [-]a[.b][+|-c[.d]i], no spaces; an exponent suffix
 # is also accepted on each part so that printed values always re-parse.
+# The imaginary part follows a real part and starts with its sign, so a
+# bare imaginary literal (2i, 0.5i) is rejected.
 # Vectors are comma-separated literals; norm specs are colon-separated
 # records such as lp:p=1.5:dim=4 or pd:gram=I:dim=3.
 
-_FLOAT = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_COMPLEX_RE = re.compile(rf"^({_FLOAT})(?:({_FLOAT})i)?$")
+_UNSIGNED = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_COMPLEX_RE = re.compile(rf"^([+-]?{_UNSIGNED})(?:([+-]{_UNSIGNED})i)?$")
 
 
 def parse_complex(text: str) -> complex:

@@ -339,3 +339,14 @@ def test_seed_env_that_is_not_a_nonnegative_int_exits_2(capsys, monkeypatch, see
                              "--a", "rho_inf", "--b", "bj", "--samples", "5")
     assert code == 2 and out == ""
     assert err.startswith("error: NORMLAB_SEED: ")
+
+
+def test_parser_is_built_once_and_handlers_resolve_at_call_time(monkeypatch):
+    from normlab import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_report", lambda args: seen.append(args.samples) or 0)
+    assert main(["report", "--samples", "3"]) == 0
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert main(["report", "--samples", "4"]) == 0
+    assert seen == [3, 4]

@@ -1,12 +1,15 @@
 """The stacked stream states against numpy's own seeding, bit for bit.
 
-gaussian_draws hashes every index's SeedSequence at once and sets one
-PCG64 to each state in turn; rng_for(seed, *keys, i) is the definition of
-the stream it must reproduce.  The seeds, keys and indices cover every
-entropy layout the hash distinguishes: one- and multi-word seeds, entropy
+gaussian_draws hashes every index's SeedSequence at once and writes each
+index's PCG64 words into its thread's generator in turn; rng_for(seed,
+*keys, i) is the definition of the stream it must reproduce.  The seeds,
+keys and indices cover every entropy layout the hash distinguishes: one- and multi-word seeds, entropy
 shorter than the 4-word pool and longer (keys (1, 2, 3, 4, 5)), past the
 precomputed hash constants (40 keys), and indices on both sides of 2**32.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,14 +27,27 @@ INDEX_SETS = {
 }
 
 
+# the multiplier of PCG64's 128-bit LCG
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
 def reference_state(seed, keys, i):
     state = rng_for(seed, *keys, i).bit_generator.state["state"]
     return state["state"], state["inc"]
 
 
+def seeded_state(words):
+    """The (state, inc) one LCG step after a row of _stream_states."""
+    pre_lo, pre_hi, inc_lo, inc_hi = map(int, words)
+    inc = inc_lo | inc_hi << 64
+    return ((pre_lo | pre_hi << 64) * PCG_MULT + inc) % 2**128, inc
+
+
 def check_streams(seed, keys, indices):
     indices = list(indices)
-    assert _stream_states(seed, keys, indices) == [
+    words = _stream_states(seed, keys, indices)
+    assert words.shape == (len(indices), 4) and words.dtype == np.uint64
+    assert [seeded_state(w) for w in words] == [
         reference_state(seed, keys, i) for i in indices]
     for count in (1, 2):
         dim = 3
@@ -59,7 +75,7 @@ def test_entropy_past_the_precomputed_constants():
 
 
 def test_no_indices_give_empty_draws():
-    assert _stream_states(1, (2,), []) == []
+    assert _stream_states(1, (2,), []).shape == (0, 4)
     (z,) = gaussian_draws(3, 1, (2,), [], count=1)
     assert z.shape == (0, 3)
 
@@ -76,3 +92,80 @@ def test_negative_seeds_keys_and_indices_raise(seed, keys, indices):
         _stream_states(seed, keys, indices)
     with pytest.raises(ValueError):
         rng_for(seed, *keys, *indices)
+
+
+def stream_draws(seed, keys, indices):
+    """gaussian_draws(3, seed, keys, indices, extra=2) through rng_for."""
+    g = np.array([rng_for(seed, *keys, i).standard_normal(14) for i in indices])
+    return [(g[:, 0:3] + 1j * g[:, 3:6]).tobytes(),
+            (g[:, 6:9] + 1j * g[:, 9:12]).tobytes(), g[:, 12:].tobytes()]
+
+
+def serial_draws(seed, keys, indices):
+    return [z.tobytes() for z in gaussian_draws(3, seed, keys, indices, extra=2)]
+
+
+def test_threads_draw_their_own_streams():
+    # each thread writes the words of its own generator; batches drawn
+    # concurrently by more threads than cores, switching threads every
+    # microsecond, keep every bit
+    jobs = [(5, (1,), range(0, 40)), (2**64 + 3, (7, 8), [2**32 + 1, 3, 90]),
+            (0, (), range(7, 12))]
+    expected = [stream_draws(*job) for job in jobs]
+    assert [serial_draws(*job) for job in jobs] == expected
+    start = threading.Barrier(len(jobs))
+    failures = []
+
+    def run(job, want):
+        start.wait()
+        for _ in range(200):
+            if serial_draws(*job) != want:
+                failures.append(job)
+                return
+
+    threads = [threading.Thread(target=run, args=pair) for pair in zip(jobs, expected)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
+def test_probed_word_order_reads_back_in_a_fresh_thread():
+    seen = {}
+
+    def run():
+        writer = sampling._stream_writer()
+        seen["kept"] = writer is sampling._stream_writer()
+        words = _stream_states(9, (4,), [17])[0]
+        writer.words[:] = words[writer.order]
+        state = writer.bit_generator.state
+        pre_lo, pre_hi, inc_lo, inc_hi = map(int, words)
+        seen["read"] = state["state"]["state"], state["state"]["inc"]
+        seen["written"] = pre_lo | pre_hi << 64, inc_lo | inc_hi << 64
+        writer.bit_generator.random_raw()
+        seen["stepped"] = writer.bit_generator.state
+        seen["writer"] = writer
+
+    t = threading.Thread(target=run)
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive() and seen["kept"]
+    assert seen["read"] == seen["written"]
+    assert seen["stepped"] == rng_for(9, 4, 17).bit_generator.state
+    assert seen["stepped"]["has_uint32"] == 0
+    assert seen["writer"] is not sampling._stream_writer()
+
+
+def test_a_word_order_that_does_not_read_back_raises(monkeypatch):
+    # the words of inc where those of the state belong: the probe finds
+    # no order and raises before it writes anything
+    monkeypatch.setattr(sampling, "_WORD_ORDERS", ([2, 3, 0, 1],))
+    with pytest.raises(RuntimeError, match="word order"):
+        sampling._StreamWriter()

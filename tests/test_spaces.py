@@ -155,6 +155,26 @@ def test_complex_literal_examples():
     np.testing.assert_array_equal(nl.parse_cvector("1,0+1i"), [1, 1j])
 
 
+@pytest.mark.parametrize("text, value", [
+    ("0.5i", None),
+    ("1.5i", None),
+    ("1.5e3i", None),
+    ("2i", None),
+    ("-0.5i", None),
+    ("1-2.5i", 1 - 2.5j),
+    ("0+0.5i", 0.5j),
+    ("3", 3.0),
+])
+def test_bare_imaginary_literals_are_rejected(text, value):
+    # the imaginary part follows a real part and starts with its sign; a
+    # decimal point must not split a bare one into two parts
+    if value is None:
+        with pytest.raises(nl.SpecParseError):
+            nl.parse_complex(text)
+    else:
+        assert nl.parse_complex(text) == value
+
+
 @given(st.complex_numbers(allow_nan=False, allow_infinity=False))
 def test_complex_literal_roundtrip(z):
     assert nl.parse_complex(nl.format_complex(z)) == complex(z)
