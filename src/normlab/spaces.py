@@ -755,7 +755,6 @@ class DualInfo:
     """
 
     r_dual: float | None
-    is_smooth: bool | None
     provenance: str
 
     def __post_init__(self):
@@ -764,16 +763,16 @@ class DualInfo:
 
 
 def dual_segment_constant(spec: NormSpec) -> DualInfo:
-    """Look up R(X*) and smoothness for the spec's family.
+    """Look up R(X*) for the spec's family.
 
     This is a lookup table, not a computation: the duals of the supported
     families are standard.  Polyhedral duals are reported unknown (except
     in dimension one, where every norm is a multiple of the modulus).
     """
     if spec.dim == 1:
-        return DualInfo(0.0, True, TABLE)
+        return DualInfo(0.0, TABLE)
     k = spec.kernel
-    return DualInfo(k.r_dual, k.smooth, UNKNOWN if k.r_dual is None else TABLE)
+    return DualInfo(k.r_dual, UNKNOWN if k.r_dual is None else TABLE)
 
 
 def operator_norm_formula(spec_dom: NormSpec, spec_cod: NormSpec):
@@ -811,7 +810,9 @@ def operator_norm_formula(spec_dom: NormSpec, spec_cod: NormSpec):
 
 
 def is_smooth_family(spec: NormSpec) -> bool:
-    return bool(dual_segment_constant(spec).is_smooth)
+    """Whether the norm is smooth: the family's kernel says so, and every
+    norm on C^1, a multiple of the modulus, is."""
+    return spec.dim == 1 or spec.kernel.smooth
 
 
 def is_inner_product_family(spec: NormSpec) -> bool:

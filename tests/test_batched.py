@@ -18,6 +18,7 @@ from normlab.sampling import complex_gaussian, rng_for, sample_unit
 
 from conftest import POLY_ROWS, VERDICTS, family_specs, random_pd_gram
 from test_closed_forms import _tie
+from test_golden import REPORT_NORMS
 
 # an odd sample count, so batches of 8 and the doubling batches 1, 2, 4, 8
 # end inside it
@@ -461,6 +462,57 @@ def test_map_analysis_equals_the_per_index_loops(family, cod, batch_rows):
     assert [(bits(w.x), bits(w.y), bits(w.domain_residual), bits(w.image_residual))
             for w in ma.witnesses] == witnesses
     assert ma.preserves == (not witnesses)
+
+
+def analysis_bits(ma):
+    return (bits([ma.operator_norm_est, ma.isometry_defect, ma.scale_identity_defect]),
+            ma.operator_norm_exact, ma.preserves,
+            [(bits(w.x), bits(w.y), bits(w.domain_residual), bits(w.image_residual))
+             for w in ma.witnesses])
+
+
+def reference_preservation(spec, samples, seed):
+    """The preservation suite from one map_preservation_analysis per map."""
+    suite, tol = "preservation", DEFAULT_TOL
+    maps = [spec.kernel.isometry(rng_for(seed, 9000))]
+    if spec.dim > 1:
+        maps.append(np.diag([1.0, 2.0] + [1.0] * (spec.dim - 2)).astype(np.complex128))
+    analyses = [nl.map_preservation_analysis(spec, spec, t, samples, seed, tol)
+                for t in maps]
+    ma = analyses[0]
+    bound = 10.0 * tol * ma.operator_norm_est**2
+    records = [
+        checks.record(suite, "isometry-defect-small", ma.isometry_defect, 0.0, 1e-8,
+                      ma.isometry_defect <= 1e-8, seed),
+        checks.record(suite, "isometry-scale-identity", ma.scale_identity_defect, 0.0,
+                      bound, ma.scale_identity_defect <= bound, seed),
+        checks.record(suite, "isometry-preserves", 0.0 if ma.preserves else 1.0,
+                      0.0, 0.0, ma.preserves, seed),
+    ]
+    for mb in analyses[1:]:
+        records += [
+            checks.record(suite, "non-isometry-has-witness", len(mb.witnesses), 1.0,
+                          0.0, len(mb.witnesses) >= 1, seed),
+            checks.record(suite, "non-isometry-contrapositive", mb.isometry_defect,
+                          tol, 0.0, mb.isometry_defect > tol, seed),
+        ]
+    return maps, analyses, records
+
+
+# every family of the report goldens, and dimension one, where the suite
+# audits the isometry alone
+PRESERVATION_NORMS = {**REPORT_NORMS, "lp2.5-dim1": "lp:p=2.5:dim=1"}
+
+
+@pytest.mark.parametrize("samples", [1, 6, 30])
+@pytest.mark.parametrize("name", sorted(PRESERVATION_NORMS))
+def test_preservation_suite_equals_one_audit_per_map(name, samples):
+    spec = nl.parse_norm_spec(PRESERVATION_NORMS[name])
+    maps, analyses, records = reference_preservation(spec, samples, 7)
+    assert len(records) == (3 if spec.dim == 1 else 5)
+    assert record_bits(checks.check_preservation(spec, samples, 7)) == record_bits(records)
+    shared = nl.analysis._map_analyses(spec, spec, maps, samples, 7, DEFAULT_TOL)
+    assert [analysis_bits(ma) for ma in shared] == [analysis_bits(ma) for ma in analyses]
 
 
 # --- the report suites: per-sample loops, stacked draws and stacked oracles --

@@ -4,9 +4,9 @@ Each command runs in-process through ``normlab.cli.main``; its stdout plus a
 trailing ``# exit <code>`` line is compared with ``tests/golden/<name>.out``.
 The set covers ``report`` on every family, ``search`` between the
 Birkhoff-James and rho_inf relations on lp1, lp:inf and poly and from
-rho_plus to semi on lp3, ``analyze-map``, and ``eval`` of all seven
-functionals on each family (the lp:inf eval is the pinned false-convergence
-reproducer x = 1,1,1).
+rho_plus to semi on lp3, ``analyze-map`` of diag(1, 2) on lp1 and lp2.5,
+and ``eval`` of all seven functionals on each family (the lp:inf eval is
+the pinned false-convergence reproducer x = 1,1,1).
 
 The goldens are tied to x86 80-bit extended precision, which the numeric
 limit uses for its difference quotients; elsewhere the test is skipped.
@@ -83,10 +83,12 @@ def commands() -> dict[str, list[str]]:
         cmds[f"search-{key}-{a}-{b}"] = [
             "search", "--norm", SEARCH_NORMS[key], "--a", a, "--b", b,
             "--samples", str(samples), "--seed", "42", "--format", "jsonl"]
-    cmds["analyze-map-lp1-diag12"] = [
-        "analyze-map", "--norm", "lp:p=1:dim=2",
-        "--matrix", str(GOLDEN / "diag_1_2.txt"), "--samples", "100",
-        "--seed", "42", "--format", "jsonl"]
+    # diag(1, 2) on lp1 (closed form) and on lp2.5 (the Riesz-Thorin bound)
+    for key, norm in (("lp1", "lp:p=1:dim=2"), ("lp2.5", "lp:p=2.5:dim=2")):
+        cmds[f"analyze-map-{key}-diag12"] = [
+            "analyze-map", "--norm", norm,
+            "--matrix", str(GOLDEN / "diag_1_2.txt"), "--samples", "100",
+            "--seed", "42", "--format", "jsonl"]
     for key, (norm, x, y) in EVAL_PAIRS.items():
         for name, extra in FUNCTIONALS.items():
             cmds[f"eval-{key}-{name}"] = [

@@ -1,7 +1,8 @@
 """Operator norms |T| = sup |T x|_cod / |x|_dom: the kernels' duality maps,
-the closed forms against independent formulas, the iterated estimates
-against dense sampling, and the hard points (rank one, zero columns,
-extreme scales, dimension one, non-square maps through the CLI)."""
+the closed forms against independent formulas, the Riesz-Thorin
+certificate between lp of one exponent, the iterated estimates against
+dense sampling, and the hard points (rank one, zero columns, extreme
+scales, dimension one, non-square maps through the CLI)."""
 
 import functools
 import json
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 import normlab as nl
+from normlab import analysis
+from normlab.analysis import NORM_BOUND_RTOL
 from normlab.cli import EXIT_VIOLATION, main
 from normlab.sampling import unit_draws
 from normlab.spaces import _conjugate, operator_norm_formula
@@ -165,10 +168,95 @@ def test_exact_flag_of_the_map_analysis():
     exact = {(a, b) for a in (lp1, wl1) for b in specs}
     exact |= {(a, b) for a in (lp1, lp25, lpinf, wl1, pd) for b in (lpinf, poly)}
     exact |= {(pd, pd)}
-    for a in specs:
-        for b in specs:
-            ma = nl.map_preservation_analysis(a, b, t, samples=4, seed=1)
-            assert ma.operator_norm_exact == ((a, b) in exact), (a, b)
+    # diag(1, 2, 1) is monomial: on lp2.5 it reaches the Riesz-Thorin bound
+    diag = np.diag([1.0, 2.0, 1.0])
+    for m, exact_m in ((t, exact), (diag, exact | {(lp25, lp25)})):
+        for a in specs:
+            for b in specs:
+                ma = nl.map_preservation_analysis(a, b, m, samples=4, seed=1)
+                assert ma.operator_norm_exact == ((a, b) in exact_m), (a, b)
+
+
+# --- certified by the Riesz-Thorin bound between lp of one exponent ----------
+
+CERTIFIED_P = (1.1, 1.5, 2.5, 3.0, 7.0)
+CERTIFIED_DIMS = [(d, d) for d in range(1, 5)] + [(2, 3)]  # (domain, codomain)
+
+
+def dims_id(dims):
+    return "{}to{}".format(*dims)
+
+
+def riesz_thorin(t, p):
+    """|T|_1^{1/p} |T|_inf^{1-1/p}: the largest column and row abs sums."""
+    a = np.abs(t)
+    return a.sum(axis=0).max() ** (1 / p) * a.sum(axis=1).max() ** (1 - 1 / p)
+
+
+def monomial_maps(dom_dim, cod_dim):
+    """Scalar multiples of monomial maps: a kernel isometry, 3.7 times it
+    and diag(1, 2, 1, ...); a rectangular map sends e_k to a multiple of
+    e_{s(k)} for an injective s."""
+    if dom_dim != cod_dim:
+        t = np.zeros((cod_dim, dom_dim), dtype=np.complex128)
+        t[2, 0], t[0, 1] = 1j, -2.0
+        return {"monomial": t}
+    iso = nl.lp(2.5, dom_dim).kernel.isometry(np.random.default_rng((79, dom_dim)))
+    maps = {"isometry": iso, "3.7-isometry": 3.7 * iso}
+    if dom_dim > 1:
+        maps["diag-1-2"] = np.diag([1.0, 2.0] + [1.0] * (dom_dim - 2))
+    return maps
+
+
+@pytest.mark.parametrize("dims", CERTIFIED_DIMS, ids=dims_id)
+@pytest.mark.parametrize("p", CERTIFIED_P)
+def test_the_bound_closes_on_monomial_maps(p, dims, monkeypatch):
+    spec_dom, spec_cod = nl.lp(p, dims[0]), nl.lp(p, dims[1])
+    assert operator_norm_formula(spec_dom, spec_cod) is None
+    basis = np.eye(dims[0])
+    for name, t in monomial_maps(*dims).items():
+        best = max(nl.norm(spec_cod, t[:, k]) for k in range(dims[0]))
+        ma = nl.map_preservation_analysis(spec_dom, spec_cod, t, samples=4, seed=1)
+        assert ma.operator_norm_exact, name
+        # certified from the basis vectors alone: no draws and no ascent
+        with monkeypatch.context() as m:
+            for attr in ("unit_draws", "_power_ascent"):
+                m.setattr(analysis, attr, None)
+            est, x = nl.operator_norm_estimate(spec_dom, spec_cod, t, samples=30, seed=1)
+        assert est == ma.operator_norm_est
+        assert abs(est - best) <= NORM_BOUND_RTOL * best, name
+        assert abs(est - riesz_thorin(t, p)) <= NORM_BOUND_RTOL * est, name
+        assert (basis == x).all(axis=1).any(), name  # a unit basis vector
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 7.0])
+def test_the_bound_closes_off_the_basis(p):
+    # the all-ones map attains the bound 2 at (1, 1) / 2^{1/p}, where no
+    # basis vector does; the ascent reaches it, and stops there
+    spec = nl.lp(p, 2)
+    t = np.ones((2, 2))
+    ma = nl.map_preservation_analysis(spec, spec, t, samples=30, seed=1)
+    assert ma.operator_norm_exact
+    assert ma.operator_norm_est == pytest.approx(2.0, rel=NORM_BOUND_RTOL, abs=0)
+    assert max(nl.norm(spec, t[:, k]) for k in range(2)) < 1.99
+
+
+@pytest.mark.parametrize("dims", CERTIFIED_DIMS[1:], ids=dims_id)
+@pytest.mark.parametrize("p", CERTIFIED_P)
+def test_the_bound_caps_the_estimate_where_it_does_not_close(p, dims):
+    # the sampled ratios are those of the estimate's own candidates, the
+    # basis and its stream-3 draws: the ascent never falls below them, while
+    # it can stop at a local maximum below the dense sampling of
+    # best_sampled_ratio (at p = 7, on 2 of 60 maps by up to 0.26%)
+    spec_dom, spec_cod = nl.lp(p, dims[0]), nl.lp(p, dims[1])
+    for i in range(60):
+        t = seeded_map(i, dims[1], dims[0])
+        ma = nl.map_preservation_analysis(spec_dom, spec_cod, t, samples=30, seed=i)
+        (drawn,) = unit_draws(spec_dom, i, (3,), range(30), count=1)
+        xs = np.concatenate((np.eye(dims[0]), drawn))
+        sampled = (spec_cod.kernel.norm(xs @ t.T) / spec_dom.kernel.norm(xs)).max()
+        assert not ma.operator_norm_exact, i
+        assert riesz_thorin(t, p) >= ma.operator_norm_est >= sampled, i
 
 
 # --- hard points -------------------------------------------------------------

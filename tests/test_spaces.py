@@ -108,8 +108,8 @@ def test_dual_segment_constants():
     assert info.r_dual is None and info.provenance == "unknown"
     # every one-dimensional norm is a multiple of the modulus
     for spec in (nl.lp(1, 1), nl.polyhedral([[2.0]]), nl.weighted_l1([3.0])):
-        one = nl.dual_segment_constant(spec)
-        assert one.r_dual == 0.0 and one.is_smooth
+        assert nl.dual_segment_constant(spec).r_dual == 0.0
+        assert nl.is_smooth_family(spec)
 
 
 def test_smoothness_flags():
