@@ -462,10 +462,17 @@ def operator_norm_estimate(spec_dom: NormSpec, spec_cod: NormSpec, t,
     _polyhedral_ascent).  The estimate is the best ratio reached; samples
     and seed matter only there.  Returns (estimate, attaining unit vector).
     """
-    t = _check_map(spec_dom, spec_cod, t)
+    return _operator_norm(spec_dom, spec_cod, _check_map(spec_dom, spec_cod, t),
+                          samples, seed)[:2]
+
+
+def _operator_norm(spec_dom, spec_cod, t, samples, seed):
+    """operator_norm_estimate of a checked map, and whether the estimate is
+    |T| up to rounding (MapAnalysis.operator_norm_exact)."""
     formula = operator_norm_formula(spec_dom, spec_cod)
     if formula is not None:
         best, x = formula(t)
+        exact = True
     else:
         reach = _certified_floor(spec_dom, spec_cod, t)
         xs = np.eye(spec_dom.dim, dtype=np.complex128)
@@ -482,7 +489,8 @@ def operator_norm_estimate(spec_dom: NormSpec, spec_cod: NormSpec, t,
             ratios = _ratios(spec_dom, spec_cod, t, xs)
         k = int(np.argmax(ratios))
         best, x = float(ratios[k]), xs[k]
-    return best, x / spec_dom.kernel.norm(x)
+        exact = best >= reach
+    return best, x / spec_dom.kernel.norm(x), exact
 
 
 def map_preservation_analysis(spec_dom: NormSpec, spec_cod: NormSpec, t,
@@ -512,10 +520,8 @@ def _map_analyses(spec_dom: NormSpec, spec_cod: NormSpec, maps, samples: int,
     maps = [_check_map(spec_dom, spec_cod, t) for t in maps]
     _check_samples(samples)
     check_tol(tol)
-    ests = [operator_norm_estimate(spec_dom, spec_cod, t, samples, seed)[0] for t in maps]
-    closed = operator_norm_formula(spec_dom, spec_cod) is not None
-    exact = [closed or est >= _certified_floor(spec_dom, spec_cod, t)
-             for t, est in zip(maps, ests)]
+    ests, _, exact = zip(*(_operator_norm(spec_dom, spec_cod, t, samples, seed)
+                           for t in maps))
     iso_defects = [0.0] * len(maps)
     scale_defects = [0.0] * len(maps)
     witnesses: list[list[MapWitness]] = [[] for _ in maps]

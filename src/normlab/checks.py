@@ -93,12 +93,11 @@ def check_nd_properties(spec: NormSpec, samples: int, seed: int) -> list[dict]:
     nd1 = nd2 = nd3 = nd4 = mono = 0.0
     for batch in index_batches(int(samples)):
         x, y, a, b = _pairs(spec, seed, batch, scalars=2)
-        # nd1: rho_minus(x, y) = -rho_plus(x, -y), each side through its own
-        # numeric-limit evaluation; rho_minus is defined by this identity, so
-        # the two sides run the same computation
-        lhs = -_rho_plus(spec, x, -y, NUMERIC_LIMIT)[0]
-        rhs = -_rho_plus(spec, x, -y, NUMERIC_LIMIT)[0]
-        nd1 = max(nd1, float(np.abs(lhs - rhs).max()))
+        # nd1: rho_minus(x, y) = -rho_plus(x, -y); rho_minus is defined by
+        # this identity, so both sides are the one deterministic numeric-limit
+        # evaluation and nd1 is 0 by construction
+        minus = -_rho_plus(spec, x, -y, NUMERIC_LIMIT)[0]
+        nd1 = max(nd1, float(np.abs(minus - minus).max()))
         # nd2: rho_plus(x, a x + y) = Re(a) |x|^2 + rho_plus(x, y)
         va, ea = _rho_plus(spec, x, a[:, None] * x + y)
         vb, eb = _rho_plus(spec, x, y)

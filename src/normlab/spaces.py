@@ -8,11 +8,17 @@ Four norm families are supported:
 * ``poly`` -- polyhedral norms max_j |f_j(x)| over a separating family of
   complex covectors
 
-Each spec carries one of four kernels (abs-sum, max-modulus, smooth lp,
-pd), picked once by its factory.  Every kernel gives the norm, the closed
-forms of rho_plus and rho_inf, the Birkhoff-James criterion in closed form
-and a minimizer of |x + xi y| over xi, so no other module branches on the
-family to compute them.
+Each is |M x|_p for an exponent p and a matrix M, its frame: lp is M = I,
+weighted l1 p = 1 with M = diag(w), pd p = 2 with M the Cholesky factor A
+of G = A^H A, and polyhedral p = inf with the functionals as the rows of
+M.  Since |x + t y| = |M x + t M y|_p, every functional of the norm is
+the p-norm's on (M x, M y).  One core per exponent class (p = 1, p = 2,
+other 1 < p < inf, p = inf), picked by p in _core, gives the norm, its
+duality map, the closed forms of rho_plus, rho_inf and the Birkhoff-James
+criterion, and a minimizer of |z + xi w| over xi; each spec's kernel is
+its core composed with M.  A factory only validates its parameters and
+gives M and the isometry, and no other module branches on the family to
+compute a functional.
 
 Every spec is immutable after construction and all functions here are pure,
 so everything is safe to share across threads.
@@ -23,6 +29,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -78,10 +85,34 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _conjugate(p: float) -> float:
+    """q with 1/p + 1/q = 1."""
+    return np.inf if p == 1.0 else 1.0 if np.isinf(p) else p / (p - 1.0)
+
+
+@dataclass(frozen=True)
+class Core:
+    """The p-norm on coordinates z, for one exponent class (see _core):
+    the methods of Kernel at M = I, and norming(zs), row by row the
+    functional h with h . z = sum_k h_k z_k = |z|_p and |h|_q = 1 (q the
+    conjugate exponent; 0 on zero rows), the gradient of the norm or, at a
+    kink, one subgradient."""
+
+    norm: Callable[[np.ndarray], np.ndarray]
+    norming: Callable[[np.ndarray], np.ndarray]
+    rho_plus_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    rho_inf_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    bj_slope_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    bj_argmin: Callable[[np.ndarray, np.ndarray], complex]
+
+
 @dataclass(frozen=True)
 class Kernel:
-    """The computations of one norm family, bound to a spec's parameters.
+    """The computations of one norm |M x|_p, bound to a spec's parameters:
+    the core of p composed with the frame's M.
 
+    Since |x + t y| = |M x + t M y|_p, every closed form below is the
+    core's on the rows (M x, M y); M is skipped where it is the identity.
     norm(xs) is the norm over the last axis of xs, for any leading shape,
     in the precision of the input (complex128 or extended).  The three
     closed forms take stacked (n, d) pairs, row i of xs with row i of ys:
@@ -98,11 +129,12 @@ class Kernel:
     for every family, then a coordinate permutation for lp, none for
     weighted l1 (it would have to permute the weights), the conjugate of a
     unitary into the Gram geometry for pd, and only a global phase for
-    polyhedral norms.  smooth says whether the family is smooth in every
-    dimension; r_dual is R(X*), None when unknown.  frame writes the norm
-    as |M x|_p and gives its duality maps; dual_norm(gs) is the stacked
-    dual norm sup_{|x| <= 1} |sum_k g_k x_k|, None where it has no closed
-    form (polyhedral).
+    polyhedral norms.  frame holds p and M and gives the duality maps.
+    smooth (in every dimension: 1 < p < inf) and r_dual, R(X*), follow
+    from p and M^-1: R(X*) is 0 when smooth, 2 for p = 1 or inf with an
+    invertible M (the dual is l_inf or l_1 up to isometry), None when
+    unknown (polyhedral).  dual_norm(gs) is the stacked dual norm
+    sup_{|x| <= 1} |sum_k g_k x_k|, None where it has no closed form.
     """
 
     norm: Callable[[np.ndarray], np.ndarray]
@@ -111,82 +143,30 @@ class Kernel:
     bj_slope_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bj_argmin: Callable[[np.ndarray, np.ndarray], complex]
     isometry: Callable[[np.random.Generator], np.ndarray]
-    smooth: bool
-    r_dual: float | None
     frame: Frame
+
+    @property
+    def smooth(self) -> bool:
+        return 1.0 < self.frame.p < np.inf
+
+    @property
+    def r_dual(self) -> float | None:
+        return 0.0 if self.smooth else None if self.frame.m_inv is None else 2.0
 
     @property
     def dual_norm(self) -> Callable[[np.ndarray], np.ndarray] | None:
         return None if self.frame.m_inv is None else self.frame.dual_norm
 
 
-def _conjugate(p: float) -> float:
-    """q with 1/p + 1/q = 1."""
-    return np.inf if p == 1.0 else 1.0 if np.isinf(p) else p / (p - 1.0)
-
-
-def _power_norm(xs: np.ndarray, p: float) -> np.ndarray:
-    """The p-norm over the last axis, 1 < p < inf, scaled by the largest
-    modulus so that every power stays in range."""
-    a = np.abs(xs)
-    m = a.max(axis=-1)
-    # m + (m == 0) is exactly m, or 1 on zero rows; unlike np.where it
-    # stays a scalar on single (1-D) vectors
-    scaled = a / (m + (m == 0))[..., None]
-    return m * (scaled**p).sum(axis=-1) ** (1.0 / p)
-
-
-def _power_gradients(xs: np.ndarray, p: float) -> np.ndarray:
-    """The gradient functional of the p-norm at each row of xs, 1 < p < inf
-    (see _smooth_lp_kernel); 0 on zero rows."""
-    a = np.abs(xs)
-    m = a.max(axis=-1)
-    live = m > 0.0  # both functionals vanish at x = 0
-    u = a / np.where(live, m, 1.0)[..., None]
-    sgn = xs / np.where(a > 0, a, 1.0)  # 0 on zero coordinates
-    # float_power is the libm pow of a scalar float; ** on an array
-    # may take a vectorized pow that differs in the last bit
-    s = np.float_power(np.where(live, (u**p).sum(axis=-1), 1.0), (2.0 - p) / p)
-    return np.where(live[..., None], (m * s)[..., None] * u ** (p - 1.0) * sgn, 0)
-
-
-def _lp_norm(zs: np.ndarray, p: float) -> np.ndarray:
-    """The p-norm over the last axis, 1 <= p <= inf."""
-    if p == 1.0:
-        return np.abs(zs).sum(axis=-1)
-    if np.isinf(p):
-        return np.abs(zs).max(axis=-1)
-    return _power_norm(zs, p)
-
-
-def _lp_norming(zs: np.ndarray, p: float) -> np.ndarray:
-    """Row by row, the functional h with h . z = |z|_p and |h|_q = 1 (q the
-    conjugate exponent), 0 on zero rows: h_k = conj(sgn z_k) (|z_k| /
-    |z|_p)^(p-1), the gradient of the norm.  Where the norm has a kink this
-    picks one subgradient: 0 on the zero coordinates at p = 1, the first
-    largest coordinate alone at p = inf."""
-    a = np.abs(zs)
-    sgn = zs.conj() / np.where(a > 0, a, 1.0)
-    if p == 1.0:
-        return sgn
-    if np.isinf(p):
-        first = np.argmax(a, axis=-1)[..., None]
-        return np.where(np.arange(a.shape[-1]) == first, sgn, 0)
-    n = _power_norm(zs, p)
-    return _power_gradients(zs, p).conj() / np.where(n > 0, n, 1.0)[..., None]
-
-
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """A kernel's norm written as |M x|_p, and its duality maps.
-
-    lp is M = I; weighted l1 is p = 1 with M = diag(w); polyhedral is
-    p = inf with the functionals f_j as the rows of M; pd is p = 2 with
-    M = A, G = A^H A.  A functional g acts by g . x = sum_k g_k x_k, and q
-    is the conjugate exponent of p.  All three maps work row by row:
+    """A norm written as |M x|_p (each family's M is in the module
+    docstring), and its duality maps.  A functional g acts by g . x =
+    sum_k g_k x_k, and q is the conjugate exponent of p.  The maps read the
+    cores of p and q (Core.norming is J_p) and work row by row:
 
     * norming(xs), the duality map J: a functional h with h . x = |x| and
-      dual norm 1 (0 on zero rows), J_p(M x) M with J_p as in _lp_norming;
+      dual norm 1 (0 on zero rows), J_p(M x) M;
     * dual_norm(gs): sup over |x| <= 1 of |g . x|, which is |g M^-1|_q;
     * dual_point(gs), the dual map J*: a unit x with g . x = dual_norm(g),
       M^-1 J_q(g M^-1).
@@ -201,18 +181,14 @@ class Frame:
     m_inv: np.ndarray | None
 
     def norming(self, xs: np.ndarray) -> np.ndarray:
-        return _row_apply(_lp_norming(_row_apply(xs, self.m.T), self.p), self.m)
+        return _row_apply(_core(self.p).norming(_row_apply(xs, self.m.T)), self.m)
 
     def dual_norm(self, gs: np.ndarray) -> np.ndarray:
-        return _lp_norm(_row_apply(gs, self.m_inv), _conjugate(self.p))
+        return _core(_conjugate(self.p)).norm(_row_apply(gs, self.m_inv))
 
     def dual_point(self, gs: np.ndarray) -> np.ndarray:
-        z = _lp_norming(_row_apply(gs, self.m_inv), _conjugate(self.p))
+        z = _core(_conjugate(self.p)).norming(_row_apply(gs, self.m_inv))
         return _row_apply(z, self.m_inv.T)
-
-
-def _frame(p: float, m: np.ndarray, m_inv: np.ndarray | None) -> Frame:
-    return Frame(float(p), _frozen(m), None if m_inv is None else _frozen(m_inv))
 
 
 # Each row of a stacked evaluation must not depend on the rows stacked with
@@ -253,154 +229,158 @@ def _permuted_phases(dim: int):
     return isometry
 
 
-# --- the four kernels; each factory below picks one of them -----------------
+# --- the four cores; _core picks one by the exponent ------------------------
 
 
-def _abs_sum_kernel(w: np.ndarray | None, dim: int) -> Kernel:
-    """sum_k w_k |x_k|: weighted l1, and lp with p = 1, where w = None
-    stands for unit weights and the norm skips the product."""
-    if w is None:
-        isometry = _permuted_phases(dim)
-        w = np.ones(dim)
-        frame = _frame(1.0, np.eye(dim), np.eye(dim))
+@cache
+def _core(p: float) -> Core:
+    """The core of the p-norm: the one place where the exponent picks the
+    closed forms.  The cores are shared by every spec of that p."""
+    if p == 1.0:
+        return _abs_sum_core()
+    if p == 2.0:
+        return _euclidean_core()
+    if np.isinf(p):
+        return _max_modulus_core()
+    return _power_core(p)
 
-        def norm(xs):
-            return np.abs(xs).sum(axis=-1)
-    else:
-        def norm(xs):
-            return (w * np.abs(xs)).sum(axis=-1)
 
-        def isometry(rng):
-            return np.diag(_phases(rng, dim))
+def _kernel(p: float, m, m_inv, isometry) -> Kernel:
+    """The norm |M x|_p: the core of p composed with M, which is skipped
+    where it equals the identity."""
+    frame = Frame(float(p), _frozen(m), None if m_inv is None else _frozen(m_inv))
+    core = _core(frame.p)
+    if np.array_equal(frame.m, np.eye(len(frame.m))):
+        return Kernel(core.norm, core.rho_plus_pairs, core.rho_inf_pairs,
+                      core.bj_slope_pairs, core.bj_argmin, isometry, frame)
+    mt = frame.m.T
 
-        frame = _frame(1.0, np.diag(w), np.diag(1.0 / w))
+    def on_images(f):
+        return lambda xs, ys: f(_row_apply(xs, mt), _row_apply(ys, mt))
 
-    def parts(xs):
-        """Row by row: N(x), the support of x and w_k conj(x_k)/|x_k| on
-        it (0 off it)."""
-        ax = np.abs(xs)
-        support = ax > 0
-        coef = np.where(support, w * xs.conj() / np.where(support, ax, 1.0), 0)
-        return (w * ax).sum(axis=-1), support, coef
+    return Kernel(lambda xs: core.norm(_row_apply(xs, mt)), on_images(core.rho_plus_pairs),
+                  on_images(core.rho_inf_pairs), on_images(core.bj_slope_pairs),
+                  on_images(core.bj_argmin), isometry, frame)
 
-    # rho_plus(x,y) = |x| ( sum_{x_k != 0} w_k Re(conj(x_k) y_k)/|x_k|
-    #                       + sum_{x_k == 0} w_k |y_k| )
-    def rho_plus_pairs(xs, ys):
-        nx, support, coef = parts(xs)
-        off = np.where(support, 0.0, w * np.abs(ys)).sum(axis=-1)
-        return nx * (_row_dot(ys, coef).real + off)
 
-    def rho_inf_pairs(xs, ys):
-        # |x|_w * sum over the support of x of w_k x_k conj(y_k) / |x_k|
-        ax = np.abs(xs)
-        support = ax > 0
-        terms = w * xs * ys.conj() / np.where(support, ax, 1.0)
-        return (w * ax).sum(axis=-1) * np.where(support, terms, 0).sum(axis=-1)
+def _abs_sum_core() -> Core:
+    """sum_k |z_k|, p = 1."""
 
-    def bj_slope_pairs(xs, ys):
-        # y -> e^{it} y turns the support term of rho_plus, of modulus
-        # |rho_inf|, while the off-support term N(x) sum w_k |y_k| stays
-        ax = np.abs(xs)
-        off = np.where(ax > 0, 0.0, w * np.abs(ys)).sum(axis=-1)
-        v = rho_inf_pairs(xs, ys)
-        return (w * ax).sum(axis=-1) * off - np.hypot(v.real, v.imag)
+    def norm(zs):
+        return np.abs(zs).sum(axis=-1)
 
-    def bj_argmin(x, y):
-        # |x + xi y| = sum_k w_k |y_k| |xi - z_k| + const, z_k = -x_k/y_k: a
-        # weighted Fermat-Weber problem, minimized at a data point z_k
-        # exactly when the criterion holds there with x_k + z_k y_k = 0
-        live = np.flatnonzero(y)
-        zs = -x[live] / y[live]
-        points = x + zs[:, None] * y
+    def parts(zs):
+        """Row by row: N(z), the support of z and conj(z_k)/|z_k| on it (0
+        off it)."""
+        az = np.abs(zs)
+        support = az > 0
+        coef = np.where(support, zs.conj() / np.where(support, az, 1.0), 0)
+        return az.sum(axis=-1), support, coef
+
+    # rho_plus(z,w) = |z| ( sum_{z_k != 0} Re(conj(z_k) w_k)/|z_k|
+    #                       + sum_{z_k == 0} |w_k| )
+    def rho_plus_pairs(zs, ws):
+        nz, support, coef = parts(zs)
+        off = np.where(support, 0.0, np.abs(ws)).sum(axis=-1)
+        return nz * (_row_dot(ws, coef).real + off)
+
+    def rho_inf_pairs(zs, ws):
+        # |z|_1 * sum over the support of z of z_k conj(w_k) / |z_k|
+        az = np.abs(zs)
+        support = az > 0
+        terms = zs * ws.conj() / np.where(support, az, 1.0)
+        return az.sum(axis=-1) * np.where(support, terms, 0).sum(axis=-1)
+
+    def bj_slope_pairs(zs, ws):
+        # w -> e^{it} w turns the support term of rho_plus, of modulus
+        # |rho_inf|, while the off-support term N(z) sum |w_k| stays
+        az = np.abs(zs)
+        off = np.where(az > 0, 0.0, np.abs(ws)).sum(axis=-1)
+        v = rho_inf_pairs(zs, ws)
+        return az.sum(axis=-1) * off - np.hypot(v.real, v.imag)
+
+    def bj_argmin(z, w):
+        # |z + xi w| = sum_k |w_k| |xi - c_k| + const, c_k = -z_k/w_k: a
+        # weighted Fermat-Weber problem, minimized at a data point c_k
+        # exactly when the criterion holds there with z_k + c_k w_k = 0
+        live = np.flatnonzero(w)
+        cs = -z[live] / w[live]
+        points = z + cs[:, None] * w
         points[np.arange(live.size), live] = 0
         vals = norm(points)
         k = int(np.argmin(vals))
-        xk, yk = points[k][None], y[None]
-        if bj_slope_pairs(xk, yk).item() >= -TIE_RTOL * vals[k]:
-            return complex(zs[k])
+        zk, wk = points[k][None], w[None]
+        if bj_slope_pairs(zk, wk).item() >= -TIE_RTOL * vals[k]:
+            return complex(cs[k])
         # the minimizer is interior, where the norm is smooth; start just
-        # off the kink at z_k, downhill: there the other terms have the
-        # gradient rho_inf(x', y)/|x'|, and it outweighs the k-th term
-        g = rho_inf_pairs(xk, yk).item()
-        start = zs[k] - 1e-8 * (1.0 + abs(zs[k])) * g / abs(g)
-        return _power_sum_argmin(x, y, w, 1.0, start)
+        # off the kink at c_k, downhill: there the other terms have the
+        # gradient rho_inf(z', w)/|z'|, and it outweighs the k-th term
+        g = rho_inf_pairs(zk, wk).item()
+        start = cs[k] - 1e-8 * (1.0 + abs(cs[k])) * g / abs(g)
+        return _power_sum_argmin(z, w, 1.0, start)
 
-    return Kernel(norm, rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
-                  bj_argmin, isometry, smooth=False, r_dual=2.0, frame=frame)
+    return Core(norm, lambda zs: parts(zs)[2], rho_plus_pairs, rho_inf_pairs,
+                bj_slope_pairs, bj_argmin)
 
 
-def _max_modulus_kernel(f: np.ndarray | None, dim: int) -> Kernel:
-    """max_j |f_j(x)|: polyhedral, and lp with p = inf, where F = I and the
-    product is skipped.  R(X*) is 2 for lp inf and unknown for polyhedral.
+def _max_modulus_core() -> Core:
+    """max_k |z_k|, p = inf.
 
-    With A(x) the active functionals (see TIE_RTOL) and u_j the phase of
-    f_j x, rho_plus(x, y) = N(x) max_{j in A(x)} Re(conj(u_j) f_j y).  Along
-    y -> e^{it} y the integrand of rho_inf is the upper envelope of the
-    sinusoids Re(c_j e^{it}), c_j = conj(u_j) f_j y, and integrates exactly.
-    N(x) times the envelope's minimum, which is -dist(0, conv{c_j}) when 0
+    With A(z) the active coordinates (see TIE_RTOL) and u_k the phase of
+    z_k, rho_plus(z, w) = N(z) max_{k in A(z)} Re(conj(u_k) w_k).  Along
+    w -> e^{it} w the integrand of rho_inf is the upper envelope of the
+    sinusoids Re(c_k e^{it}), c_k = conj(u_k) w_k, and integrates exactly.
+    N(z) times the envelope's minimum, which is -dist(0, conv{c_k}) when 0
     lies outside the hull, is the Birkhoff-James slope.
 
     rho_plus_pairs is one max over the stacked rows, with the inactive
-    functionals masked out.  rho_inf_pairs and bj_slope_pairs loop over
+    coordinates masked out.  rho_inf_pairs and bj_slope_pairs loop over
     the rows: the envelope has a different number of pieces on every row.
     """
-    if f is None:
-        def apply(v):
-            return v
 
-        isometry = _permuted_phases(dim)
-        frame = _frame(np.inf, np.eye(dim), np.eye(dim))
-    else:
-        ft = f.T
-        frame = _frame(np.inf, f, None)
+    def norm(zs):
+        return np.abs(zs).max(axis=-1)
 
-        def apply(v):
-            return _row_apply(v, ft)
+    def norming(zs):
+        # the first largest coordinate alone
+        a = np.abs(zs)
+        sgn = zs.conj() / np.where(a > 0, a, 1.0)
+        first = np.argmax(a, axis=-1)[..., None]
+        return np.where(np.arange(a.shape[-1]) == first, sgn, 0)
 
-        def isometry(rng):
-            return _phases(rng, dim)[0] * np.eye(dim, dtype=np.complex128)
+    def active(zs, ws):
+        """Row by row: N(z) as an (n, 1) column, the mask of A(z) and
+        c_k = conj(u_k) w_k."""
+        mod = np.abs(zs)
+        nz = mod.max(axis=-1, keepdims=True)
+        # a zero z_k gets the phase 0, so at z = 0 every closed form is 0
+        c = zs.conj() / (mod + (mod == 0)) * ws
+        return nz, mod >= nz * (1.0 - TIE_RTOL), c
 
-    def norm(xs):
-        return np.abs(apply(xs)).max(axis=-1)
+    def rho_plus_pairs(zs, ws):
+        nz, act, c = active(zs, ws)
+        return nz[:, 0] * np.where(act, c.real, -np.inf).max(axis=-1)
 
-    def active(xs, ys):
-        """Row by row: N(x) as an (n, 1) column, the mask of A(x) and
-        c_j = conj(u_j) f_j y."""
-        fx = apply(xs)
-        mod = np.abs(fx)
-        nx = mod.max(axis=-1, keepdims=True)
-        # a zero f_j x gets the phase 0, so at x = 0 every closed form is 0
-        c = fx.conj() / (mod + (mod == 0)) * apply(ys)
-        return nx, mod >= nx * (1.0 - TIE_RTOL), c
-
-    def rho_plus_pairs(xs, ys):
-        nx, act, c = active(xs, ys)
-        return nx[:, 0] * np.where(act, c.real, -np.inf).max(axis=-1)
-
-    def rho_inf_pairs(xs, ys):
-        nx, act, c = active(xs, ys)
-        out = np.empty(len(nx), dtype=np.complex128)
-        for i in range(len(nx)):
-            out[i] = nx[i, 0] * _envelope_integral(c[i][act[i]]) / np.pi
+    def rho_inf_pairs(zs, ws):
+        nz, act, c = active(zs, ws)
+        out = np.empty(len(nz), dtype=np.complex128)
+        for i in range(len(nz)):
+            out[i] = nz[i, 0] * _envelope_integral(c[i][act[i]]) / np.pi
         return out
 
-    def bj_slope_pairs(xs, ys):
-        nx, act, c = active(xs, ys)
-        out = np.empty(len(nx))
-        for i in range(len(nx)):
-            out[i] = nx[i, 0] * _envelope_min(c[i][act[i]])
+    def bj_slope_pairs(zs, ws):
+        nz, act, c = active(zs, ws)
+        out = np.empty(len(nz))
+        for i in range(len(nz)):
+            out[i] = nz[i, 0] * _envelope_min(c[i][act[i]])
         return out
 
-    def bj_argmin(x, y):
-        a = apply(x)
-        b = apply(y)
-        live = b != 0  # f_j x + xi f_j y does not move with xi elsewhere
-        zs = _one_center_candidates(-a[live] / b[live], np.abs(b[live]))
-        return complex(zs[np.argmin(np.abs(a + zs[:, None] * b).max(axis=1))])
+    def bj_argmin(z, w):
+        live = w != 0  # z_k + xi w_k does not move with xi elsewhere
+        cs = _one_center_candidates(-z[live] / w[live], np.abs(w[live]))
+        return complex(cs[np.argmin(np.abs(z + cs[:, None] * w).max(axis=1))])
 
-    return Kernel(norm, rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
-                  bj_argmin, isometry, smooth=False,
-                  r_dual=2.0 if f is None else None, frame=frame)
+    return Core(norm, norming, rho_plus_pairs, rho_inf_pairs, bj_slope_pairs, bj_argmin)
 
 
 def _one_center_candidates(z: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -475,10 +455,10 @@ def _crossings(c: np.ndarray) -> np.ndarray:
     return (0.5 * np.pi - np.angle(d[d != 0])) % (2.0 * np.pi)
 
 
-def _power_sum_argmin(x, y, w, p: float, start: complex) -> complex:
-    """argmin over xi of F(xi) = sum_k w_k |x_k + xi y_k|^p, p >= 1, where
-    F is smooth at the minimizer: the Birkhoff-James minimizer of weighted
-    l1 (p = 1) and of the p-norms.
+def _power_sum_argmin(x, y, p: float, start: complex) -> complex:
+    """argmin over xi of F(xi) = sum_k |x_k + xi y_k|^p, p >= 1, where F is
+    smooth at the minimizer: the Birkhoff-James minimizer of l1 (p = 1)
+    and of the p-norms.
 
     Damped Newton from start: each step is halved until F decreases.  Near
     the minimizer the values of F agree to rounding while the gradient,
@@ -489,13 +469,13 @@ def _power_sum_argmin(x, y, w, p: float, start: complex) -> complex:
     F.
     """
     live = y != 0  # the other terms do not depend on xi
-    x, y, w = x[live], y[live], np.broadcast_to(w, live.shape)[live]
+    x, y = x[live], y[live]
 
     def value(z):
-        return np.sum(w * np.abs(x + z * y) ** p)
+        return np.sum(np.abs(x + z * y) ** p)
 
     xi, val = complex(start), value(start)
-    grad, move = _power_sum_newton(x, y, w, p, xi)
+    grad, move = _power_sum_newton(x, y, p, xi)
     for _ in range(BJ_NEWTON_STEPS):
         for t in 0.5 ** np.arange(40):
             new_val = value(xi + t * move)
@@ -504,28 +484,28 @@ def _power_sum_argmin(x, y, w, p: float, start: complex) -> complex:
         else:  # no decrease along the Newton direction, or no direction
             break
         xi, val = xi + t * move, new_val
-        grad, move = _power_sum_newton(x, y, w, p, xi)
+        grad, move = _power_sum_newton(x, y, p, xi)
     for _ in range(BJ_NEWTON_STEPS):
-        new_grad, new_move = _power_sum_newton(x, y, w, p, xi + move)
+        new_grad, new_move = _power_sum_newton(x, y, p, xi + move)
         if not abs(new_grad) < abs(grad):
             break
         xi, grad, move = xi + move, new_grad, new_move
     return xi
 
 
-def _power_sum_newton(x, y, w, p: float, xi: complex) -> tuple[complex, complex]:
-    """The gradient of F(xi) = sum_k w_k |x_k + xi y_k|^p (all y_k != 0),
+def _power_sum_newton(x, y, p: float, xi: complex) -> tuple[complex, complex]:
+    """The gradient of F(xi) = sum_k |x_k + xi y_k|^p (all y_k != 0),
     as a complex number, and the Newton step -H^-1 grad; NaN on a kink.
 
     With v = x + xi y and e_k = v_k conj(y_k), the k-th term has gradient
     p t_k e_k and Hessian p t_k (|y_k|^2 I + (p - 2) e_k e_k^T / |v_k|^2),
-    t_k = w_k |v_k|^(p-2).
+    t_k = |v_k|^(p-2).
     """
     v = x + xi * y
     a = np.abs(v)
     if not a.all():
         return complex(np.nan), complex(np.nan)
-    t = w * a ** (p - 2.0)
+    t = a ** (p - 2.0)
     e = v * y.conj()
     grad = p * complex(np.sum(t * e))
     yy = np.sum(t * np.abs(y) ** 2)
@@ -539,85 +519,87 @@ def _power_sum_newton(x, y, w, p: float, xi: complex) -> tuple[complex, complex]
                              (h12 * grad.real - h11 * grad.imag) / det)
 
 
-def _smooth_lp_kernel(p: float, dim: int) -> Kernel:
-    """The p-norm for 1 < p < inf, scaled by the largest modulus.
 
-    The norm is differentiable away from 0, with gradient functional w:
-    w_k = m |u|^(2-p) |u_k|^(p-1) sgn(x_k), u = x/m, m = max_k |x_k|, so
-    rho_plus(x, y) = Re sum_k conj(w_k) y_k and rho_inf(x, y) =
-    sum_k w_k conj(y_k).  The scaling by m keeps every power in range.
-    """
+def _power_norm(zs: np.ndarray, p: float) -> np.ndarray:
+    """The p-norm over the last axis, 1 < p < inf, scaled by the largest
+    modulus so that every power stays in range."""
+    a = np.abs(zs)
+    m = a.max(axis=-1)
+    # m + (m == 0) is exactly m, or 1 on zero rows; unlike np.where it
+    # stays a scalar on single (1-D) vectors
+    scaled = a / (m + (m == 0))[..., None]
+    return m * (scaled**p).sum(axis=-1) ** (1.0 / p)
 
-    def norm(xs):
-        return _power_norm(xs, p)
 
-    def gradients(xs):
-        return _power_gradients(xs, p)
+def _power_gradients(zs: np.ndarray, p: float) -> np.ndarray:
+    """The gradient functional v of the p-norm at each row of zs, 1 < p <
+    inf (see _power_core); 0 on zero rows."""
+    a = np.abs(zs)
+    m = a.max(axis=-1)
+    live = m > 0.0  # both functionals vanish at z = 0
+    u = a / np.where(live, m, 1.0)[..., None]
+    sgn = zs / np.where(a > 0, a, 1.0)  # 0 on zero coordinates
+    # float_power is the libm pow of a scalar float; ** on an array
+    # may take a vectorized pow that differs in the last bit
+    s = np.float_power(np.where(live, (u**p).sum(axis=-1), 1.0), (2.0 - p) / p)
+    return np.where(live[..., None], (m * s)[..., None] * u ** (p - 1.0) * sgn, 0)
 
-    def rho_plus_pairs(xs, ys):
-        return _row_dot(ys, gradients(xs).conj()).real
 
-    def rho_inf_pairs(xs, ys):
-        return (gradients(xs) * ys.conj()).sum(axis=-1)
+def _smooth_core(norm, gradients, bj_argmin) -> Core:
+    """A norm differentiable away from 0 with gradient functional v =
+    gradients(z), sum_k conj(v_k) z_k = N(z)^2: rho_plus(z, w) =
+    Re sum_k conj(v_k) w_k, rho_inf(z, w) = sum_k v_k conj(w_k), and the
+    Birkhoff-James slope is -|rho_inf|.  bj_argmin(z, w, rho_inf_pairs)
+    may start from rho_inf."""
 
-    def bj_slope_pairs(xs, ys):
-        v = rho_inf_pairs(xs, ys)
+    def norming(zs):
+        n = norm(zs)
+        return gradients(zs).conj() / np.where(n > 0, n, 1.0)[..., None]
+
+    def rho_plus_pairs(zs, ws):
+        return _row_dot(ws, gradients(zs).conj()).real
+
+    def rho_inf_pairs(zs, ws):
+        return (gradients(zs) * ws.conj()).sum(axis=-1)
+
+    def bj_slope_pairs(zs, ws):
+        v = rho_inf_pairs(zs, ws)
         return -np.hypot(v.real, v.imag)
 
-    def bj_argmin(x, y):
+    return Core(norm, norming, rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
+                lambda z, w: bj_argmin(z, w, rho_inf_pairs))
+
+
+def _power_core(p: float) -> Core:
+    """The p-norm for 1 < p < inf other than 2, scaled by the largest
+    modulus m so that every power stays in range: v_k = m |u|^(2-p)
+    |u_k|^(p-1) sgn(z_k), u = z/m."""
+
+    def bj_argmin(z, w, rho_inf_pairs):
         # started at the minimizer of p = 2
-        start = -rho_inf_pairs(x[None], y[None]).item()
-        return _power_sum_argmin(x, y, 1.0, p, start)
+        start = -rho_inf_pairs(z[None], w[None]).item()
+        return _power_sum_argmin(z, w, p, start)
 
-    return Kernel(norm, rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
-                  bj_argmin, _permuted_phases(dim), smooth=True, r_dual=0.0,
-                  frame=_frame(p, np.eye(dim), np.eye(dim)))
+    return _smooth_core(lambda zs: _power_norm(zs, p),
+                        lambda zs: _power_gradients(zs, p), bj_argmin)
 
 
-def _pd_kernel(g: np.ndarray) -> Kernel:
-    """sqrt(<x,x>) for a Hermitian positive-definite Gram matrix, which is
-    |A x|_2 for its Cholesky factor, G = A^H A."""
-    gt = g.T
-    a = np.linalg.cholesky(g).conj().T
+def _euclidean_core() -> Core:
+    """The 2-norm, sqrt(<z,z>) with <z,w> = sum_k z_k conj(w_k): v = z."""
 
-    def norm(xs):
-        # <x,x> = sum_a (G x)_a conj(x_a), real and >= 0 up to rounding;
-        # scaling by the largest coordinate keeps the quadratic form from
+    def norm(zs):
+        # scaling by the largest coordinate keeps the sum of squares from
         # overflowing for very large vectors
-        m = np.abs(xs).max(axis=-1)
-        safe = np.where(m > 0, m, 1)
-        scaled = xs / safe[..., None]
-        gx = _row_apply(scaled, gt)
-        q = (gx * scaled.conj()).sum(axis=-1).real
-        return m * np.sqrt(np.maximum(q, 0))
+        m = np.abs(zs).max(axis=-1)
+        scaled = zs / np.where(m > 0, m, 1)[..., None]
+        return m * np.sqrt((scaled * scaled.conj()).sum(axis=-1).real)
 
-    def rho_plus_pairs(xs, ys):
-        return _row_dot(ys.conj(), _row_apply(xs, gt)).real
+    def bj_argmin(z, w, rho_inf_pairs):
+        # the orthogonal projection: <z + xi w, w> = 0
+        zw, ww = rho_inf_pairs(np.stack((z, w)), np.stack((w, w)))
+        return -complex(zw) / ww.real
 
-    def rho_inf_pairs(xs, ys):
-        return (_row_apply(xs, gt) * ys.conj()).sum(axis=-1)
-
-    def bj_slope_pairs(xs, ys):
-        v = rho_inf_pairs(xs, ys)
-        return -np.hypot(v.real, v.imag)
-
-    def bj_argmin(x, y):
-        # the orthogonal projection: <x + xi y, y> = 0
-        xy, yy = rho_inf_pairs(np.stack((x, y)), np.stack((y, y)))
-        return -complex(xy) / yy.real
-
-    def isometry(rng):
-        # conjugate a unitary Q into the Gram geometry: A^{-1} Q A with
-        # G = A^H A; the phases every isometry draws first go unused
-        d = len(g)
-        _phases(rng, d)
-        z = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
-        q, _ = np.linalg.qr(z.reshape(d, d))
-        return np.linalg.solve(a, q @ a)
-
-    return Kernel(norm, rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
-                  bj_argmin, isometry, smooth=True, r_dual=0.0,
-                  frame=_frame(2.0, a, np.linalg.inv(a)))
+    return _smooth_core(norm, lambda zs: zs, bj_argmin)
 
 
 @dataclass(frozen=True, eq=False)
@@ -625,9 +607,10 @@ class NormSpec:
     """A tagged description of one norm on C^dim.
 
     Exactly one of the parameter fields is populated, according to family;
-    kernel holds the family's computations.  Use the factory functions
+    kernel holds the norm's computations.  Use the factory functions
     :func:`lp`, :func:`weighted_l1`, :func:`pd_inner`, :func:`polyhedral`
-    instead of the raw constructor: each picks the spec's kernel.
+    instead of the raw constructor: each validates its parameters and
+    builds the kernel from its exponent, its M and its isometry.
     """
 
     family: str
@@ -650,13 +633,8 @@ def lp(p: float, dim: int) -> NormSpec:
         raise ValueError("dim must be >= 1")
     if not (p >= 1.0):
         raise ValueError("lp norm requires p >= 1")
-    if p == 1.0:
-        kernel = _abs_sum_kernel(None, dim)
-    elif np.isinf(p):
-        kernel = _max_modulus_kernel(None, dim)
-    else:
-        kernel = _smooth_lp_kernel(p, dim)
-    return NormSpec(LP, dim, p=p, kernel=kernel)
+    eye = np.eye(dim)
+    return NormSpec(LP, dim, p=p, kernel=_kernel(p, eye, eye, _permuted_phases(dim)))
 
 
 def weighted_l1(weights) -> NormSpec:
@@ -668,11 +646,14 @@ def weighted_l1(weights) -> NormSpec:
         raise ValueError("weights must be finite and strictly positive")
     wc = w.copy()
     wc.setflags(write=False)
-    return NormSpec(WEIGHTED_L1, w.size, weights=wc, kernel=_abs_sum_kernel(wc, w.size))
+    # coordinate phases only: a permutation would have to permute the weights
+    return NormSpec(WEIGHTED_L1, w.size, weights=wc, kernel=_kernel(
+        1.0, np.diag(wc), np.diag(1.0 / wc), lambda rng: np.diag(_phases(rng, w.size))))
 
 
 def pd_inner(gram) -> NormSpec:
-    """Norm sqrt(<x,x>) from a Hermitian positive-definite Gram matrix."""
+    """Norm sqrt(<x,x>) from a Hermitian positive-definite Gram matrix,
+    which is |A x|_2 for its Cholesky factor, G = A^H A."""
     g = np.asarray(gram, dtype=np.complex128)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
         raise ValueError("gram must be a square matrix")
@@ -683,7 +664,19 @@ def pd_inner(gram) -> NormSpec:
     if eigs.min() <= VALIDATION_TOL * max(eigs.max(), 1.0):
         raise ValueError("gram must be positive definite")
     g = _frozen(g)
-    return NormSpec(PD_INNER, g.shape[0], gram=g, kernel=_pd_kernel(g))
+    d = len(g)
+    a = np.linalg.cholesky(g).conj().T
+
+    def isometry(rng):
+        # conjugate a unitary Q into the Gram geometry: A^{-1} Q A; the
+        # phases every isometry draws first go unused
+        _phases(rng, d)
+        z = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+        q, _ = np.linalg.qr(z.reshape(d, d))
+        return np.linalg.solve(a, q @ a)
+
+    return NormSpec(PD_INNER, d, gram=g,
+                    kernel=_kernel(2.0, a, np.linalg.inv(a), isometry))
 
 
 def polyhedral(functionals) -> NormSpec:
@@ -702,8 +695,10 @@ def polyhedral(functionals) -> NormSpec:
     if rank < f.shape[1]:
         raise ValueError("functionals do not separate points (rank deficient)")
     f = _frozen(f)
-    return NormSpec(POLYHEDRAL, f.shape[1], functionals=f,
-                    kernel=_max_modulus_kernel(f, f.shape[1]))
+    dim = f.shape[1]
+    # a global phase only
+    return NormSpec(POLYHEDRAL, dim, functionals=f, kernel=_kernel(
+        np.inf, f, None, lambda rng: _phases(rng, dim)[0] * np.eye(dim, dtype=np.complex128)))
 
 
 def check_dim(spec: NormSpec, x: np.ndarray) -> None:
@@ -763,12 +758,9 @@ class DualInfo:
 
 
 def dual_segment_constant(spec: NormSpec) -> DualInfo:
-    """Look up R(X*) for the spec's family.
-
-    This is a lookup table, not a computation: the duals of the supported
-    families are standard.  Polyhedral duals are reported unknown (except
-    in dimension one, where every norm is a multiple of the modulus).
-    """
+    """R(X*) as the kernel reads it from p and M^-1 (unknown on polyhedral
+    norms), and 0 in dimension one, where every norm is a multiple of the
+    modulus."""
     if spec.dim == 1:
         return DualInfo(0.0, TABLE)
     k = spec.kernel
@@ -816,10 +808,9 @@ def is_smooth_family(spec: NormSpec) -> bool:
 
 
 def is_inner_product_family(spec: NormSpec) -> bool:
-    """Whether the norm comes from an inner product: pd, lp with p = 2, and
-    every norm on C^1, a multiple of the modulus."""
-    return (spec.dim == 1 or spec.family == PD_INNER
-            or (spec.family == LP and spec.p == 2.0))
+    """Whether the norm comes from an inner product: every |M x|_2 (pd and
+    lp with p = 2), and every norm on C^1, a multiple of the modulus."""
+    return spec.dim == 1 or spec.kernel.frame.p == 2.0
 
 
 # --- text formats ------------------------------------------------------------

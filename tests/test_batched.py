@@ -1,7 +1,8 @@
 """The stacked evaluation against the single-pair forms, bit for bit.
 
 Each row of a kernel's pairs methods must equal a one-row call, which is
-the single-pair form, the stacked draws the per-index streams, and
+the single-pair form, each kernel the p-norm's closed forms on the images
+(M x, M y) of its frame, the stacked draws the per-index streams, and
 relation_compare, the sampled audits, the report suites and the stacked
 quadrature the per-index loops they replaced; those loops are kept here
 as the reference.
@@ -15,6 +16,7 @@ from normlab import checks, derivatives, orthogonality, rho_infinity, sampling
 from normlab.derivatives import NUMERIC_LIMIT, QUADRATURE
 from normlab.orthogonality import BJ_CANCEL_RTOL, DEFAULT_TOL, SamplerConfig
 from normlab.sampling import complex_gaussian, rng_for, sample_unit
+from normlab.spaces import _row_apply
 
 from conftest import POLY_ROWS, VERDICTS, family_specs, random_pd_gram
 from test_closed_forms import _tie
@@ -87,6 +89,68 @@ def test_pairs_methods_equal_the_single_pair_forms(name):
     # and every stacked value is a value: no overflow at 1e150, no 0/0 at 0
     assert np.isfinite(plus).all() and np.isfinite(inf).all()
     assert np.isfinite(slope).all()
+
+
+# every family's norm is |M x|_p; the non-identity Gram of the goldens and
+# the polyhedral norm of the tie tests beside one spec per family
+FRAME_SPECS = {
+    **{f"{s.family}{s.p or ''}-3": s for s in family_specs(3)},
+    "pd-golden": nl.parse_norm_spec(REPORT_NORMS["pdG"]),
+    "poly-rows": nl.polyhedral(POLY_ROWS),
+}
+
+
+def images(spec, xs):
+    """M x for each row x, as the kernel forms it: one row-wise product,
+    skipped where M is the identity."""
+    m = spec.kernel.frame.m
+    return xs if np.array_equal(m, np.eye(len(m))) else _row_apply(xs, m.T)
+
+
+def unit_rows(spec, xs, ys):
+    """The pairs of hard_pairs with neither side zero, scaled to unit norm."""
+    nx, ny = spec.kernel.norm(xs), spec.kernel.norm(ys)
+    live = (nx > 0) & (ny > 0)
+    return xs[live] / nx[live, None], ys[live] / ny[live, None]
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_SPECS))
+def test_kernels_are_the_p_norm_of_the_images(name):
+    # |x + t y| = |M x + t M y|_p, and every kernel computes it that way:
+    # its values are those of lp(p) on the rows (M x, M y), bit for bit
+    spec = FRAME_SPECS[name]
+    k = spec.kernel
+    lp_k = nl.lp(k.frame.p, k.frame.m.shape[0]).kernel
+    xs, ys = hard_pairs(spec, np.random.default_rng((23, spec.dim)))
+    zs, ws = images(spec, xs), images(spec, ys)
+    assert bits(k.norm(xs)) == bits(lp_k.norm(zs))
+    # the numeric limit's precision; an extended value's bytes include
+    # padding, so the values are compared
+    ext = xs.astype(np.clongdouble)
+    assert np.array_equal(k.norm(ext), lp_k.norm(images(spec, ext)))
+    assert bits(k.rho_plus_pairs(xs, ys)) == bits(lp_k.rho_plus_pairs(zs, ws))
+    assert bits(k.rho_inf_pairs(xs, ys)) == bits(lp_k.rho_inf_pairs(zs, ws))
+    assert bits(k.bj_slope_pairs(xs, ys)) == bits(lp_k.bj_slope_pairs(zs, ws))
+    for i, (x, y) in enumerate(zip(*unit_rows(spec, xs, ys))):
+        assert bits(k.bj_argmin(x, y)) == bits(
+            lp_k.bj_argmin(images(spec, x), images(spec, y))), i
+
+
+def test_gram_identity_is_the_two_norm():
+    # pd:gram=I skips its M = I, so it runs the p = 2 core of lp2
+    pd, l2 = nl.pd_inner(np.eye(3)).kernel, nl.lp(2, 3).kernel
+    xs, ys = hard_pairs(nl.lp(2, 3), np.random.default_rng((24, 3)))
+    for k in (pd, l2):
+        assert k.smooth and k.r_dual == 0.0
+    assert bits(pd.norm(xs)) == bits(l2.norm(xs))
+    ext = xs.astype(np.clongdouble)
+    assert np.array_equal(pd.norm(ext), l2.norm(ext))
+    for method in ("rho_plus_pairs", "rho_inf_pairs", "bj_slope_pairs"):
+        assert bits(getattr(pd, method)(xs, ys)) == bits(getattr(l2, method)(xs, ys)), method
+    for method in ("norming", "dual_norm", "dual_point"):
+        assert bits(getattr(pd.frame, method)(xs)) == bits(getattr(l2.frame, method)(xs)), method
+    for i, (x, y) in enumerate(zip(*unit_rows(nl.lp(2, 3), xs, ys))):
+        assert bits(pd.bj_argmin(x, y)) == bits(l2.bj_argmin(x, y)), i
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))

@@ -2,11 +2,13 @@
 
 Each command runs in-process through ``normlab.cli.main``; its stdout plus a
 trailing ``# exit <code>`` line is compared with ``tests/golden/<name>.out``.
-The set covers ``report`` on every family, ``search`` between the
+The set covers ``report`` on every family (pd twice: Gram I and a
+non-identity Gram), ``search`` between the
 Birkhoff-James and rho_inf relations on lp1, lp:inf and poly and from
 rho_plus to semi on lp3, ``analyze-map`` of diag(1, 2) on lp1 and lp2.5,
-and ``eval`` of all seven functionals on each family (the lp:inf eval is
-the pinned false-convergence reproducer x = 1,1,1).
+``eval`` of all seven functionals on each family (the lp:inf eval is
+the pinned false-convergence reproducer x = 1,1,1), and ``eval`` of
+rho_plus and rho_inf on the non-identity Gram.
 
 The goldens are tied to x86 80-bit extended precision, which the numeric
 limit uses for its difference quotients; elsewhere the test is skipped.
@@ -38,6 +40,7 @@ REPORT_NORMS = {
     "wl1": "wl1:w=0.5,1.0,2.0:dim=3",
     "pd": "pd:gram=I:dim=3",
     "poly": "poly:f=1,0;0,1;0.5+0.5i,0.5:dim=2",
+    "pdG": "pd:gram=2,0.5+0.3i,0.1;0.5-0.3i,1.5,0-0.2i;0.1,0+0.2i,1:dim=3",
 }
 
 # (norm, x, y) per family; lp:inf is the pinned reproducer
@@ -49,6 +52,10 @@ EVAL_PAIRS = {
     "pd": ("pd:gram=I:dim=3", "1,0+1i,0.5", "0.25,1,-1"),
     "poly": ("poly:f=1,0;0,1;0.5+0.5i,0.5:dim=2", "1,0.5-0.5i", "0.3+0.2i,-1"),
 }
+
+# a non-identity Gram matrix, whose norm |A x|_2 goes through its Cholesky
+# factor: rho_plus and rho_inf only
+EVAL_PAIRS_GRAM = {"pdG": (REPORT_NORMS["pdG"], *EVAL_PAIRS["pd"][1:])}
 
 SEARCH_NORMS = {**REPORT_NORMS, "lp3": "lp:p=3:dim=3"}
 
@@ -94,6 +101,11 @@ def commands() -> dict[str, list[str]]:
             cmds[f"eval-{key}-{name}"] = [
                 "eval", "--norm", norm, "--x", x, "--y", y,
                 "--functional", name, *extra, "--format", "jsonl"]
+    for key, (norm, x, y) in EVAL_PAIRS_GRAM.items():
+        for name in ("rho_plus", "rho_inf"):
+            cmds[f"eval-{key}-{name}"] = [
+                "eval", "--norm", norm, "--x", x, "--y", y,
+                "--functional", name, "--format", "jsonl"]
     return cmds
 
 

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import normlab as nl
-from normlab.spaces import norm_rows
+from normlab.spaces import is_inner_product_family, norm_rows
 
 from conftest import family_specs, gaussian_pair, random_pd_gram
 
@@ -119,6 +119,14 @@ def test_smoothness_flags():
     assert not nl.is_smooth_family(nl.lp(np.inf, 2))
     assert not nl.is_smooth_family(nl.weighted_l1([1, 2]))
     assert not nl.is_smooth_family(nl.polyhedral(np.eye(2)))
+    # the inner-product norms: every |M x|_2, and every norm on C^1
+    inner = [nl.pd_inner(np.eye(2)), nl.pd_inner(random_pd_gram(np.random.default_rng(6), 3)),
+             nl.lp(2, 3), nl.lp(1, 1), nl.lp(3, 1), nl.lp(np.inf, 1),
+             nl.weighted_l1([3.0]), nl.pd_inner([[2.0]]), nl.polyhedral([[2.0], [1j]])]
+    others = [nl.lp(1, 2), nl.lp(3, 2), nl.lp(np.inf, 2), nl.weighted_l1([1, 2]),
+              nl.polyhedral(np.eye(2))]
+    assert all(is_inner_product_family(s) for s in inner)
+    assert not any(is_inner_product_family(s) for s in others)
 
 
 def test_spec_text_roundtrip():
