@@ -40,6 +40,7 @@ from .rho_infinity import (
     rho_inf_traced,
     rho_n,
 )
+from .sampling import draw_scope
 from .spaces import (
     QUADRATURE,
     format_complex,
@@ -262,10 +263,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     spec = parse_norm_spec(args.norm)
     seed = _seed(args)
     records: list[dict] = []
-    for name in checks.SUITES:
-        if not checks.suite_applies(name, spec):
-            continue
-        records.extend(checks.run_suite(name, spec, args.samples, seed))
+    # the suites draw the same streams; each is drawn once per report
+    with draw_scope():
+        for name in checks.SUITES:
+            if not checks.suite_applies(name, spec):
+                continue
+            records.extend(checks.run_suite(name, spec, args.samples, seed))
     sys.stdout.write(render(records, args.format))
     passed = sum(1 for r in records if r["pass"])
     sys.stdout.write(f"passed {passed}/{len(records)}\n")

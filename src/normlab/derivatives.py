@@ -119,9 +119,9 @@ def rho_plus_directions(spec: NormSpec, xs, ys, *,
     arrays.  This is the shared engine behind the scalar functional, the
     roots-of-unity sums and the quadrature: rho_plus_rows is its one-row
     call.  The closed form is the kernel's rho_plus_pairs with each x
-    stacked against its directions, so every entry has the bits of
-    rho_plus(x, y) for that pair alone; the numeric limit takes every
-    pair in one pass over the step schedule.
+    broadcast against its directions: each x's side is computed once, and
+    every entry has the bits of rho_plus(x, y) for that pair alone.  The
+    numeric limit takes every pair in one pass over the step schedule.
     """
     xs = np.asarray(xs, dtype=np.complex128)
     ys = np.asarray(ys, dtype=np.complex128)
@@ -131,9 +131,8 @@ def rho_plus_directions(spec: NormSpec, xs, ys, *,
 
     path = CLOSED_FORM if force_path is None else force_path
     if path == CLOSED_FORM:
-        vals = spec.kernel.rho_plus_pairs(np.repeat(xs, m, axis=0),
-                                          ys.reshape(n * m, d))
-        return (vals.reshape(n, m), np.zeros((n, m)),
+        vals = spec.kernel.rho_plus_pairs(xs[:, None, :], ys)
+        return (vals, np.zeros((n, m)),
                 ~np.zeros((n, m), dtype=bool), CLOSED_FORM)
 
     if path != NUMERIC_LIMIT:

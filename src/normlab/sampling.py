@@ -14,6 +14,14 @@ per index, the PCG64 words one LCG step before the seeded state
 whose state words it writes in place; numpy's own step (one random_raw
 call) then finishes the seeding, so no index builds a generator, sets a
 state dict or multiplies 128-bit ints in Python.
+
+A report runs several suites on the same streams.  Inside draw_scope, a
+thread's gaussian_draws serves each (seed, keys, index range) from the
+normals it already drew for it: a stream's standard normals come in one
+order, so a narrower request reads a prefix of a wider draw bit for bit,
+and a wider request draws again.  The memo belongs to the scope, holds at
+most DRAW_MEMO_ENTRIES index ranges, hands out fresh arrays and is gone
+when the scope closes; outside any scope nothing is kept.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import ctypes
 import sys
 import threading
 from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -34,6 +43,11 @@ UNIT_MIN_NORM = 1e-8
 # most indices one batch of a sampled audit evaluates at once; bounds the
 # memory of a batch, which otherwise grows with the sample count
 BATCH_ROWS = 1024
+
+# most index ranges a draw_scope keeps, the least recently used going
+# first; a report draws 6, and the cap bounds the memo whatever the
+# sample count
+DRAW_MEMO_ENTRIES = 8
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64 seeding:
@@ -268,22 +282,27 @@ def index_batches(samples: int, doubling: bool = False) -> Iterator[range]:
         size = min(2 * size, BATCH_ROWS)
 
 
-def gaussian_draws(dim: int, seed: int, keys: Sequence[int],
-                   indices: Sequence[int], count: int = 2,
-                   extra: int = 0) -> list[np.ndarray]:
-    """The first count complex_gaussian draws of stream (seed, *keys, i)
-    for each i in indices, as count arrays of shape (len(indices), dim),
-    followed, when extra > 0, by the next extra standard normals of each
-    stream as one (len(indices), extra) array.
+@contextmanager
+def draw_scope():
+    """Share this thread's draws within the with block (see the module
+    docstring); a nested scope starts empty, and the outer one's memo is
+    back when it closes."""
+    outer = getattr(_per_thread, "memo", None)
+    _per_thread.memo = {}
+    try:
+        yield
+    finally:
+        _per_thread.memo = outer
 
-    One standard_normal call per index gives the same numbers as count
-    complex_gaussian calls and then standard_normal(extra) on that stream.
-    """
+
+def _draw_normals(seed: int, keys: Sequence[int], indices: Sequence[int],
+                  width: int) -> np.ndarray:
+    """The first width standard normals of stream (seed, *keys, i) for
+    each i in indices, as a (len(indices), width) array."""
     writer = _stream_writer()
     view, raw = writer.words, writer.bit_generator.random_raw
     normal = writer.generator.standard_normal
-    width = 2 * count * dim
-    g = np.empty((len(indices), width + extra))
+    g = np.empty((len(indices), width))
     # each index: write the words one step before its seeded state, let
     # random_raw take numpy's LCG step onto it, then draw (the generator
     # never draws 32-bit values, so has_uint32 stays 0)
@@ -291,11 +310,47 @@ def gaussian_draws(dim: int, seed: int, keys: Sequence[int],
         view[:] = words
         raw()
         normal(out=row)
+    return g
+
+
+def _normals(seed: int, keys: Sequence[int], indices: Sequence[int],
+             width: int) -> np.ndarray:
+    """_draw_normals, or at least its width columns: inside a draw_scope
+    an index range is served from the widest draw of it so far.  The
+    result may be the memo's own array, so the caller only reads it."""
+    memo = getattr(_per_thread, "memo", None)
+    if memo is None or not isinstance(indices, range):
+        return _draw_normals(seed, keys, indices, width)
+    key = (int(seed), tuple(map(int, keys)), indices)
+    g = memo.pop(key, None)
+    if g is None or g.shape[1] < width:
+        g = _draw_normals(seed, keys, indices, width)
+        if len(memo) >= DRAW_MEMO_ENTRIES:
+            del memo[next(iter(memo))]
+    memo[key] = g  # the most recently used is last
+    return g
+
+
+def gaussian_draws(dim: int, seed: int, keys: Sequence[int],
+                   indices: Sequence[int], count: int = 2,
+                   extra: int = 0) -> list[np.ndarray]:
+    """The first count complex_gaussian draws of stream (seed, *keys, i)
+    for each i in indices, as count arrays of shape (len(indices), dim),
+    followed, when extra > 0, by the next extra standard normals of each
+    stream as one (len(indices), extra) array.  Every array is new.
+
+    One standard_normal call per index gives the same numbers as count
+    complex_gaussian calls and then standard_normal(extra) on that stream.
+    """
+    width = 2 * count * dim
+    g = _normals(seed, keys, indices, width + extra)
     z = g[:, :width].reshape(-1, count, 2, dim)
     z = z[:, :, 0] + 1j * z[:, :, 1]
     draws = [np.ascontiguousarray(z[:, j]) for j in range(count)]
     if extra:
-        draws.append(np.ascontiguousarray(g[:, width:]))
+        # a copy: on one row the slice is contiguous already, and
+        # ascontiguousarray would return a view of g
+        draws.append(g[:, width:width + extra].copy())
     return draws
 
 

@@ -115,7 +115,10 @@ class Kernel:
     core's on the rows (M x, M y); M is skipped where it is the identity.
     norm(xs) is the norm over the last axis of xs, for any leading shape,
     in the precision of the input (complex128 or extended).  The three
-    closed forms take stacked (n, d) pairs, row i of xs with row i of ys:
+    closed forms take stacked (n, d) pairs, row i of xs with row i of ys;
+    rho_plus_pairs also broadcasts over leading axes, so xs of shape
+    (n, 1, d) against ys of (n, m, d) gives an (n, m) array and computes
+    each x's side (M x, and its gradient, support or active set) once.
     rho_plus_pairs is the right derivative, rho_inf_pairs the angular
     average and bj_slope_pairs min over t of rho_plus(x, e^{it} y), which
     is >= 0 iff x is Birkhoff-James orthogonal to y (James 1947: t ->
@@ -211,8 +214,8 @@ def _modulus(z: np.ndarray) -> np.ndarray:
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_k a_k b_k for each row pair, as one (1, d) @ (d, 1) product per
-    row."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    row; the leading axes of a and b broadcast."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _phases(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -359,7 +362,7 @@ def _max_modulus_core() -> Core:
 
     def rho_plus_pairs(zs, ws):
         nz, act, c = active(zs, ws)
-        return nz[:, 0] * np.where(act, c.real, -np.inf).max(axis=-1)
+        return nz[..., 0] * np.where(act, c.real, -np.inf).max(axis=-1)
 
     def rho_inf_pairs(zs, ws):
         nz, act, c = active(zs, ws)

@@ -167,6 +167,52 @@ def test_rho_plus_rows_equals_rho_plus_per_direction(name):
         assert bits(got) == bits([nl.rho_plus(spec, x, y).value for y in ys])
 
 
+# every core, the non-identity Gram of the goldens and a polyhedral M
+DIRECTION_SPECS = {
+    "lp1": nl.lp(1, 3),
+    "lp2": nl.lp(2, 3),
+    "lp2.5": nl.lp(2.5, 3),
+    "lpinf": nl.lp(np.inf, 3),
+    "wl1": nl.weighted_l1([0.5, 1.0, 2.0]),
+    "pdG": nl.parse_norm_spec(REPORT_NORMS["pdG"]),
+    "poly": nl.polyhedral(POLY_ROWS),
+}
+
+
+def repeated_directions(spec, xs, ys):
+    """The closed form of rho_plus_directions with each x repeated once per
+    direction: one stacked call on (n m, d) pairs."""
+    n, m, d = ys.shape
+    return spec.kernel.rho_plus_pairs(np.repeat(xs, m, axis=0),
+                                      ys.reshape(n * m, d)).reshape(n, m)
+
+
+@pytest.mark.parametrize("name", sorted(DIRECTION_SPECS))
+def test_directions_broadcast_equals_the_repeated_pairs(name):
+    # rho_plus_directions computes each x's side once and broadcasts it over
+    # the directions; that must not move a bit
+    spec = DIRECTION_SPECS[name]
+    rng = np.random.default_rng((25, spec.dim))
+    xs, ys = hard_pairs(spec, rng)
+    # exact ties: coordinates of modulus 1 exactly, on 2 and 3 of them
+    xs[:4] = [[1, 1j, -1], [-1j, 0.5, 1], [1, -1, 0.25j], [1j, -1j, 1]]
+    if spec.p == 1.0:
+        assert (xs == 0).any(axis=1).sum() > 10
+    if spec.p == np.inf:
+        top = np.abs(xs) == np.abs(xs).max(axis=1, keepdims=True)
+        assert (top.sum(axis=1) == 3).sum() >= 2
+    # the roots-of-unity directions of rho_n and the quadrature, then
+    # Gaussian ones, a zero direction and -y
+    roots = np.exp(2j * np.pi * np.arange(16) / 16)
+    gauss = rng.standard_normal((len(xs), 8, 3)) + 1j * rng.standard_normal((len(xs), 8, 3))
+    dirs = np.concatenate((roots[None, :, None] * ys[:, None, :], gauss,
+                           np.zeros_like(ys)[:, None], -ys[:, None]), axis=1)
+    vals, errs, conv, path = derivatives.rho_plus_directions(spec, xs, dirs)
+    assert path == derivatives.CLOSED_FORM and vals.shape == dirs.shape[:2]
+    assert bits(vals) == bits(repeated_directions(spec, xs, dirs))
+    assert not errs.any() and conv.all()
+
+
 def test_stacked_arithmetic_matches_python_scalars():
     # the batched code relies on these numpy forms giving Python's bits:
     # np.float_power for float ** 2 (numpy's ** 2 squares), the parts of a

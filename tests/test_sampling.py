@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from normlab import sampling
+from normlab.cli import main
 from normlab.sampling import _stream_states, gaussian_draws, rng_for
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**70 + 5]
@@ -169,3 +170,121 @@ def test_a_word_order_that_does_not_read_back_raises(monkeypatch):
     monkeypatch.setattr(sampling, "_WORD_ORDERS", ([2, 3, 0, 1],))
     with pytest.raises(RuntimeError, match="word order"):
         sampling._StreamWriter()
+
+
+# --- the draw scope of a report ---------------------------------------------
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """The (seed, keys, indices) of every _stream_states call, in order."""
+    calls = []
+
+    def counting(seed, keys, indices):
+        calls.append((seed, tuple(keys), indices))
+        return _stream_states(seed, keys, indices)
+
+    monkeypatch.setattr(sampling, "_stream_states", counting)
+    return calls
+
+
+def test_a_report_hashes_each_stream_batch_once(hashed, capsys):
+    # its suites draw 12 times, from 6 stream batches: 7 draws of stream
+    # (seed, i) and one of each key of the bounds and preservation audits
+    argv = ["report", "--norm", "lp:p=2.5:dim=4", "--samples", "30", "--seed", "7"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert len(hashed) == len(set(hashed)) == 6
+    # nothing outlives the report: the next one hashes every stream again
+    assert getattr(sampling._per_thread, "memo", None) is None
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert hashed[6:] == hashed[:6]
+
+
+def test_a_scope_serves_prefixes_and_redraws_wider(hashed):
+    # outside a scope nothing is kept: the narrow draw hashes again
+    wide = [z.tobytes() for z in gaussian_draws(2, 5, (3,), range(6), extra=7)]
+    narrow = [z.tobytes() for z in gaussian_draws(3, 5, (3,), range(6), count=1)]
+    assert len(hashed) == 2
+    with sampling.draw_scope():
+        # count 1 of dim 3 reads the first 6 of the 15 normals of dim 2
+        assert [z.tobytes() for z in gaussian_draws(2, 5, (3,), range(6), extra=7)] == wide
+        assert [z.tobytes() for z in gaussian_draws(3, 5, (3,), range(6), count=1)] == narrow
+        assert len(hashed) == 3
+        # a wider request draws again; other keys and ranges are their own
+        z, g = gaussian_draws(1, 5, (3,), range(6), count=1, extra=15)
+        want = np.array([rng_for(5, 3, i).standard_normal(17) for i in range(6)])
+        assert z.tobytes() == (want[:, :1] + 1j * want[:, 1:2]).tobytes()
+        assert g.tobytes() == want[:, 2:].tobytes()
+        serial_draws(5, (4,), range(6))
+        serial_draws(5, (3,), range(1, 6))
+        # an index list is drawn every time
+        serial_draws(5, (3,), [0, 1])
+        serial_draws(5, (3,), [0, 1])
+        assert len(hashed) == 8
+    assert sampling._per_thread.memo is None
+
+
+def test_a_scope_keeps_at_most_its_entry_cap(hashed):
+    cap = sampling.DRAW_MEMO_ENTRIES
+    with sampling.draw_scope():
+        for start in range(cap + 3):
+            gaussian_draws(3, 1, (), range(start, start + 2))
+        assert len(sampling._per_thread.memo) == cap
+        # the least recently used went first: the last cap ranges are kept
+        for start in range(3, cap + 3):
+            gaussian_draws(3, 1, (), range(start, start + 2))
+        assert len(hashed) == cap + 3
+        gaussian_draws(3, 1, (), range(0, 2))
+        assert len(hashed) == cap + 4
+
+
+def test_a_nested_scope_restores_the_outer_memo(hashed):
+    with sampling.draw_scope():
+        outer = sampling._per_thread.memo
+        serial_draws(2, (), range(3))
+        with sampling.draw_scope():
+            serial_draws(2, (), range(3))
+        assert sampling._per_thread.memo is outer
+        serial_draws(2, (), range(3))
+    assert len(hashed) == 2
+
+
+def test_each_thread_has_its_own_memo(hashed):
+    seen = {}
+
+    def run():
+        seen["outside"] = getattr(sampling._per_thread, "memo", None)
+        serial_draws(0, (2,), range(5))
+        with sampling.draw_scope():
+            serial_draws(0, (2,), range(5))
+            seen["own"] = sampling._per_thread.memo
+
+    with sampling.draw_scope():
+        serial_draws(0, (2,), range(5))
+        t = threading.Thread(target=run)
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+        # this thread's memo is untouched, and still serves its draw
+        mine = sampling._per_thread.memo
+        assert seen["outside"] is None and seen["own"] is not mine
+        assert list(mine) == [(0, (2,), range(5))]
+        serial_draws(0, (2,), range(5))
+    assert len(hashed) == 3
+
+
+@pytest.mark.parametrize("indices", [range(1), range(3, 8)], ids=["one-row", "five-rows"])
+def test_returned_draws_do_not_alias_the_memo(indices):
+    # on one row the extra normals g[:, width:] are contiguous already, and
+    # a view of them would carry the writes below into the memo
+    want = stream_draws(4, (), indices)
+    with sampling.draw_scope():
+        for _ in range(2):
+            got = gaussian_draws(3, 4, (), indices, extra=2)
+            assert [z.tobytes() for z in got] == want
+            for z in got:
+                z[...] = np.nan
+        (x,) = gaussian_draws(3, 4, (), indices, count=1)
+        assert x.tobytes() == want[0]
