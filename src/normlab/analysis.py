@@ -21,7 +21,7 @@ from .errors import DimensionMismatchError, RUnknownError, ZeroMapError
 from .orthogonality import RHO_INF, check_tol, construct_pairs, relation_residuals
 from .sampling import gaussian_draws, index_batches, unit_draws
 from .spaces import (NormSpec, _modulus, _row_apply, dual_segment_constant,
-                     format_cvector, lp, operator_norm_formula)
+                     format_cvector, operator_norm_formula)
 
 UNIVERSAL_4_OVER_PI = "4_over_pi"
 DUAL_CONSTANT = "dual_constant"
@@ -233,8 +233,9 @@ class MapAnalysis:
     unit pairs.  operator_norm_exact says whether est is |T| up to
     rounding: always where spaces.operator_norm_formula has a closed form
     (from an abs-sum domain, lp1 or wl1, into any codomain, from any
-    domain but poly into a max-modulus codomain, lp inf or poly, and
-    between pd and lp2), and between two frames of one exponent p (smooth
+    domain into a max-modulus codomain, lp inf or poly, where a poly
+    domain's dual norm is certified to its duality gap, and between pd
+    and lp2), and between two frames of one exponent p (smooth
     lp into smooth lp) where the estimate reaches the Riesz-Thorin bound,
     as on scalar multiples of monomial maps (operator_norm_estimate).
     Elsewhere est is an iterated lower estimate.
@@ -268,10 +269,6 @@ def _check_map(spec_dom: NormSpec, spec_cod: NormSpec, t: np.ndarray) -> np.ndar
 # most this many steps; a row stops earlier once its ratio stops rising
 ASCENT_ROWS = 4
 ASCENT_STEPS = 100
-
-# |z| on C^1: the codomain of a functional, whose operator norm is its dual
-# norm
-MODULUS = lp(1.0, 1)
 
 # an estimate within this relative distance of the Riesz-Thorin bound is
 # |T| up to rounding; over 12,240 lp isometries, their multiples by 3.7 and
@@ -327,121 +324,6 @@ def _power_ascent(spec_dom, spec_cod, t, xs, ratios, reach):
     return xs
 
 
-def _min_norm_point(points: np.ndarray) -> np.ndarray:
-    """The point of least 2-norm in the convex hull of the rows of points
-    (complex vectors, read as vectors of R^2d), by Wolfe's algorithm
-    (Math. Programming 11, 1976): add the point that most lowers the norm,
-    then drop points until the affine minimum of the kept ones has
-    positive weights."""
-    n = len(points)
-    # the Gram matrix bordered by ones: the affine minimum over a set S of
-    # points has weights mu with [G_S 1; 1 0] [mu; nu] = [0; 1]
-    kkt = np.ones((n + 1, n + 1))
-    kkt[:n, :n] = (points.conj() @ points.T).real
-    kkt[n, n] = 0.0
-    diag = kkt.diagonal()[:n]
-    tol = 1e-12 * diag.max()
-    kept, lam = [int(np.argmin(diag))], np.ones(1)
-    for _ in range(4 * n):
-        dots = kkt[:n, kept] @ lam  # <p_j, x>
-        j = int(np.argmin(dots))
-        if j in kept or lam @ dots[kept] - dots[j] <= tol:
-            break
-        kept, lam = kept + [j], np.append(lam, 0.0)
-        while True:
-            idx = kept + [n]
-            rhs = np.zeros(len(idx))
-            rhs[-1] = 1.0
-            mu = np.linalg.solve(kkt[idx][:, idx], rhs)[:-1]
-            if (mu > 0).all():
-                lam = mu
-                break
-            # move toward mu until a weight reaches 0, and drop that point
-            out = mu <= 0
-            step = np.where(out, lam / np.where(out, lam - mu, 1.0), np.inf)
-            i = int(np.argmin(step))
-            lam = lam + step[i] * (mu - lam)
-            keep = lam > 0
-            keep[i] = False
-            kept, lam = [q for q, on in zip(kept, keep) if on], lam[keep]
-    return lam @ points[kept]
-
-
-def _subgradient_ascent(spec_dom, spec_cod, maps, xs):
-    """Ascent of log |T x|_cod - log |x|_dom for a max-modulus domain with
-    no closed-form dual map (polyhedral), row i under its own map maps[i];
-    a row's step is halved on failure.
-
-    A single subgradient of the domain norm zigzags across the ridges where
-    two |f_j x| tie, and the maximum lies where d of them do.  So each row
-    steps along the shortest element of the subgradients over the
-    functionals within half its step of the maximum (gradient
-    sampling): its inner product with every one of them is positive, so
-    the step climbs along the ridge.  A step that raises log r by a tenth
-    of the first-order gain (Armijo) is doubled, up to 1/2, one that does
-    not is halved; the row stops once its step is below rounding.  Steps
-    are relative to the length of x.
-    """
-    dom, cod = spec_dom.kernel, spec_cod.kernel
-    f = dom.frame.m  # the functionals, as rows
-
-    def image(rows, x):
-        return (maps[rows] @ x[:, :, None])[:, :, 0]
-
-    ratios = cod.norm(image(slice(None), xs)) / dom.norm(xs)
-    steps = np.full(len(xs), 0.5)
-    live = np.flatnonzero(ratios > 0)  # J_cod(0) = 0 leads nowhere
-    for _ in range(ASCENT_STEPS):
-        if not live.size:
-            break
-        x = xs[live]
-        y = image(live, x)
-        # gradients of log |T x|_cod and of each log |f_j x|
-        pull = (cod.frame.norming(y)[:, None, :] @ maps[live])[:, 0, :]
-        up_grad = pull.conj() / cod.norm(y)[:, None]
-        fx = _row_apply(x, f.T)
-        mod = np.abs(fx)
-        moves = np.empty_like(x)
-        for i, row in enumerate(live):
-            near = mod[i] >= (1.0 - 0.5 * steps[row]) * mod[i].max()
-            down = fx[i, near, None] * f[near].conj() / mod[i, near, None] ** 2
-            moves[i] = _min_norm_point(up_grad[i] - down)
-        size = np.linalg.norm(moves, axis=1)
-        moving = size > 1e-15 * np.linalg.norm(up_grad, axis=1)
-        length = steps[live] * np.linalg.norm(x, axis=1)
-        new = x + (length / np.where(moving, size, 1.0))[:, None] * moves
-        r = cod.norm(image(live, new)) / dom.norm(new)
-        # log r rises at a rate >= size along the move; ask for a tenth of it
-        up = moving & (r > ratios[live] * np.exp(0.1 * length * size))
-        xs[live[up]] = new[up] / dom.norm(new[up])[:, None]
-        ratios[live[up]] = r[up]
-        steps[live] = np.where(up, np.minimum(2.0 * steps[live], 0.5), 0.5 * steps[live])
-        live = live[steps[live] > 1e-15]
-    return xs
-
-
-def _polyhedral_ascent(spec_dom, spec_cod, t, xs, ratios):
-    """The subgradient ascent on a polyhedral domain, from the candidates
-    xs with their ratios.
-
-    Into a max-modulus codomain |T| = max_j dual_dom(f_j T), and the dual
-    norm, sup |g x| / |x|, has no local maximum below its maximum (on the
-    segment from a unit x to a unit maximizer, |g x| grows linearly and
-    |x| stays <= 1).  So each f_j T is ascended as a map into C^1 from its
-    best candidate.  Elsewhere the ratio of T is ascended from the best
-    ASCENT_ROWS candidates.
-    """
-    cod = spec_cod.kernel.frame
-    if np.isinf(cod.p):
-        gs = cod.m @ t
-        scores = np.abs(_row_apply(xs, gs.T)) / spec_dom.kernel.norm(xs)[:, None]
-        return _subgradient_ascent(spec_dom, MODULUS, gs[:, None, :],
-                                   xs[np.argmax(scores, axis=0)])
-    top = np.argsort(-ratios, kind="stable")[:ASCENT_ROWS]
-    return _subgradient_ascent(spec_dom, spec_cod, np.broadcast_to(t, (len(top),) + t.shape),
-                               xs[top])
-
-
 def operator_norm_estimate(spec_dom: NormSpec, spec_cod: NormSpec, t,
                            samples: int = 200,
                            seed: int = 42) -> tuple[float, np.ndarray]:
@@ -457,10 +339,10 @@ def operator_norm_estimate(spec_dom: NormSpec, spec_cod: NormSpec, t,
     the candidates are the basis vectors and seeded unit-sphere samples,
     scored in one stacked pass.  The best ASCENT_ROWS of them run Boyd's
     power iteration as one stack, each row until its ratio stops rising or
-    comes within NORM_BOUND_RTOL of U; a polyhedral domain, which has no
-    closed-form dual map, takes the subgradient ascent instead (see
-    _polyhedral_ascent).  The estimate is the best ratio reached; samples
-    and seed matter only there.  Returns (estimate, attaining unit vector).
+    comes within NORM_BOUND_RTOL of U; on a polyhedral domain the dual map
+    of each step is the frame's certified solver.  The estimate is the
+    best ratio reached; samples and seed matter only there.  Returns
+    (estimate, attaining unit vector).
     """
     return _operator_norm(spec_dom, spec_cod, _check_map(spec_dom, spec_cod, t),
                           samples, seed)[:2]
@@ -481,11 +363,8 @@ def _operator_norm(spec_dom, spec_cod, t, samples, seed):
             (drawn,) = unit_draws(spec_dom, seed, (3,), range(int(samples)), count=1)
             xs = np.concatenate((xs, drawn))
             ratios = np.concatenate((ratios, _ratios(spec_dom, spec_cod, t, drawn)))
-            if spec_dom.kernel.dual_norm is None:
-                xs = _polyhedral_ascent(spec_dom, spec_cod, t, xs, ratios)
-            else:
-                top = np.argsort(-ratios, kind="stable")[:ASCENT_ROWS]
-                xs = _power_ascent(spec_dom, spec_cod, t, xs[top], ratios[top], reach)
+            top = np.argsort(-ratios, kind="stable")[:ASCENT_ROWS]
+            xs = _power_ascent(spec_dom, spec_cod, t, xs[top], ratios[top], reach)
             ratios = _ratios(spec_dom, spec_cod, t, xs)
         k = int(np.argmax(ratios))
         best, x = float(ratios[k]), xs[k]

@@ -209,7 +209,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise SpecParseError(f"unknown suite {args.suite!r}; choose from "
                              + ", ".join(sorted(checks.SUITES)))
     spec = parse_norm_spec(args.norm)
-    records = checks.run_suite(args.suite, spec, args.samples, _seed(args))
+    # a suite may draw one stream twice (rho-n-props: on the spec and its pd)
+    with draw_scope():
+        records = checks.run_suite(args.suite, spec, args.samples, _seed(args))
     out = render(records, args.format)
     passed = sum(1 for r in records if r["pass"])
     sys.stdout.write(out)

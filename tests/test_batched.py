@@ -153,6 +153,22 @@ def test_gram_identity_is_the_two_norm():
         assert bits(pd.bj_argmin(x, y)) == bits(l2.bj_argmin(x, y)), i
 
 
+@pytest.mark.parametrize("name", ["poly-3", "poly-rows"])
+def test_polyhedral_dual_rows_equal_the_one_row_calls(name):
+    # the solver steps every row on its own, however many are stacked:
+    # Gaussian functionals, zero coordinates, zero rows, extreme scales and
+    # each f_j with a phase, whose maximizer is a face of the unit ball
+    spec = KERNEL_SPECS[name]
+    frame = spec.kernel.frame
+    gs, _ = hard_pairs(spec, np.random.default_rng((25, spec.dim)))
+    phases = np.exp(1j * np.random.default_rng(26).uniform(0, 2 * np.pi, len(frame.m)))
+    gs = np.concatenate((gs, phases[:, None] * frame.m))
+    xs, values = frame.dual_point(gs), frame.dual_norm(gs)
+    for i, g in enumerate(gs):
+        assert bits(frame.dual_point(g[None])) == bits(xs[i:i + 1]), i
+        assert bits(frame.dual_norm(g[None])) == bits(values[i:i + 1]), i
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
 def test_rho_plus_rows_equals_rho_plus_per_direction(name):
     # the engine of rho_n, rho_minus, rho_milicic and the quadrature gives

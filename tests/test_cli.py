@@ -54,6 +54,12 @@ def test_eval_parse_error_exits_2(capsys):
     assert code == 2 and "error" in err
 
 
+def test_eval_unread_spec_field_exits_2(capsys):
+    code, out, err = run_cli(capsys, "eval", "--norm", "lp:p=2:dim=2:bogus=1",
+                             "--x", "1,0", "--y", "0,1", "--functional", "rho_plus")
+    assert code == 2 and not out and "bogus" in err
+
+
 def test_eval_bad_lambda_exits_2(capsys):
     code, _, err = run_cli(capsys, "eval", "--norm", "lp:p=1:dim=2",
                            "--x", "1,0", "--y", "0,1",

@@ -5,10 +5,10 @@ trailing ``# exit <code>`` line is compared with ``tests/golden/<name>.out``.
 The set covers ``report`` on every family (pd twice: Gram I and a
 non-identity Gram), ``search`` between the
 Birkhoff-James and rho_inf relations on lp1, lp:inf and poly and from
-rho_plus to semi on lp3, ``analyze-map`` of diag(1, 2) on lp1 and lp2.5,
-``eval`` of all seven functionals on each family (the lp:inf eval is
-the pinned false-convergence reproducer x = 1,1,1), and ``eval`` of
-rho_plus and rho_inf on the non-identity Gram.
+rho_plus to semi on lp3, ``analyze-map`` of diag(1, 2) on lp1, lp2.5 and
+the golden poly, ``eval`` of all seven functionals on each family (the
+lp:inf eval is the pinned false-convergence reproducer x = 1,1,1), and
+``eval`` of rho_plus and rho_inf on the non-identity Gram.
 
 The goldens are tied to x86 80-bit extended precision, which the numeric
 limit uses for its difference quotients; elsewhere the test is skipped.
@@ -90,8 +90,10 @@ def commands() -> dict[str, list[str]]:
         cmds[f"search-{key}-{a}-{b}"] = [
             "search", "--norm", SEARCH_NORMS[key], "--a", a, "--b", b,
             "--samples", str(samples), "--seed", "42", "--format", "jsonl"]
-    # diag(1, 2) on lp1 (closed form) and on lp2.5 (the Riesz-Thorin bound)
-    for key, norm in (("lp1", "lp:p=1:dim=2"), ("lp2.5", "lp:p=2.5:dim=2")):
+    # diag(1, 2) on lp1 (closed form), on lp2.5 (the Riesz-Thorin bound)
+    # and on the golden poly (closed form through the certified dual norm)
+    for key, norm in (("lp1", "lp:p=1:dim=2"), ("lp2.5", "lp:p=2.5:dim=2"),
+                      ("poly", REPORT_NORMS["poly"])):
         cmds[f"analyze-map-{key}-diag12"] = [
             "analyze-map", "--norm", norm,
             "--matrix", str(GOLDEN / "diag_1_2.txt"), "--samples", "100",

@@ -8,13 +8,14 @@ shorter than the 4-word pool and longer (keys (1, 2, 3, 4, 5)), past the
 precomputed hash constants (40 keys), and indices on both sides of 2**32.
 """
 
+import contextlib
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from normlab import sampling
+from normlab import cli, sampling
 from normlab.cli import main
 from normlab.sampling import _stream_states, gaussian_draws, rng_for
 
@@ -200,6 +201,22 @@ def test_a_report_hashes_each_stream_batch_once(hashed, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == first
     assert hashed[6:] == hashed[:6]
+
+
+def test_a_check_hashes_its_stream_batch_once(hashed, capsys, monkeypatch):
+    # rho-n-props draws x, y on the spec and u, v on its pd spec from the
+    # batch of stream (seed, i); check opens a scope, as report does
+    argv = ["check", "--suite", "rho-n-props", "--norm", "lp:p=2.5:dim=4",
+            "--samples", "30", "--seed", "42"]
+    assert main(argv) == 0
+    scoped = capsys.readouterr().out
+    assert hashed.count((42, (), range(0, 30))) == 1
+    # without the scope each draw hashes again, and prints the same
+    monkeypatch.setattr(cli, "draw_scope", contextlib.nullcontext)
+    hashed.clear()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == scoped
+    assert hashed.count((42, (), range(0, 30))) == 2
 
 
 def test_a_scope_serves_prefixes_and_redraws_wider(hashed):

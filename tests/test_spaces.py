@@ -150,6 +150,24 @@ def test_spec_parse_errors():
             nl.parse_norm_spec(bad)
 
 
+@pytest.mark.parametrize("text", [
+    "wl1:w=1,2:p=7",  # a field the family does not read
+    "lp:p=2:dim=2:bogus=1",
+    "pd:gram=I:dim=2:f=1,0",
+    "lp:p=1:p=3:dim=2",  # a repeated field
+    "poly:f=1,0;0,1:dim=2:dim=2",
+])
+def test_spec_fields_that_are_unread_or_repeated_are_rejected(text):
+    with pytest.raises(nl.SpecParseError):
+        nl.parse_norm_spec(text)
+
+
+def test_dim_is_accepted_on_every_family():
+    for text in ("lp:p=3:dim=2", "wl1:w=1,2:dim=2", "pd:gram=2,0;0,1:dim=2",
+                 "poly:f=1,0;0,1;1,1:dim=2"):
+        assert nl.parse_norm_spec(text).dim == 2
+
+
 def test_complex_literal_examples():
     assert nl.parse_complex("1") == 1.0
     assert nl.parse_complex("-2.5") == -2.5
