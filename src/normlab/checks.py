@@ -11,11 +11,12 @@ Every suite evaluates its samples a batch at a time
 translation, lp1-closed-form and smooth-equivalence draw a batch with
 unit_draws and evaluate it through the stacked forms, namely the kernels'
 pairs methods, rho_plus_directions (the numeric limit included),
-limit_quotient_tables, rho_n_pairs, quadrature_pairs and
-relation_residuals; bounds, symmetry-detector and preservation run the
-batched audits of analysis.  Sample i draws x, y and then any scalars
-from stream (seed, i), and every record has the bits of a loop over the
-samples with the single-pair functions.
+limit_quotient_tables, rho_n_stack, quadrature_pairs and
+relation_residuals, with the directions taken at one base point in one
+stack; bounds, symmetry-detector and preservation run the batched audits
+of analysis.  Sample i draws x, y and then any scalars from stream
+(seed, i), and every record has the bits of a loop over the samples with
+the single-pair functions; nd1 holds by definition and is not evaluated.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .orthogonality import (
     construct_pairs,
     relation_residuals,
 )
-from .rho_infinity import quadrature_pairs, rho_n_pairs
+from .rho_infinity import quadrature_pairs, rho_n_stack
 from .sampling import index_batches, rng_for, unit_draws
 from .spaces import (
     NormSpec,
@@ -88,25 +89,25 @@ def _rho_plus(spec: NormSpec, xs: np.ndarray, ys: np.ndarray,
 
 
 def check_nd_properties(spec: NormSpec, samples: int, seed: int) -> list[dict]:
-    """(nd1)-(nd4) plus convexity monotonicity of the quotient steps."""
+    """(nd1)-(nd4) plus convexity monotonicity of the quotient steps.
+
+    nd1 holds by definition (derivatives.rho_minus is -rho_plus(x, -y)),
+    so it is not evaluated and reads 0; ROADMAP.md item 4 owns its replacement.
+    """
     suite = "nd-properties"
-    nd1 = nd2 = nd3 = nd4 = mono = 0.0
+    nd2 = nd3 = nd4 = mono = 0.0
     for batch in index_batches(int(samples)):
         x, y, a, b = _pairs(spec, seed, batch, scalars=2)
-        # nd1: rho_minus(x, y) = -rho_plus(x, -y); rho_minus is defined by
-        # this identity, so both sides are the one deterministic numeric-limit
-        # evaluation and nd1 is 0 by construction
-        minus = -_rho_plus(spec, x, -y, NUMERIC_LIMIT)[0]
-        nd1 = max(nd1, float(np.abs(minus - minus).max()))
-        # nd2: rho_plus(x, a x + y) = Re(a) |x|^2 + rho_plus(x, y)
-        va, ea = _rho_plus(spec, x, a[:, None] * x + y)
-        vb, eb = _rho_plus(spec, x, y)
+        # nd2: rho_plus(x, a x + y) = Re(a) |x|^2 + rho_plus(x, y), and
+        # nd3: rho_plus(a x, b y) = |ab| rho_plus(x, e^{i(arg b - arg a)} y),
+        # with the three directions at x in one stack
+        phase = np.exp(1j * (np.angle(b) - np.angle(a)))
+        vals, errs = rho_plus_directions(spec, x, np.stack(
+            [a[:, None] * x + y, y, phase[:, None] * y], axis=1))[:2]
+        (va, vb, vr), (ea, eb, er) = vals.T, errs.T
         allow = np.maximum(1e-8, 2.0 * (ea + eb))
         nd2 = max(nd2, float((np.abs(va - (a.real + vb)) / allow).max()))
-        # nd3: rho_plus(a x, b y) = |ab| rho_plus(x, e^{i(arg b - arg a)} y)
         vl, el = _rho_plus(spec, a[:, None] * x, b[:, None] * y)
-        phase = np.exp(1j * (np.angle(b) - np.angle(a)))
-        vr, er = _rho_plus(spec, x, phase[:, None] * y)
         ab = _modulus(_product(a, b))
         allow = np.maximum(1e-8, 2.0 * (el + ab * er)) * np.maximum(1.0, ab)
         nd3 = max(nd3, float((np.abs(vl - ab * vr) / allow).max()))
@@ -117,7 +118,7 @@ def check_nd_properties(spec: NormSpec, samples: int, seed: int) -> list[dict]:
         quot = limit_quotient_tables(spec, x, y)
         mono = max(mono, float((quot[:, 1:] - quot[:, :-1]).max()))
     return [
-        record(suite, "nd1-independent-limits", nd1, 0.0, 1e-12, nd1 <= 1e-12, seed),
+        record(suite, "nd1-independent-limits", 0.0, 0.0, 1e-12, True, seed),
         record(suite, "nd2-translation", nd2, 1.0, 0.0, nd2 <= 1.0, seed),
         record(suite, "nd3-phase-homogeneity", nd3, 1.0, 0.0, nd3 <= 1.0, seed),
         record(suite, "nd4-cauchy-schwarz", nd4, 0.0, 1e-9, nd4 <= 1e-9, seed),
@@ -130,20 +131,19 @@ def check_rho_n_props(spec: NormSpec, samples: int, seed: int) -> list[dict]:
     """rho_n properties for n in {3,4,7,16}: norm recovery, bound, inner product."""
     suite = "rho-n-props"
     ns = (3, 4, 7, 16)
-    d_self = d_bound = 0.0
+    d_self = d_bound = d_ip = 0.0
     pd_spec = spec if spec.gram is not None else pd_inner(np.eye(spec.dim))
-    d_ip = 0.0
     for batch in index_batches(int(samples)):
         x, y = _pairs(spec, seed, batch)
         u, v = _pairs(pd_spec, seed, batch)
         inner = pd_spec.kernel.rho_inf_pairs(u, v)
-        for n in ns:
-            self_n = rho_n_pairs(spec, x, x, n)[0]
-            pair_n = rho_n_pairs(spec, x, y, n)[0]
-            ip_n = rho_n_pairs(pd_spec, u, v, n)[0]
-            d_self = max(d_self, float(_modulus(self_n - 1.0).max()))
-            d_bound = max(d_bound, float((_modulus(pair_n) - 2.0).max()))
-            d_ip = max(d_ip, float(_modulus(ip_n - inner).max()))
+        # every n at once: directions x and y at x, and v at u on pd_spec
+        stack = rho_n_stack(spec, x, np.stack([x, y], axis=1), ns)
+        ips = rho_n_stack(pd_spec, u, v[:, None, :], ns)
+        for (vals, *_), (ip, *_) in zip(stack, ips):
+            d_self = max(d_self, float(_modulus(vals[:, 0] - 1.0).max()))
+            d_bound = max(d_bound, float((_modulus(vals[:, 1]) - 2.0).max()))
+            d_ip = max(d_ip, float(_modulus(ip[:, 0] - inner).max()))
     return [
         record(suite, "rho-n-self-is-norm-squared", d_self, 0.0, 1e-6,
                d_self <= 1e-6, seed),

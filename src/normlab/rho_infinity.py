@@ -55,26 +55,46 @@ def root_sum_identity(n: int) -> complex:
     return complex(np.sum(c * c))
 
 
+def rho_n_stack(spec: NormSpec, xs, ys, ns, *, force_path: str | None = None):
+    """rho_n(x, y) for each row x of xs (rows, d), each of its k directions
+    y in ys (rows, k, d) and each n in ns.
+
+    Returns one (values, abs_errors, converged, path) per n, in the order
+    of ns: a complex, a float and a bool (rows, k) array, and the engine's
+    path.  The rotations c y over the roots of every n are one call of
+    rho_plus_directions, so each x's side is computed once.  Requires
+    every n > 2, as rho_n does.
+    """
+    ns = [int(n) for n in ns]
+    if min(ns) <= 2:
+        raise NTooSmallError(f"rho_n requires n > 2, got {min(ns)}")
+    ys = np.asarray(ys, dtype=np.complex128)
+    rows, k, d = ys.shape
+    c = np.concatenate([_roots(n) for n in ns])
+    rotated = c[:, None] * ys[:, :, None, :]
+    vals, errs, conv, path = rho_plus_directions(
+        spec, xs, rotated.reshape(rows, k * len(c), d), force_path=force_path)
+    vals, errs, conv = (a.reshape(rows, k, len(c)) for a in (vals, errs, conv))
+    out, lo = [], 0
+    for n in ns:
+        at, lo, w = slice(lo, lo + n), lo + n, 2.0 / n
+        out.append((w * np.add.reduce(c[at] * vals[..., at], axis=-1),
+                    w * np.add.reduce(errs[..., at], axis=-1),
+                    np.logical_and.reduce(conv[..., at], axis=-1), path))
+    return out
+
+
 def rho_n_pairs(spec: NormSpec, xs, ys, n: int, *,
                 force_path: str | None = None):
-    """rho_n(x, y) for each row pair of xs and ys (rows, d).
+    """rho_n(x, y) for each row pair of xs and ys (rows, d): the one-n,
+    one-direction call of rho_n_stack.
 
     Returns (values, abs_errors, converged, path): a complex, a float and
     a bool array over the rows, and the path of the rho_plus engine.
-    Every pair's n directions c_k y are one (rows, n, d) call of
-    rho_plus_directions.  Requires n > 2, as rho_n does.
     """
-    n = int(n)
-    if n <= 2:
-        raise NTooSmallError(f"rho_n requires n > 2, got {n}")
-    xs = np.asarray(xs, dtype=np.complex128)
-    ys = np.asarray(ys, dtype=np.complex128)
-    c = _roots(n)
-    vals, errs, conv, path = rho_plus_directions(
-        spec, xs, c[None, :, None] * ys[:, None, :], force_path=force_path)
-    w = 2.0 / n
-    return (w * np.add.reduce(c * vals, axis=1), w * np.add.reduce(errs, axis=1),
-            np.logical_and.reduce(conv, axis=1), path)
+    vals, errs, conv, path = rho_n_stack(
+        spec, xs, np.asarray(ys)[:, None, :], (n,), force_path=force_path)[0]
+    return vals[:, 0], errs[:, 0], conv[:, 0], path
 
 
 def rho_n(spec: NormSpec, x, y, n: int, *,

@@ -12,7 +12,8 @@ import numpy as np
 import normlab as nl
 from normlab.derivatives import QUADRATURE
 from normlab.orthogonality import SamplerConfig, relation_compare
-from normlab.sampling import rng_for, sample_unit
+from normlab.rho_infinity import rho_n_stack
+from normlab.sampling import rng_for, sample_unit, unit_draws
 
 from conftest import random_pd_gram
 
@@ -23,6 +24,10 @@ def report(number, name, passed):
     status = "PASS" if passed else "FAIL"
     print(f"ACCEPTANCE {number:>2} {name}: {status}", flush=True)
     assert passed, f"criterion {number} ({name}) failed"
+
+
+def bits(v) -> bytes:
+    return np.asarray(v, dtype=np.complex128).tobytes()
 
 
 def unit_pair_for(spec, seed, index):
@@ -57,7 +62,9 @@ def test_criterion_3_root_identity():
 
 def test_criterion_4_rho_n_property_suite():
     # 200 seeded samples per (dim, n) config, on an l1, a smooth lp(3) and
-    # a random-Gram inner-product space
+    # a random-Gram inner-product space; sample i of config n is stream
+    # (seed, i * 16 + n), and a config's samples are one batch of draws
+    # and one rho_n stack with the directions x and y at each x
     seed = 42
     samples = 200
     ok = True
@@ -65,16 +72,26 @@ def test_criterion_4_rho_n_property_suite():
         specs = (nl.lp(1, dim), nl.lp(3, dim),
                  nl.pd_inner(random_pd_gram(np.random.default_rng(dim), dim)))
         for n in (3, 4, 7, 16):
-            for i in range(samples):
-                for spec in specs:
-                    x, y = unit_pair_for(spec, seed, i * 16 + n)
-                    ok = ok and abs(nl.rho_n(spec, x, x, n).value - 1.0) <= 1e-6
-                    v = nl.rho_n(spec, x, y, n).value
-                    ok = ok and abs(v) <= 2.0 + 1e-9
-                    if spec.family == nl.spaces.PD_INNER:
-                        ok = ok and abs(v - nl.gram_inner(spec, x, y)) <= 1e-8
-                if not ok:
-                    break
+            indices = [i * 16 + n for i in range(samples)]
+            for spec in specs:
+                xs, ys = unit_draws(spec, seed, (), indices)
+                values = rho_n_stack(spec, xs, np.stack([xs, ys], axis=1), (n,))[0][0]
+                ok = ok and bool(np.all(np.abs(values[:, 0] - 1.0) <= 1e-6))
+                ok = ok and bool(np.all(np.abs(values[:, 1]) <= 2.0 + 1e-9))
+                if spec.family == nl.spaces.PD_INNER:
+                    # gram_inner is the one-row call of rho_inf_pairs
+                    inner = spec.kernel.rho_inf_pairs(xs, ys)
+                    ok = ok and bool(np.all(np.abs(values[:, 1] - inner) <= 1e-8))
+                    ok = ok and all(bits(nl.gram_inner(spec, xs[i], ys[i])) == bits(inner[i])
+                                    for i in range(3))
+                # the batch is the one-pair draws and the public rho_n, bit for bit
+                for i in range(3):
+                    x, y = unit_pair_for(spec, seed, indices[i])
+                    ok = ok and bits(x) == bits(xs[i]) and bits(y) == bits(ys[i])
+                    ok = ok and bits(nl.rho_n(spec, x, x, n).value) == bits(values[i, 0])
+                    ok = ok and bits(nl.rho_n(spec, x, y, n).value) == bits(values[i, 1])
+        if not ok:
+            break
     report(4, "rho_n suite dims 2-6, n in {3,4,7,16}, 200 samples", ok)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import normlab as nl
-from normlab import checks, derivatives, orthogonality, rho_infinity, sampling
+from normlab import checks, cli, derivatives, orthogonality, rho_infinity, sampling
 from normlab.derivatives import NUMERIC_LIMIT, QUADRATURE
 from normlab.orthogonality import BJ_CANCEL_RTOL, DEFAULT_TOL, SamplerConfig
 from normlab.sampling import complex_gaussian, rng_for, sample_unit
@@ -815,6 +815,33 @@ def test_suites_equal_the_per_sample_loops(suite, name, seed, monkeypatch):
     assert record_bits(got) == record_bits(expect)
 
 
+@pytest.mark.parametrize("samples", [30, 1100], ids=["one-batch", "two-batches"])
+@pytest.mark.parametrize("suite, counted_name, per_batch",
+                         [("nd-properties", "_quotient_table", 1),
+                          ("rho-n-props", "rho_plus_directions", 2)])
+def test_nd_and_rho_n_suites_evaluate_each_quantity_once(suite, counted_name, per_batch,
+                                                         samples, monkeypatch):
+    # nd-properties builds only the convexity record's quotient table (nd1
+    # is not evaluated), and rho-n-props takes every n and direction at a
+    # base point in one rho_plus_directions call: one for x on the spec,
+    # one for u on its pd spec
+    batches = len(list(sampling.index_batches(samples)))
+    assert batches == (1 if samples == 30 else 2)
+    calls = []
+    f = getattr(derivatives, counted_name)
+
+    def counted(*args, **kwargs):
+        calls.append(counted_name)
+        return f(*args, **kwargs)
+
+    for module in (derivatives, checks, rho_infinity):
+        if hasattr(module, counted_name):
+            monkeypatch.setattr(module, counted_name, counted)
+    assert cli.main(["check", "--suite", suite, "--norm", "lp:p=2.5:dim=4",
+                     "--samples", str(samples), "--seed", "42"]) == 0
+    assert len(calls) == per_batch * batches
+
+
 @pytest.mark.parametrize("suite", sorted(checks.SUITES))
 @pytest.mark.parametrize("samples", [0, -3])
 def test_suites_refuse_fewer_than_one_sample(suite, samples):
@@ -944,6 +971,22 @@ def test_stacked_rho_n_and_numeric_limit_equal_the_one_row_calls(name):
                           for ck in c] for x, y in zip(xs, ys)])
         assert bits(rho_infinity.rho_n_pairs(spec, xs, ys, 16, force_path=path)[0]) == bits(
             [(2.0 / 16) * np.sum(c * row) for row in plus])
+        # every n and both directions of a row in one stack, against the
+        # one-n, one-direction calls
+        ns = (3, 4, 7, 16)
+        dirs = np.stack([ys, xs[::-1]], axis=1)
+        stack = rho_infinity.rho_n_stack(spec, xs, dirs, ns, force_path=path)
+        assert len(stack) == len(ns)
+        for n, (values, errs, conv, _) in zip(ns, stack):
+            assert values.shape == errs.shape == conv.shape == (len(xs), 2)
+            for j in range(2):
+                one = rho_infinity.rho_n_pairs(spec, xs, dirs[:, j], n, force_path=path)
+                assert bits(values[:, j]) == bits(one[0]), (path, n, j)
+                assert bits(errs[:, j]) == bits(one[1]), (path, n, j)
+                assert (conv[:, j] == one[2]).all(), (path, n, j)
+        for bad in ((3, 2), (1, 4), (16, 0)):
+            with pytest.raises(nl.NTooSmallError):
+                rho_infinity.rho_n_stack(spec, xs, dirs, bad, force_path=path)
     tables = derivatives.limit_quotient_tables(spec, xs, ys)
     for i, (x, y) in enumerate(zip(xs, ys)):
         assert bits(tables[i]) == bits(derivatives.limit_quotient_table(spec, x, y)), i
