@@ -20,8 +20,7 @@ import numpy as np
 from .errors import DimensionMismatchError, RUnknownError, ZeroMapError
 from .orthogonality import RHO_INF, check_tol, construct_pairs, relation_residuals
 from .sampling import gaussian_draws, index_batches, unit_draws
-from .spaces import (NormSpec, _modulus, _row_apply, dual_segment_constant,
-                     format_cvector, operator_norm_formula)
+from .spaces import NormSpec, _modulus, _row_apply, dual_segment_constant, format_cvector
 
 UNIVERSAL_4_OVER_PI = "4_over_pi"
 DUAL_CONSTANT = "dual_constant"
@@ -231,11 +230,11 @@ class MapAnalysis:
     isometry_defect is max over sampled unit x of ||Tx| - est|; the scale
     identity defect is max |rho_inf(Tx,Ty) - est^2 rho_inf(x,y)| over
     unit pairs.  operator_norm_exact says whether est is |T| up to
-    rounding: always where spaces.operator_norm_formula has a closed form
+    rounding: always where operator_norm_formula has a closed form
     (from an abs-sum domain, lp1 or wl1, into any codomain, from any
     domain into a max-modulus codomain, lp inf or poly, where a poly
     domain's dual norm is certified to its duality gap, and between pd
-    and lp2), and between two frames of one exponent p (smooth
+    and lp2), and between two norms of one exponent p (smooth
     lp into smooth lp) where the estimate reaches the Riesz-Thorin bound,
     as on scalar multiples of monomial maps (operator_norm_estimate).
     Elsewhere est is an iterated lower estimate.
@@ -283,16 +282,45 @@ def _ratios(spec_dom: NormSpec, spec_cod: NormSpec, t: np.ndarray,
     return spec_cod.kernel.norm(_row_apply(xs, t.T)) / spec_dom.kernel.norm(xs)
 
 
+def operator_norm_formula(spec_dom: NormSpec, spec_cod: NormSpec, t: np.ndarray):
+    """The closed form of |T| = sup |T x|_cod / |x|_dom for a (cod dim, dom
+    dim) matrix T: (|T|, a vector x of unit norm with |T x| = |T|, up to
+    rounding), or None where none is known.
+
+    * An abs-sum domain (lp1, wl1), into any codomain: its unit ball is
+      the hull of the e^{it} e_k / w_k, so |T| = max_k |T e_k|_cod / w_k.
+    * A max-modulus codomain (lp inf, poly), from any domain: |T| = max_j
+      dual_dom(f_j T), and x is the dual point of the maximizing row.  From
+      a poly domain both come from one solve (Kernel.dual), exact to its
+      certified duality gap.
+    * Euclidean to Euclidean (pd and lp2, p = 2 on both sides): the
+      spectral norm of A_cod T A_dom^-1.
+    """
+    dom, cod = spec_dom.kernel, spec_cod.kernel
+    if dom.p == 1.0:
+        xs = dom.m_inv.T  # row k is e_k / w_k
+        values = cod.norm(xs @ t.T)
+    elif np.isinf(cod.p):
+        xs, values = dom.dual(cod.m @ t)  # row j of cod.m @ t is f_j T
+    elif dom.p == cod.p == 2.0:
+        _, s, vh = np.linalg.svd(cod.m @ t @ dom.m_inv)
+        return float(s[0]), dom.m_inv @ vh[0].conj()
+    else:
+        return None
+    k = int(np.argmax(values))
+    return float(values[k]), xs[k]
+
+
 def _certified_floor(spec_dom, spec_cod, t) -> float:
     """The least ratio |T x| / |x| that is |T| up to rounding:
-    NORM_BOUND_RTOL below the Riesz-Thorin bound where both frames share an
+    NORM_BOUND_RTOL below the Riesz-Thorin bound where both norms share an
     exponent p and the domain's has M^-1, else inf.
 
     There |T| = |A|_{p->p} for A = M_cod T M_dom^-1, and Riesz-Thorin
     interpolation between p = 1 and p = inf bounds it by
     |A|_1^{1/p} |A|_inf^{1-1/p}, the largest column and row abs sums.
     """
-    dom, cod = spec_dom.kernel.frame, spec_cod.kernel.frame
+    dom, cod = spec_dom.kernel, spec_cod.kernel
     if dom.p != cod.p or dom.m_inv is None:
         return np.inf
     a = np.abs(cod.m @ t @ dom.m_inv)
@@ -309,13 +337,13 @@ def _power_ascent(spec_dom, spec_cod, t, xs, ratios, reach):
     rising at a stationary point of the ratio (Boyd, LAA 9, 1974; Higham,
     Numer. Math. 62, 1992).
     """
-    dom, cod = spec_dom.kernel.frame, spec_cod.kernel.frame
+    dom, cod = spec_dom.kernel, spec_cod.kernel
     # J_cod(0) = 0 leads nowhere, and a row at the bound is done
     live = np.flatnonzero((ratios > 0) & (ratios < reach))
     for _ in range(ASCENT_STEPS):
         if not live.size:
             break
-        new = dom.dual_point(_row_apply(cod.norming(_row_apply(xs[live], t.T)), t))
+        new, _ = dom.dual(_row_apply(cod.norming(_row_apply(xs[live], t.T)), t))
         r = _ratios(spec_dom, spec_cod, t, new)
         up = r > ratios[live]
         live = live[up]
@@ -327,10 +355,10 @@ def _power_ascent(spec_dom, spec_cod, t, xs, ratios, reach):
 def operator_norm_estimate(spec_dom: NormSpec, spec_cod: NormSpec, t,
                            samples: int = 200,
                            seed: int = 42) -> tuple[float, np.ndarray]:
-    """|T| = sup |Tx| / |x|: exact where spaces.operator_norm_formula has a
+    """|T| = sup |Tx| / |x|: exact where operator_norm_formula has a
     closed form, else estimated by sampling plus a local ascent.
 
-    Where both frames share an exponent p and the domain's has M^-1
+    Where both norms share an exponent p and the domain's has M^-1
     (smooth lp into smooth lp of the same p), the Riesz-Thorin bound
     U = |A|_1^{1/p} |A|_inf^{1-1/p} of A = M_cod T M_dom^-1 caps |T|.  The
     basis vectors are scored first, and if the best of them lies within
@@ -340,7 +368,7 @@ def operator_norm_estimate(spec_dom: NormSpec, spec_cod: NormSpec, t,
     scored in one stacked pass.  The best ASCENT_ROWS of them run Boyd's
     power iteration as one stack, each row until its ratio stops rising or
     comes within NORM_BOUND_RTOL of U; on a polyhedral domain the dual map
-    of each step is the frame's certified solver.  The estimate is the
+    of each step is the kernel's certified solver.  The estimate is the
     best ratio reached; samples and seed matter only there.  Returns
     (estimate, attaining unit vector).
     """
@@ -351,9 +379,9 @@ def operator_norm_estimate(spec_dom: NormSpec, spec_cod: NormSpec, t,
 def _operator_norm(spec_dom, spec_cod, t, samples, seed):
     """operator_norm_estimate of a checked map, and whether the estimate is
     |T| up to rounding (MapAnalysis.operator_norm_exact)."""
-    formula = operator_norm_formula(spec_dom, spec_cod)
-    if formula is not None:
-        best, x = formula(t)
+    closed = operator_norm_formula(spec_dom, spec_cod, t)
+    if closed is not None:
+        best, x = closed
         exact = True
     else:
         reach = _certified_floor(spec_dom, spec_cod, t)

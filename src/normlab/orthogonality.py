@@ -277,15 +277,29 @@ def construct_pairs(spec: NormSpec, relation: str, xs: np.ndarray,
     raise ValueError(f"unknown relation {relation!r}")
 
 
+def _power_of_two_scaled(zs: np.ndarray) -> np.ndarray:
+    """Each row of zs times the power of two that brings its largest real
+    or imaginary part into [0.5, 1): exact, signs of zero included."""
+    _, e = np.frexp(np.maximum(np.abs(zs.real), np.abs(zs.imag)).max(axis=-1))
+    out = np.empty_like(zs)
+    out.real, out.imag = np.ldexp(zs.real, -e[:, None]), np.ldexp(zs.imag, -e[:, None])
+    return out
+
+
 def _unit_pairs(spec: NormSpec, xs: np.ndarray, ys: np.ndarray):
     """x/|x| and y/|y| row by row, after vector's finiteness check, and
-    which rows have x = 0 and which y = 0."""
+    which rows have x = 0 and which y = 0.  Where a norm overflows, x/|x|
+    would read 0; the rows are then scaled by powers of two first, which
+    changes no bit of x/|x| on the rows whose norm is finite."""
     check_dim(spec, xs)
     check_dim(spec, ys)
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("vector components must be finite (no NaN/Inf)")
-    nx = spec.kernel.norm(xs)
-    ny = spec.kernel.norm(ys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nx, ny = spec.kernel.norm(xs), spec.kernel.norm(ys)
+    if not (np.isfinite(nx).all() and np.isfinite(ny).all()):
+        xs, ys = _power_of_two_scaled(xs), _power_of_two_scaled(ys)
+        nx, ny = spec.kernel.norm(xs), spec.kernel.norm(ys)
     x_zero = nx == 0.0
     y_zero = ny == 0.0
     # nx + x_zero is exactly nx, or 1 on zero rows

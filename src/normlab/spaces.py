@@ -8,17 +8,19 @@ Four norm families are supported:
 * ``poly`` -- polyhedral norms max_j |f_j(x)| over a separating family of
   complex covectors
 
-Each is |M x|_p for an exponent p and a matrix M, its frame: lp is M = I,
-weighted l1 p = 1 with M = diag(w), pd p = 2 with M the Cholesky factor A
-of G = A^H A, and polyhedral p = inf with the functionals as the rows of
-M.  Since |x + t y| = |M x + t M y|_p, every functional of the norm is
-the p-norm's on (M x, M y).  One core per exponent class (p = 1, p = 2,
-other 1 < p < inf, p = inf), picked by p in _core, gives the norm, its
-duality map, the closed forms of rho_plus, rho_inf and the Birkhoff-James
-criterion, and a minimizer of |z + xi w| over xi; each spec's kernel is
-its core composed with M.  A factory only validates its parameters and
-gives M and the isometry, and no other module branches on the family to
-compute a functional.
+Each is |M x|_p for an exponent p and a matrix M: lp is M = I, weighted
+l1 p = 1 with M = diag(w), pd p = 2 with M the Cholesky factor A of G =
+A^H A, and polyhedral p = inf with the functionals as the rows of M.
+Since |x + t y| = |M x + t M y|_p, every functional of the norm is the
+p-norm's on (M x, M y).  One core per exponent class (p = 1, p = 2, other
+1 < p < inf, p = inf), picked by p in _core, gives the norm, its duality
+map, the closed forms of rho_plus, rho_inf and the Birkhoff-James
+criterion, and a minimizer of |z + xi w| over xi.  Each spec's Kernel is
+one object: p, M and M^-1, its core composed with M in _kernel, and the
+dual map and dual norm, from M^-1 and the conjugate core, or for a
+polyhedral M from one _polyhedral_dual solve.  A factory only validates
+its parameters and gives M and the isometry, and no other module branches
+on the family to compute a functional.
 
 Every spec is immutable after construction and all functions here are pure,
 so everything is safe to share across threads.
@@ -93,7 +95,7 @@ def _conjugate(p: float) -> float:
 @dataclass(frozen=True)
 class Core:
     """The p-norm on coordinates z, for one exponent class (see _core):
-    the methods of Kernel at M = I, and norming(zs), row by row the
+    the functions of Kernel at M = I.  norming(zs) is, row by row, J_p: the
     functional h with h . z = sum_k h_k z_k = |z|_p and |h|_q = 1 (q the
     conjugate exponent; 0 on zero rows), the gradient of the norm or, at a
     kink, one subgradient."""
@@ -106,93 +108,72 @@ class Core:
     bj_argmin: Callable[[np.ndarray, np.ndarray], complex]
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """The computations of one norm |M x|_p, bound to a spec's parameters:
-    the core of p composed with the frame's M.
-
-    Since |x + t y| = |M x + t M y|_p, every closed form below is the
-    core's on the rows (M x, M y); M is skipped where it is the identity.
-    norm(xs) is the norm over the last axis of xs, for any leading shape,
-    in the precision of the input (complex128 or extended).  The three
-    closed forms take stacked (n, d) pairs, row i of xs with row i of ys;
-    rho_plus_pairs also broadcasts over leading axes, so xs of shape
-    (n, 1, d) against ys of (n, m, d) gives an (n, m) array and computes
-    each x's side (M x, and its gradient, support or active set) once.
-    rho_plus_pairs is the right derivative, rho_inf_pairs the angular
-    average and bj_slope_pairs min over t of rho_plus(x, e^{it} y), which
-    is >= 0 iff x is Birkhoff-James orthogonal to y (James 1947: t ->
-    |x + t e^{is} y| is convex, so x minimizes along every complex
-    direction iff no one-sided slope is negative).  They are the default
-    path of every functional, and a single pair is a one-row call.  Each
-    row's value, of these and of norm, does not depend on the rows
-    stacked with it, bit for bit.  bj_argmin(x, y), for x and y of unit
-    norm, is a complex xi minimizing |x + xi y|.  isometry(rng) is a
-    linear map that preserves the norm, drawn from rng: coordinate phases
-    for every family, then a coordinate permutation for lp, none for
-    weighted l1 (it would have to permute the weights), the conjugate of a
-    unitary into the Gram geometry for pd, and only a global phase for
-    polyhedral norms.  frame holds p and M and gives the duality maps, the
-    dual norm and the dual map (Frame).  smooth (in every dimension: 1 < p
-    < inf) and r_dual, R(X*), follow from p and M^-1: R(X*) is 0 when
-    smooth, 2 for p = 1 or inf with an invertible M (the dual is l_inf or
-    l_1 up to isometry), None when unknown (polyhedral).
-    """
-
-    norm: Callable[[np.ndarray], np.ndarray]
-    rho_plus_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    rho_inf_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    bj_slope_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    bj_argmin: Callable[[np.ndarray, np.ndarray], complex]
-    isometry: Callable[[np.random.Generator], np.ndarray]
-    frame: Frame
-
-    @property
-    def smooth(self) -> bool:
-        return 1.0 < self.frame.p < np.inf
-
-    @property
-    def r_dual(self) -> float | None:
-        return 0.0 if self.smooth else None if self.frame.m_inv is None else 2.0
-
-
 @dataclass(frozen=True, eq=False)
-class Frame:
-    """A norm written as |M x|_p (each family's M is in the module
-    docstring), and its duality maps.  A functional g acts by g . x =
-    sum_k g_k x_k, and q is the conjugate exponent of p.  The maps read the
-    cores of p and q (Core.norming is J_p) and work row by row:
+class Kernel:
+    """One norm |M x|_p, bound to a spec's parameters: p, M (each family's
+    is in the module docstring) and M^-1 (None for a polyhedral M, which
+    has more rows than columns), the core of p composed with M by _kernel,
+    and the dual geometry.  A functional g acts by g . x = sum_k g_k x_k,
+    and q is the conjugate exponent of p.
 
-    * norming(xs), the duality map J: a functional h with h . x = |x| and
-      dual norm 1 (0 on zero rows), J_p(M x) M;
-    * dual_norm(gs): sup over |x| <= 1 of |g . x|, which is |g M^-1|_q;
-    * dual_point(gs), the dual map J*: a unit x with g . x = dual_norm(g),
-      M^-1 J_q(g M^-1).
+    Since |x + t y| = |M x + t M y|_p, every function is the core's on the
+    rows (M x, M y).  norm(xs) is the norm over the last axis of xs, for
+    any leading shape, in the precision of the input (complex128 or
+    extended).  The three closed forms take stacked (n, d) pairs, row i of
+    xs with row i of ys; rho_plus_pairs also broadcasts over leading axes,
+    so xs of shape (n, 1, d) against ys of (n, m, d) gives an (n, m) array
+    and computes each x's side (M x, and its gradient, support or active
+    set) once.  rho_plus_pairs is the right derivative, rho_inf_pairs the
+    angular average and bj_slope_pairs min over t of rho_plus(x, e^{it}
+    y), which is >= 0 iff x is Birkhoff-James orthogonal to y (James 1947:
+    t -> |x + t e^{is} y| is convex, so x minimizes along every complex
+    direction iff no one-sided slope is negative).  They are the default
+    path of every functional, and a single pair is a one-row call.
+    bj_argmin(x, y), for x and y of unit norm, is a complex xi minimizing
+    |x + xi y|.  norming(xs) is the duality map J, J_p(M x) M: a functional
+    h with h . x = |x| and dual norm 1 (0 on zero rows).  dual(gs) is the
+    dual map J* with the dual norm: unit points x with g . x = sup over |x|
+    <= 1 of |g . x|, M^-1 J_q(g M^-1), and that sup, |g M^-1|_q; for a
+    polyhedral M, whose dual norm is an l1 minimization with no closed
+    form, both come from one _polyhedral_dual solve, to a certified
+    duality gap.  Each row's value, of every function here, does not
+    depend on the rows stacked with it, bit for bit.
 
-    The last two read m_inv, M^-1.  A polyhedral M has more rows than
-    columns (m_inv is None), and its dual norm is an l1 minimization with
-    no closed form: there both come from _polyhedral_dual, to a certified
-    duality gap.  Each row's values do not depend on the rows stacked
-    with it, bit for bit.
+    isometry(rng) is a linear map that preserves the norm, drawn from rng:
+    coordinate phases for every family, then a coordinate permutation for
+    lp, none for weighted l1 (it would have to permute the weights), the
+    conjugate of a unitary into the Gram geometry for pd, and only a global
+    phase for polyhedral norms.  smooth (in every dimension: 1 < p < inf)
+    and r_dual, R(X*), follow from p and M^-1: R(X*) is 0 when smooth, 2
+    for p = 1 or inf with an invertible M (the dual is l_inf or l_1 up to
+    isometry), None when unknown (polyhedral).
     """
 
     p: float
     m: np.ndarray
     m_inv: np.ndarray | None
+    norm: Callable[[np.ndarray], np.ndarray]
+    rho_plus_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    rho_inf_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    bj_slope_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    bj_argmin: Callable[[np.ndarray, np.ndarray], complex]
+    norming: Callable[[np.ndarray], np.ndarray]
+    isometry: Callable[[np.random.Generator], np.ndarray]
 
-    def norming(self, xs: np.ndarray) -> np.ndarray:
-        return _row_apply(_core(self.p).norming(_row_apply(xs, self.m.T)), self.m)
+    @property
+    def smooth(self) -> bool:
+        return 1.0 < self.p < np.inf
 
-    def dual_norm(self, gs: np.ndarray) -> np.ndarray:
+    @property
+    def r_dual(self) -> float | None:
+        return 0.0 if self.smooth else None if self.m_inv is None else 2.0
+
+    def dual(self, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.m_inv is None:
-            return _polyhedral_dual(self.m, gs)[1]
-        return _core(_conjugate(self.p)).norm(_row_apply(gs, self.m_inv))
-
-    def dual_point(self, gs: np.ndarray) -> np.ndarray:
-        if self.m_inv is None:
-            return _polyhedral_dual(self.m, gs)[0]
-        z = _core(_conjugate(self.p)).norming(_row_apply(gs, self.m_inv))
-        return _row_apply(z, self.m_inv.T)
+            return _polyhedral_dual(self.m, gs)
+        core = _core(_conjugate(self.p))
+        hs = _row_apply(gs, self.m_inv)
+        return _row_apply(core.norming(hs), self.m_inv.T), core.norm(hs)
 
 
 # Each row of a stacked evaluation must not depend on the rows stacked with
@@ -250,21 +231,28 @@ def _core(p: float) -> Core:
 
 
 def _kernel(p: float, m, m_inv, isometry) -> Kernel:
-    """The norm |M x|_p: the core of p composed with M, which is skipped
-    where it equals the identity."""
-    frame = Frame(float(p), _frozen(m), None if m_inv is None else _frozen(m_inv))
-    core = _core(frame.p)
-    if np.array_equal(frame.m, np.eye(len(frame.m))):
-        return Kernel(core.norm, core.rho_plus_pairs, core.rho_inf_pairs,
-                      core.bj_slope_pairs, core.bj_argmin, isometry, frame)
-    mt = frame.m.T
+    """The norm |M x|_p: the core of p composed with M, the one place where
+    M meets the core.  M is skipped where it equals the identity, so those
+    kernels bind the core's own functions, except in norming, whose
+    products with M set the signs of its zeros."""
+    p, m = float(p), _frozen(m)
+    m_inv = None if m_inv is None else _frozen(m_inv)
+    core, mt = _core(p), m.T
+
+    def norming(xs):
+        return _row_apply(core.norming(_row_apply(xs, mt)), m)
+
+    if np.array_equal(m, np.eye(len(m))):
+        return Kernel(p, m, m_inv, core.norm, core.rho_plus_pairs, core.rho_inf_pairs,
+                      core.bj_slope_pairs, core.bj_argmin, norming, isometry)
 
     def on_images(f):
         return lambda xs, ys: f(_row_apply(xs, mt), _row_apply(ys, mt))
 
-    return Kernel(lambda xs: core.norm(_row_apply(xs, mt)), on_images(core.rho_plus_pairs),
-                  on_images(core.rho_inf_pairs), on_images(core.bj_slope_pairs),
-                  on_images(core.bj_argmin), isometry, frame)
+    return Kernel(p, m, m_inv, lambda xs: core.norm(_row_apply(xs, mt)),
+                  on_images(core.rho_plus_pairs), on_images(core.rho_inf_pairs),
+                  on_images(core.bj_slope_pairs), on_images(core.bj_argmin), norming,
+                  isometry)
 
 
 def _abs_sum_core() -> Core:
@@ -881,41 +869,6 @@ def dual_segment_constant(spec: NormSpec) -> DualInfo:
     return DualInfo(k.r_dual, UNKNOWN if k.r_dual is None else TABLE)
 
 
-def operator_norm_formula(spec_dom: NormSpec, spec_cod: NormSpec):
-    """The closed form of |T| = sup |T x|_cod / |x|_dom, or None where none
-    is known.  The closed form maps a (cod dim, dom dim) matrix T to |T|
-    and a vector x of unit norm with |T x| = |T|, up to rounding.
-
-    * An abs-sum domain (lp1, wl1), into any codomain: its unit ball is
-      the hull of the e^{it} e_k / w_k, so |T| = max_k |T e_k|_cod / w_k.
-    * A max-modulus codomain (lp inf, poly), from any domain: |T| = max_j
-      dual_dom(f_j T).  From a poly domain the dual norm is the solver's
-      (Frame), exact to its certified duality gap.
-    * Euclidean to Euclidean (pd and lp2, frames with p = 2): the spectral
-      norm of A_cod T A_dom^-1.
-    """
-    dom, cod = spec_dom.kernel, spec_cod.kernel
-    if dom.frame.p == 1.0:
-        def formula(t):
-            xs = dom.frame.m_inv.T  # row k is e_k / w_k
-            values = cod.norm(xs @ t.T)
-            k = int(np.argmax(values))
-            return float(values[k]), xs[k]
-    elif np.isinf(cod.frame.p):
-        def formula(t):
-            gs = cod.frame.m @ t  # row j is f_j T
-            values = dom.frame.dual_norm(gs)
-            j = int(np.argmax(values))
-            return float(values[j]), dom.frame.dual_point(gs[j:j + 1])[0]
-    elif dom.frame.p == cod.frame.p == 2.0:
-        def formula(t):
-            _, s, vh = np.linalg.svd(cod.frame.m @ t @ dom.frame.m_inv)
-            return float(s[0]), dom.frame.m_inv @ vh[0].conj()
-    else:
-        return None
-    return formula
-
-
 def is_smooth_family(spec: NormSpec) -> bool:
     """Whether the norm is smooth: the family's kernel says so, and every
     norm on C^1, a multiple of the modulus, is."""
@@ -925,7 +878,7 @@ def is_smooth_family(spec: NormSpec) -> bool:
 def is_inner_product_family(spec: NormSpec) -> bool:
     """Whether the norm comes from an inner product: every |M x|_2 (pd and
     lp with p = 2), and every norm on C^1, a multiple of the modulus."""
-    return spec.dim == 1 or spec.kernel.frame.p == 2.0
+    return spec.dim == 1 or spec.kernel.p == 2.0
 
 
 # --- text formats ------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Each row of a kernel's pairs methods must equal a one-row call, which is
 the single-pair form, each kernel the p-norm's closed forms on the images
-(M x, M y) of its frame, the stacked draws the per-index streams, and
+(M x, M y) of its M, the stacked draws the per-index streams, and
 relation_compare, the sampled audits, the report suites and the stacked
 quadrature the per-index loops they replaced; those loops are kept here
 as the reference.
@@ -103,7 +103,7 @@ FRAME_SPECS = {
 def images(spec, xs):
     """M x for each row x, as the kernel forms it: one row-wise product,
     skipped where M is the identity."""
-    m = spec.kernel.frame.m
+    m = spec.kernel.m
     return xs if np.array_equal(m, np.eye(len(m))) else _row_apply(xs, m.T)
 
 
@@ -120,7 +120,7 @@ def test_kernels_are_the_p_norm_of_the_images(name):
     # its values are those of lp(p) on the rows (M x, M y), bit for bit
     spec = FRAME_SPECS[name]
     k = spec.kernel
-    lp_k = nl.lp(k.frame.p, k.frame.m.shape[0]).kernel
+    lp_k = nl.lp(k.p, k.m.shape[0]).kernel
     xs, ys = hard_pairs(spec, np.random.default_rng((23, spec.dim)))
     zs, ws = images(spec, xs), images(spec, ys)
     assert bits(k.norm(xs)) == bits(lp_k.norm(zs))
@@ -147,8 +147,9 @@ def test_gram_identity_is_the_two_norm():
     assert np.array_equal(pd.norm(ext), l2.norm(ext))
     for method in ("rho_plus_pairs", "rho_inf_pairs", "bj_slope_pairs"):
         assert bits(getattr(pd, method)(xs, ys)) == bits(getattr(l2, method)(xs, ys)), method
-    for method in ("norming", "dual_norm", "dual_point"):
-        assert bits(getattr(pd.frame, method)(xs)) == bits(getattr(l2.frame, method)(xs)), method
+    assert bits(pd.norming(xs)) == bits(l2.norming(xs))
+    for pd_part, l2_part in zip(pd.dual(xs), l2.dual(xs)):  # points, then values
+        assert bits(pd_part) == bits(l2_part)
     for i, (x, y) in enumerate(zip(*unit_rows(nl.lp(2, 3), xs, ys))):
         assert bits(pd.bj_argmin(x, y)) == bits(l2.bj_argmin(x, y)), i
 
@@ -158,15 +159,15 @@ def test_polyhedral_dual_rows_equal_the_one_row_calls(name):
     # the solver steps every row on its own, however many are stacked:
     # Gaussian functionals, zero coordinates, zero rows, extreme scales and
     # each f_j with a phase, whose maximizer is a face of the unit ball
-    spec = KERNEL_SPECS[name]
-    frame = spec.kernel.frame
-    gs, _ = hard_pairs(spec, np.random.default_rng((25, spec.dim)))
-    phases = np.exp(1j * np.random.default_rng(26).uniform(0, 2 * np.pi, len(frame.m)))
-    gs = np.concatenate((gs, phases[:, None] * frame.m))
-    xs, values = frame.dual_point(gs), frame.dual_norm(gs)
+    k = KERNEL_SPECS[name].kernel
+    gs, _ = hard_pairs(KERNEL_SPECS[name], np.random.default_rng((25, k.m.shape[1])))
+    phases = np.exp(1j * np.random.default_rng(26).uniform(0, 2 * np.pi, len(k.m)))
+    gs = np.concatenate((gs, phases[:, None] * k.m))
+    xs, values = k.dual(gs)
     for i, g in enumerate(gs):
-        assert bits(frame.dual_point(g[None])) == bits(xs[i:i + 1]), i
-        assert bits(frame.dual_norm(g[None])) == bits(values[i:i + 1]), i
+        x, value = k.dual(g[None])
+        assert bits(x) == bits(xs[i:i + 1]), i
+        assert bits(value) == bits(values[i:i + 1]), i
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))

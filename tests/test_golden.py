@@ -6,7 +6,9 @@ The set covers ``report`` on every family (pd twice: Gram I and a
 non-identity Gram), ``search`` between the
 Birkhoff-James and rho_inf relations on lp1, lp:inf and poly and from
 rho_plus to semi on lp3, ``analyze-map`` of diag(1, 2) on lp1, lp2.5 and
-the golden poly, ``eval`` of all seven functionals on each family (the
+the golden poly and across two frames (wl1 into the golden poly, a
+non-identity Gram into lp2, the golden poly into lp:inf, all in dim 2),
+``eval`` of all seven functionals on each family (the
 lp:inf eval is the pinned false-convergence reproducer x = 1,1,1), and
 ``eval`` of rho_plus and rho_inf on the non-identity Gram.
 
@@ -96,6 +98,16 @@ def commands() -> dict[str, list[str]]:
                       ("poly", REPORT_NORMS["poly"])):
         cmds[f"analyze-map-{key}-diag12"] = [
             "analyze-map", "--norm", norm,
+            "--matrix", str(GOLDEN / "diag_1_2.txt"), "--samples", "100",
+            "--seed", "42", "--format", "jsonl"]
+    # diag(1, 2) across two frames: the abs-sum domain, the Euclidean pair
+    # through both Cholesky factors, and the poly dual into lp inf
+    for key, norm, cod in (("wl1-poly", "wl1:w=0.5,2.0:dim=2", REPORT_NORMS["poly"]),
+                           ("pdG-lp2", "pd:gram=2,0.5+0.3i;0.5-0.3i,1.5:dim=2",
+                            "lp:p=2:dim=2"),
+                           ("poly-lpinf", REPORT_NORMS["poly"], "lp:p=inf:dim=2")):
+        cmds[f"analyze-map-{key}-diag12"] = [
+            "analyze-map", "--norm", norm, "--cod-norm", cod,
             "--matrix", str(GOLDEN / "diag_1_2.txt"), "--samples", "100",
             "--seed", "42", "--format", "jsonl"]
     for key, (norm, x, y) in EVAL_PAIRS.items():

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 import normlab as nl
-from normlab import analysis
-from normlab.analysis import NORM_BOUND_RTOL
+from normlab import analysis, spaces
+from normlab.analysis import NORM_BOUND_RTOL, operator_norm_formula
 from normlab.cli import EXIT_VIOLATION, main
 from normlab.sampling import unit_draws
-from normlab.spaces import _conjugate, operator_norm_formula
+from normlab.spaces import _conjugate
 
 from conftest import POLY_ROWS, family_specs, random_pd_gram
 
@@ -61,15 +61,15 @@ def test_duality_maps(spec):
     xs[:5, 0] = 0  # zero coordinates: kinks of l1
     xs[5:10, 1] = xs[5:10, 0]  # ties of l-inf
     k, nx = spec.kernel, spec.kernel.norm(xs)
-    h = k.frame.norming(xs)
+    h = k.norming(xs)
     assert np.allclose((h * xs).sum(axis=1), nx, rtol=1e-14, atol=0)
-    assert np.allclose(k.frame.dual_norm(h), 1.0, rtol=1e-14, atol=0)
-    x = k.frame.dual_point(xs)  # xs as functionals
+    assert np.allclose(k.dual(h)[1], 1.0, rtol=1e-14, atol=0)
+    x, values = k.dual(xs)  # xs as functionals
     assert np.allclose(k.norm(x), 1.0, rtol=1e-14, atol=0)
-    assert np.allclose((xs * x).sum(axis=1), k.frame.dual_norm(xs), rtol=1e-14, atol=0)
+    assert np.allclose((xs * x).sum(axis=1), values, rtol=1e-14, atol=0)
 
 
-def test_dual_norms_are_the_closed_forms():
+def test_dual_values_are_the_closed_forms():
     rng = np.random.default_rng(4)
     g = rng.standard_normal((30, 3)) + 1j * rng.standard_normal((30, 3))
     w = np.array([0.5, 1.0, 2.0])
@@ -83,7 +83,7 @@ def test_dual_norms_are_the_closed_forms():
                                              g.conj()).real),
     }
     for spec, value in expected.items():
-        assert np.allclose(spec.kernel.frame.dual_norm(g), value, rtol=1e-13, atol=0), spec
+        assert np.allclose(spec.kernel.dual(g)[1], value, rtol=1e-13, atol=0), spec
     assert [_conjugate(p) for p in (1.0, 2.0, 4.0, np.inf)] == [np.inf, 2.0, 4.0 / 3.0, 1.0]
 
 
@@ -118,12 +118,12 @@ def test_the_polyhedral_dual_is_certified(name):
     # 1000 Gaussian functionals and each f_j with a phase, whose dual norm
     # is exactly 1 (each f_j of these norms attains the maximum somewhere)
     spec = POLY_NORMS[name]
-    f, frame = spec.functionals, spec.kernel.frame
+    f = spec.functionals
     rng = np.random.default_rng((80, spec.dim))
     gs = rng.standard_normal((1000, spec.dim)) + 1j * rng.standard_normal((1000, spec.dim))
     phased = np.exp(1j * rng.uniform(0, 2 * np.pi, len(f)))[:, None] * f
     gs = np.concatenate((gs, phased))
-    xs, values = frame.dual_point(gs), frame.dual_norm(gs)
+    xs, values = spec.kernel.dual(gs)
     assert np.allclose(spec.kernel.norm(xs), 1.0, rtol=1e-15, atol=0)
     for i, (g, x, value) in enumerate(zip(gs, xs, values)):
         lower, upper, least = certified_dual(f, g, x)
@@ -168,11 +168,11 @@ EXACT = {
 def poly_into_max_modulus(spec_dom, spec_cod):
     """(domain, codomain, max_j dual(f_j T)), each dual norm bounded from
     above by its certificate at the solver's dual point."""
-    f, frame = spec_dom.functionals, spec_dom.kernel.frame
+    f = spec_dom.functionals
 
     def exact(t):
-        gs = spec_cod.kernel.frame.m @ t
-        bounds = [certified_dual(f, g, x) for g, x in zip(gs, frame.dual_point(gs))]
+        gs = spec_cod.kernel.m @ t
+        bounds = [certified_dual(f, g, x) for g, x in zip(gs, spec_dom.kernel.dual(gs)[0])]
         assert min(least for _, _, least in bounds) >= -1e-12
         return max(upper for _, upper, _ in bounds)
     return spec_dom, spec_cod, exact
@@ -189,13 +189,32 @@ EXACT.update({
 @pytest.mark.parametrize("case", sorted(EXACT))
 def test_closed_forms_are_exact(case):
     spec_dom, spec_cod, exact = EXACT[case]
-    assert operator_norm_formula(spec_dom, spec_cod) is not None
     for i in range(MAPS):
         t = seeded_map(i, spec_cod.dim, spec_dom.dim)
+        assert operator_norm_formula(spec_dom, spec_cod, t) is not None
         est, x = nl.operator_norm_estimate(spec_dom, spec_cod, t, samples=30, seed=i)
         assert est == pytest.approx(exact(t), rel=1e-12, abs=0), (case, i)
         assert nl.norm(spec_dom, x) == pytest.approx(1.0, rel=1e-12)
         assert ratio(spec_dom, spec_cod, t, x) == pytest.approx(est, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(c for c in EXACT if c.startswith("poly")))
+def test_a_poly_closed_form_solves_its_duals_once(case, monkeypatch):
+    # the maximizing row's dual point comes from the solve of every row's
+    # dual norm: one stacked call per map, over the rows f_j T
+    spec_dom, spec_cod, _ = EXACT[case]
+    solve, calls = spaces._polyhedral_dual, []
+
+    def counted(f, gs):
+        calls.append(len(gs))
+        return solve(f, gs)
+
+    monkeypatch.setattr(spaces, "_polyhedral_dual", counted)
+    for i in range(MAPS):
+        t = seeded_map(i, spec_cod.dim, spec_dom.dim)
+        nl.operator_norm_estimate(spec_dom, spec_cod, t, samples=30, seed=i)
+        assert calls == [len(spec_cod.kernel.m)], (case, i)
+        calls.clear()
 
 
 # --- iterated elsewhere: attained, and above dense sampling ------------------
@@ -212,9 +231,9 @@ ITERATED = {
 @pytest.mark.parametrize("case", sorted(ITERATED))
 def test_iterated_estimates_attain_and_beat_sampling(case):
     spec_dom, spec_cod = ITERATED[case]
-    assert operator_norm_formula(spec_dom, spec_cod) is None
     for i in range(MAPS):
         t = seeded_map(i, spec_cod.dim, spec_dom.dim)
+        assert operator_norm_formula(spec_dom, spec_cod, t) is None
         est, x = nl.operator_norm_estimate(spec_dom, spec_cod, t, samples=30, seed=i)
         assert nl.norm(spec_dom, x) == pytest.approx(1.0, rel=1e-12)
         assert ratio(spec_dom, spec_cod, t, x) == pytest.approx(est, rel=1e-12)
@@ -272,9 +291,9 @@ def monomial_maps(dom_dim, cod_dim):
 @pytest.mark.parametrize("p", CERTIFIED_P)
 def test_the_bound_closes_on_monomial_maps(p, dims, monkeypatch):
     spec_dom, spec_cod = nl.lp(p, dims[0]), nl.lp(p, dims[1])
-    assert operator_norm_formula(spec_dom, spec_cod) is None
     basis = np.eye(dims[0])
     for name, t in monomial_maps(*dims).items():
+        assert operator_norm_formula(spec_dom, spec_cod, t) is None
         best = max(nl.norm(spec_cod, t[:, k]) for k in range(dims[0]))
         ma = nl.map_preservation_analysis(spec_dom, spec_cod, t, samples=4, seed=1)
         assert ma.operator_norm_exact, name
@@ -332,7 +351,7 @@ def test_rank_one_maps(spec):
         rng = np.random.default_rng((78, i))
         u, v = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         est, x = nl.operator_norm_estimate(spec, spec, np.outer(u, v), samples=30, seed=i)
-        value = nl.norm(spec, u) * spec.kernel.frame.dual_norm(v[None])[0]
+        value = nl.norm(spec, u) * spec.kernel.dual(v[None])[1][0]
         assert est == pytest.approx(value, rel=1e-12)
         assert ratio(spec, spec, np.outer(u, v), x) == pytest.approx(est, rel=1e-12)
 

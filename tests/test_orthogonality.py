@@ -6,7 +6,8 @@ import pytest
 
 import normlab as nl
 from normlab import orthogonality
-from normlab.orthogonality import SamplerConfig, relation_compare
+from normlab.orthogonality import (BIRKHOFF_JAMES, RHO_INF, RHO_PLUS, SamplerConfig,
+                                  relation_compare)
 
 from conftest import (
     POLY_ROWS,
@@ -328,6 +329,37 @@ def test_verdicts_stable_at_extreme_scales():
     assert v.orthogonal and np.isfinite(v.residual)
     w = nl.perp_rho_plus(nl.lp(1, 2), [1e200, 1e200j], [1e-200, 0])
     assert np.isfinite(w.residual) and not w.orthogonal
+    # |x| overflows to inf here, and x/inf = 0 must not read as orthogonal
+    for fn in (nl.perp_rho_inf, nl.perp_rho_plus, nl.perp_birkhoff_james):
+        assert fn(L1, [1e308, 1e308], [1, 0]) == fn(L1, [1e8, 1e8], [1, 0])
+
+
+def top_binade(zs):
+    """Each row of zs times the power of two that puts its largest real or
+    imaginary part in [2^1023, 2^1024), the floats' largest binade."""
+    _, e = np.frexp(np.maximum(np.abs(zs.real), np.abs(zs.imag)).max(axis=1))
+    out = np.empty_like(zs)
+    out.real, out.imag = np.ldexp(zs.real, 1024 - e[:, None]), np.ldexp(zs.imag, 1024 - e[:, None])
+    return out
+
+
+@pytest.mark.parametrize("spec", family_specs(2) + family_specs(3), ids=repr)
+def test_residuals_where_the_norm_overflows_are_the_unscaled_ones(spec):
+    # a power-of-two scaling changes no bit of x/|x| while |x| is finite;
+    # at the top of the float range |x| overflows, yet the residuals stay
+    # those of the unscaled pairs, bit for bit
+    rng = np.random.default_rng((32, spec.dim))
+    xs, ys = (rng.standard_normal((2, 100, spec.dim))
+              + 1j * rng.standard_normal((2, 100, spec.dim)))
+    xs[0], xs[1] = 1.0, 1.5 + 1.5j  # the sum, and then |x_k| itself, overflow
+    big_x, big_y = top_binade(xs), top_binade(ys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(spec.kernel.norm(big_x[:2])).all()
+    relations = nl.RELATIONS if spec.kernel.smooth else (RHO_INF, RHO_PLUS, BIRKHOFF_JAMES)
+    for relation in relations:
+        r = orthogonality.relation_residuals(spec, relation, xs, ys).tobytes()
+        for a, b in ((big_x, ys), (xs, big_y), (big_x, big_y)):
+            assert orthogonality.relation_residuals(spec, relation, a, b).tobytes() == r, relation
 
 
 def test_perp_semi_zero_direction_is_orthogonal():
