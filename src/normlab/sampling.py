@@ -13,7 +13,9 @@ per index, the PCG64 words one LCG step before the seeded state
 (_stream_states).  Each thread keeps one PCG64, built on its first draw,
 whose state words it writes in place; numpy's own step (one random_raw
 call) then finishes the seeding, so no index builds a generator, sets a
-state dict or multiplies 128-bit ints in Python.
+state dict or multiplies 128-bit ints in Python.  A thread whose numpy
+keeps the words where the writer's probe cannot find them draws each index
+through rng_for instead: the same numbers, only slower.
 
 A report runs several suites on the same streams.  Inside draw_scope, a
 thread's gaussian_draws serves each (seed, keys, index range) from the
@@ -205,7 +207,8 @@ class _StreamWriter:
     fixes the word order once: the view must lie inside the object and
     hold the current state in one of _WORD_ORDERS, and known words written
     in that order must read back through the bit_generator.state getter.
-    Anything else raises RuntimeError; there is no other way to draw.
+    Anything else raises RuntimeError, and the thread draws through
+    rng_for instead (see _stream_writer).
     """
 
     def __init__(self):
@@ -239,12 +242,16 @@ class _StreamWriter:
 _per_thread = threading.local()
 
 
-def _stream_writer() -> _StreamWriter:
-    """This thread's _StreamWriter, built on its first draw."""
+def _stream_writer() -> _StreamWriter | None:
+    """This thread's _StreamWriter, built on its first draw, or None for
+    good where this numpy's layout fails its probe."""
     try:
         return _per_thread.writer
     except AttributeError:
-        _per_thread.writer = _StreamWriter()
+        try:
+            _per_thread.writer = _StreamWriter()
+        except RuntimeError:
+            _per_thread.writer = None
         return _per_thread.writer
 
 
@@ -298,11 +305,17 @@ def draw_scope():
 def _draw_normals(seed: int, keys: Sequence[int], indices: Sequence[int],
                   width: int) -> np.ndarray:
     """The first width standard normals of stream (seed, *keys, i) for
-    each i in indices, as a (len(indices), width) array."""
+    each i in indices, as a (len(indices), width) array; where the thread
+    has no _StreamWriter, each index builds its generator with rng_for,
+    the same numbers, only slower."""
     writer = _stream_writer()
+    g = np.empty((len(indices), width))
+    if writer is None:
+        for row, i in zip(g, indices):
+            row[:] = rng_for(seed, *keys, i).standard_normal(width)
+        return g
     view, raw = writer.words, writer.bit_generator.random_raw
     normal = writer.generator.standard_normal
-    g = np.empty((len(indices), width))
     # each index: write the words one step before its seeded state, let
     # random_raw take numpy's LCG step onto it, then draw (the generator
     # never draws 32-bit values, so has_uint32 stays 0)

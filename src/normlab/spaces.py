@@ -15,10 +15,11 @@ Since |x + t y| = |M x + t M y|_p, every functional of the norm is the
 p-norm's on (M x, M y).  One core per exponent class (p = 1, p = 2, other
 1 < p < inf, p = inf), picked by p in _core, gives the norm, its duality
 map, the closed forms of rho_plus, rho_inf and the Birkhoff-James
-criterion, and a minimizer of |z + xi w| over xi.  Each spec's Kernel is
-one object: p, M and M^-1, its core composed with M in _kernel, and the
-dual map and dual norm, from M^-1 and the conjugate core, or for a
-polyhedral M from one _polyhedral_dual solve.  A factory only validates
+criterion, a minimizer of |z + xi w| over xi, and the differences
+|z + t w| - |z| of the numeric limit without cancellation.  Each spec's
+Kernel is one object: p, M and M^-1, its core composed with M in _kernel,
+and the dual map and dual norm, from M^-1 and the conjugate core, or for
+a polyhedral M from one _polyhedral_dual solve.  A factory only validates
 its parameters and gives M and the isometry, and no other module branches
 on the family to compute a functional.
 
@@ -106,6 +107,7 @@ class Core:
     rho_inf_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bj_slope_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bj_argmin: Callable[[np.ndarray, np.ndarray], complex]
+    norm_steps: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,26 +120,31 @@ class Kernel:
 
     Since |x + t y| = |M x + t M y|_p, every function is the core's on the
     rows (M x, M y).  norm(xs) is the norm over the last axis of xs, for
-    any leading shape, in the precision of the input (complex128 or
-    extended).  The three closed forms take stacked (n, d) pairs, row i of
-    xs with row i of ys; rho_plus_pairs also broadcasts over leading axes,
-    so xs of shape (n, 1, d) against ys of (n, m, d) gives an (n, m) array
-    and computes each x's side (M x, and its gradient, support or active
-    set) once.  rho_plus_pairs is the right derivative, rho_inf_pairs the
-    angular average and bj_slope_pairs min over t of rho_plus(x, e^{it}
-    y), which is >= 0 iff x is Birkhoff-James orthogonal to y (James 1947:
-    t -> |x + t e^{is} y| is convex, so x minimizes along every complex
-    direction iff no one-sided slope is negative).  They are the default
-    path of every functional, and a single pair is a one-row call.
-    bj_argmin(x, y), for x and y of unit norm, is a complex xi minimizing
-    |x + xi y|.  norming(xs) is the duality map J, J_p(M x) M: a functional
-    h with h . x = |x| and dual norm 1 (0 on zero rows).  dual(gs) is the
-    dual map J* with the dual norm: unit points x with g . x = sup over |x|
-    <= 1 of |g . x|, M^-1 J_q(g M^-1), and that sup, |g M^-1|_q; for a
-    polyhedral M, whose dual norm is an l1 minimization with no closed
-    form, both come from one _polyhedral_dual solve, to a certified
-    duality gap.  Each row's value, of every function here, does not
-    depend on the rows stacked with it, bit for bit.
+    any leading shape.  norm_steps(xs, ys, ts) is |x + t y| - |x| for each
+    t of the 1-D ts and each row pair of xs and ys, whose leading axes
+    broadcast, as an array of shape ts.shape + that leading shape, taken
+    without differencing two norms, so it keeps full float64 precision as
+    t -> 0 (see _power_steps and _modulus_steps); the numeric limit
+    divides it by t.  The three closed forms take stacked (n, d) pairs,
+    row i of xs with row i of ys; rho_plus_pairs also broadcasts over
+    leading axes, so xs of shape (n, 1, d) against ys of (n, m, d) gives
+    an (n, m) array and computes each x's side (M x, and its gradient,
+    support or active set) once.  rho_plus_pairs is the right derivative,
+    rho_inf_pairs the angular average and bj_slope_pairs min over t of
+    rho_plus(x, e^{it} y), which is >= 0 iff x is Birkhoff-James
+    orthogonal to y (James 1947: t -> |x + t e^{is} y| is convex, so x
+    minimizes along every complex direction iff no one-sided slope is
+    negative).  They are the default path of every functional, and a
+    single pair is a one-row call.  bj_argmin(x, y), for x and y of unit
+    norm, is a complex xi minimizing |x + xi y|.  norming(xs) is the
+    duality map J, J_p(M x) M: a functional h with h . x = |x| and dual
+    norm 1 (0 on zero rows).  dual(gs) is the dual map J* with the dual
+    norm: unit points x with g . x = sup over |x| <= 1 of |g . x|, M^-1
+    J_q(g M^-1), and that sup, |g M^-1|_q; for a polyhedral M, whose dual
+    norm is an l1 minimization with no closed form, both come from one
+    _polyhedral_dual solve, to a certified duality gap.  Each row's value,
+    of every function here, does not depend on the rows stacked with it,
+    bit for bit.
 
     isometry(rng) is a linear map that preserves the norm, drawn from rng:
     coordinate phases for every family, then a coordinate permutation for
@@ -158,6 +165,7 @@ class Kernel:
     bj_slope_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bj_argmin: Callable[[np.ndarray, np.ndarray], complex]
     norming: Callable[[np.ndarray], np.ndarray]
+    norm_steps: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     isometry: Callable[[np.random.Generator], np.ndarray]
 
     @property
@@ -200,6 +208,133 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+# --- norm steps: |z + t w| - |z| without cancellation -----------------------
+#
+# With a_k = |z_k| and r_k = |z_k + t w_k|, delta_k = r_k^2 - a_k^2 =
+# 2t Re(conj(z_k) w_k) + t^2 |w_k|^2 is the sum of two terms that are small
+# with t, not the difference of two that are not.  The cores take every
+# difference of moduli, powers and norms from it, so a step keeps about
+# eps t |w| of absolute error where differencing two norms loses eps |z|.
+
+
+def _step_frame(zs: np.ndarray, ws: np.ndarray, ts: np.ndarray):
+    """The arguments of a norm_steps call laid out coordinate first: z and w
+    as contiguous (d, 1, ...) arrays and t as (1, k, 1, ...), so that
+    elementwise results are (d, k, ...) and reduce over their first axis
+    into the (k, ...) steps.  Each row pair is scaled by the power of two
+    2^-e that brings the largest |z_k| and t |w_k| into [1/2, 1) (short of
+    the subnormal range), so no square or power leaves the float range;
+    the steps scale back by 2^e.  Returns (z, w, t, e) with e of the
+    steps' leading shape."""
+    a = np.abs(zs).max(axis=-1)
+    b = np.abs(ws).max(axis=-1) * np.abs(ts).max()
+    e = np.maximum(np.frexp(np.maximum(a, b))[1], -1021)
+    s = np.ldexp(1.0, -e)[..., None]
+    axes = (e.ndim, *range(e.ndim))
+    z = np.ascontiguousarray((zs * s).transpose(axes))[:, None]
+    w = np.ascontiguousarray((ws * s).transpose(axes))[:, None]
+    return z, w, ts.reshape(1, -1, *(1,) * e.ndim), e
+
+
+def _square_rise(z: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """delta_k = |z_k + t w_k|^2 - |z_k|^2 from its two terms."""
+    c = 2.0 * (z.real * w.real + z.imag * w.imag)
+    return t * (c + t * (w.real * w.real + w.imag * w.imag))
+
+
+def _modulus_steps(zs, ws, ts, reduce):
+    """reduce(rise, z, a), scaled back, for each t and row pair: the steps
+    of the abs-sum and max-modulus norms.  rise is r_k - a_k = delta_k /
+    (r_k + a_k) (0 where both moduli are 0), on the frame of _step_frame,
+    and z and a are the scaled z_k and a_k."""
+    z, w, t, e = _step_frame(zs, ws, ts)
+    a = np.abs(z)
+    den = np.abs(z + t * w) + a
+    rise = _square_rise(z, w, t) / (den + (den == 0))
+    return np.ldexp(reduce(rise, z, a), e)
+
+
+def _modulus_gaps(z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """a_k - N over the first axis, N = max_k a_k, as (a_k^2 - N^2) / (a_k +
+    N) with the squares exact to about eps^2 N^2: a_k - N read off the
+    rounded moduli would carry half an ulp of N, which a step at a near
+    tie of a max-modulus norm, of size t |w|, cannot absorb."""
+    hi, lo = _square_modulus(z)
+    hi_n = hi.max(axis=0)
+    # with the largest lo among the largest hi, hi_n + lo_n is N^2
+    lo_n = np.where(hi == hi_n, lo, -np.inf).max(axis=0)
+    den = a + a.max(axis=0)
+    # hi - hi_n is exact where the two are within a factor of 2; 0 on z = 0
+    return ((hi - hi_n) + (lo - lo_n)) / (den + (den == 0))
+
+
+def _square_modulus(z: np.ndarray):
+    """|z|^2 as an unevaluated sum hi + lo, without a fused multiply-add:
+    Dekker's exact squares of the two parts and Knuth's exact sum of the
+    two, for |z| well inside the float range."""
+    parts = np.stack((z.real, z.imag))
+    sq = parts * parts
+    # Dekker: parts split into halves of 26 bits, whose products are exact
+    c = 134217729.0 * parts  # 2^27 + 1
+    h = c - (c - parts)
+    low = parts - h
+    sq_err = ((h * h - sq) + 2.0 * h * low) + low * low
+    xx, yy = sq
+    hi = xx + yy
+    b = hi - xx
+    return hi, ((xx - (hi - b)) + (yy - b)) + (sq_err[0] + sq_err[1])
+
+
+def _power_steps(zs, ws, ts, p: float):
+    """N(z + t w) - N(z) for the p-norm, 1 < p < inf, for each t and row
+    pair, from
+
+        r_k^p - a_k^p = a_k^p expm1((p/2) log1p(delta_k / a_k^2)),
+        N(z + t w) - N(z) = N expm1(log1p(D / N^p) / p),
+
+    with D the sum of the first over k.  Each is taken where its ratio,
+    delta_k / a_k^2 or D / N^p, lies in [-3/4, 3]; elsewhere the two
+    powers, or the two norms, differ by at least a factor 4^(1/p), and
+    their direct difference loses no more than about 10 ulps.  A ratio is
+    read off a reciprocal that is 0 on a base below _STEP_TINY (such as a
+    zero coordinate, or a zero z), whose term is then taken directly.
+    """
+    z, w, t, e = _step_frame(zs, ws, ts)
+    a = np.abs(z)
+    ap = a**p
+    q, direct = _bounded_ratio(_square_rise(z, w, t), a * a)
+    terms = ap * np.expm1((0.5 * p) * np.log1p(q))
+    if direct.any():
+        terms = np.where(direct, np.abs(z + t * w) ** p - ap, terms)
+    # an array also for a single pair: ** of a numpy scalar takes libm's
+    # pow, which may differ in the last bit from the array's
+    base = ap.sum(axis=0)
+    big = base ** (1.0 / p)
+    q, direct = _bounded_ratio(terms.sum(axis=0), base)
+    steps = big * np.expm1(np.log1p(q) / p)
+    if direct.any():
+        at = np.nonzero(direct)
+        zk = np.moveaxis(z[:, 0], 0, -1)[at[1:]]
+        wk = np.moveaxis(w[:, 0], 0, -1)[at[1:]]
+        steps[at] = _power_norm(zk + ts[at[0], None] * wk, p) - _power_norm(zk, p)
+    return np.ldexp(steps, e)
+
+
+# bases below this take their step directly: on the scaled rows of
+# _step_frame the ratios stay below 3 / _STEP_TINY, far from overflow
+_STEP_TINY = 2.0 ** -1000
+
+
+def _bounded_ratio(rise: np.ndarray, base: np.ndarray):
+    """rise / base, clipped to [-3/4, 3], and the mask where it was not in
+    that range or base < _STEP_TINY: there the caller takes the step
+    directly."""
+    small = base < _STEP_TINY
+    q = rise * (1.0 / np.where(small, 1.0, base) * ~small)
+    clipped = np.minimum(np.maximum(q, -0.75), 3.0)
+    return clipped, (clipped != q) | small
+
+
 def _phases(rng: np.random.Generator, dim: int) -> np.ndarray:
     """dim uniform unit phases: the first draws of every isometry."""
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim))
@@ -234,25 +369,44 @@ def _kernel(p: float, m, m_inv, isometry) -> Kernel:
     """The norm |M x|_p: the core of p composed with M, the one place where
     M meets the core.  M is skipped where it equals the identity, so those
     kernels bind the core's own functions, except in norming, whose
-    products with M set the signs of its zeros."""
+    products with M set the signs of its zeros.  A real diagonal M acts as
+    the elementwise product with its diagonal, which gives the values of
+    the row-by-row product; only a zero may keep its sign -0 where the
+    product's sum of zeros gives +0, and no function reads that sign."""
     p, m = float(p), _frozen(m)
     m_inv = None if m_inv is None else _frozen(m_inv)
     core, mt = _core(p), m.T
 
-    def norming(xs):
-        return _row_apply(core.norming(_row_apply(xs, mt)), m)
-
     if np.array_equal(m, np.eye(len(m))):
+        def norming(xs):
+            return _row_apply(core.norming(_row_apply(xs, mt)), m)
+
         return Kernel(p, m, m_inv, core.norm, core.rho_plus_pairs, core.rho_inf_pairs,
-                      core.bj_slope_pairs, core.bj_argmin, norming, isometry)
+                      core.bj_slope_pairs, core.bj_argmin, norming, core.norm_steps,
+                      isometry)
+
+    # image(xs) is M x and pull(hs) is h M, row by row
+    diag = np.diag(m).real
+    if np.array_equal(m, np.diag(diag)):
+        def image(xs):
+            return xs * diag
+
+        pull = image
+    else:
+        def image(xs):
+            return _row_apply(xs, mt)
+
+        def pull(hs):
+            return _row_apply(hs, m)
 
     def on_images(f):
-        return lambda xs, ys: f(_row_apply(xs, mt), _row_apply(ys, mt))
+        return lambda xs, ys: f(image(xs), image(ys))
 
-    return Kernel(p, m, m_inv, lambda xs: core.norm(_row_apply(xs, mt)),
+    return Kernel(p, m, m_inv, lambda xs: core.norm(image(xs)),
                   on_images(core.rho_plus_pairs), on_images(core.rho_inf_pairs),
-                  on_images(core.bj_slope_pairs), on_images(core.bj_argmin), norming,
-                  isometry)
+                  on_images(core.bj_slope_pairs), on_images(core.bj_argmin),
+                  lambda xs: pull(core.norming(image(xs))),
+                  lambda xs, ys, ts: core.norm_steps(image(xs), image(ys), ts), isometry)
 
 
 def _abs_sum_core() -> Core:
@@ -311,8 +465,11 @@ def _abs_sum_core() -> Core:
         start = cs[k] - 1e-8 * (1.0 + abs(cs[k])) * g / abs(g)
         return _power_sum_argmin(z, w, 1.0, start)
 
+    def norm_steps(zs, ws, ts):
+        return _modulus_steps(zs, ws, ts, lambda rise, z, a: rise.sum(axis=0))
+
     return Core(norm, lambda zs: parts(zs)[2], rho_plus_pairs, rho_inf_pairs,
-                bj_slope_pairs, bj_argmin)
+                bj_slope_pairs, bj_argmin, norm_steps)
 
 
 def _max_modulus_core() -> Core:
@@ -372,7 +529,13 @@ def _max_modulus_core() -> Core:
         cs = _one_center_candidates(-z[live] / w[live], np.abs(w[live]))
         return complex(cs[np.argmin(np.abs(z + cs[:, None] * w).max(axis=1))])
 
-    return Core(norm, norming, rho_plus_pairs, rho_inf_pairs, bj_slope_pairs, bj_argmin)
+    def norm_steps(zs, ws, ts):
+        # the largest of (a_k - N) + (r_k - a_k) over k
+        return _modulus_steps(
+            zs, ws, ts, lambda rise, z, a: (rise + _modulus_gaps(z, a)).max(axis=0))
+
+    return Core(norm, norming, rho_plus_pairs, rho_inf_pairs, bj_slope_pairs, bj_argmin,
+                norm_steps)
 
 
 def _one_center_candidates(z: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -647,12 +810,12 @@ def _power_gradients(zs: np.ndarray, p: float) -> np.ndarray:
     return np.where(live[..., None], (m * s)[..., None] * u ** (p - 1.0) * sgn, 0)
 
 
-def _smooth_core(norm, gradients, bj_argmin) -> Core:
-    """A norm differentiable away from 0 with gradient functional v =
-    gradients(z), sum_k conj(v_k) z_k = N(z)^2: rho_plus(z, w) =
-    Re sum_k conj(v_k) w_k, rho_inf(z, w) = sum_k v_k conj(w_k), and the
-    Birkhoff-James slope is -|rho_inf|.  bj_argmin(z, w, rho_inf_pairs)
-    may start from rho_inf."""
+def _smooth_core(p: float, norm, gradients, bj_argmin) -> Core:
+    """The p-norm, 1 < p < inf, differentiable away from 0 with gradient
+    functional v = gradients(z), sum_k conj(v_k) z_k = N(z)^2: rho_plus(z,
+    w) = Re sum_k conj(v_k) w_k, rho_inf(z, w) = sum_k v_k conj(w_k), and
+    the Birkhoff-James slope is -|rho_inf|.  bj_argmin(z, w,
+    rho_inf_pairs) may start from rho_inf."""
 
     def norming(zs):
         n = norm(zs)
@@ -669,7 +832,8 @@ def _smooth_core(norm, gradients, bj_argmin) -> Core:
         return -np.hypot(v.real, v.imag)
 
     return Core(norm, norming, rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
-                lambda z, w: bj_argmin(z, w, rho_inf_pairs))
+                lambda z, w: bj_argmin(z, w, rho_inf_pairs),
+                lambda zs, ws, ts: _power_steps(zs, ws, ts, p))
 
 
 def _power_core(p: float) -> Core:
@@ -682,7 +846,7 @@ def _power_core(p: float) -> Core:
         start = -rho_inf_pairs(z[None], w[None]).item()
         return _power_sum_argmin(z, w, p, start)
 
-    return _smooth_core(lambda zs: _power_norm(zs, p),
+    return _smooth_core(p, lambda zs: _power_norm(zs, p),
                         lambda zs: _power_gradients(zs, p), bj_argmin)
 
 
@@ -701,7 +865,7 @@ def _euclidean_core() -> Core:
         zw, ww = rho_inf_pairs(np.stack((z, w)), np.stack((w, w)))
         return -complex(zw) / ww.real
 
-    return _smooth_core(norm, lambda zs: zs, bj_argmin)
+    return _smooth_core(2.0, norm, lambda zs: zs, bj_argmin)
 
 
 @dataclass(frozen=True, eq=False)
@@ -811,11 +975,7 @@ def check_dim(spec: NormSpec, x: np.ndarray) -> None:
 
 
 def norm_rows(spec: NormSpec, xs: np.ndarray) -> np.ndarray:
-    """Norm of each row of a 2-D array, in the dtype of the input.
-
-    Extended-precision rows (clongdouble) are evaluated in extended
-    precision; this is what the norm-derivative limit relies on.
-    """
+    """Norm of each row of a 2-D array."""
     check_dim(spec, xs)
     return spec.kernel.norm(xs)
 

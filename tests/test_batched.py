@@ -13,7 +13,7 @@ import pytest
 
 import normlab as nl
 from normlab import checks, cli, derivatives, orthogonality, rho_infinity, sampling
-from normlab.derivatives import NUMERIC_LIMIT, QUADRATURE
+from normlab.derivatives import NUMERIC_LIMIT, QUADRATURE, STEPS
 from normlab.orthogonality import BJ_CANCEL_RTOL, DEFAULT_TOL, SamplerConfig
 from normlab.sampling import complex_gaussian, rng_for, sample_unit
 from normlab.spaces import _row_apply
@@ -79,16 +79,19 @@ def test_pairs_methods_equal_the_single_pair_forms(name):
     inf = k.rho_inf_pairs(xs, ys)
     slope = k.bj_slope_pairs(xs, ys)
     norms = k.norm(xs)
-    assert plus.dtype == slope.dtype == norms.dtype == np.float64
+    steps = k.norm_steps(xs, ys, STEPS)
+    assert plus.dtype == slope.dtype == norms.dtype == steps.dtype == np.float64
     assert inf.dtype == np.complex128
     for i, (x, y) in enumerate(zip(xs, ys)):
         assert bits(plus[i]) == bits(k.rho_plus_pairs(x[None], y[None])[0]), i
         assert bits(inf[i]) == bits(k.rho_inf_pairs(x[None], y[None])[0]), i
         assert bits(slope[i]) == bits(k.bj_slope_pairs(x[None], y[None])[0]), i
         assert bits(norms[i]) == bits(nl.norm(spec, x)), i
+        # a single (d,) pair too, as the one-row form
+        assert bits(steps[:, i]) == bits(k.norm_steps(x, y, STEPS)), i
     # and every stacked value is a value: no overflow at 1e150, no 0/0 at 0
     assert np.isfinite(plus).all() and np.isfinite(inf).all()
-    assert np.isfinite(slope).all()
+    assert np.isfinite(slope).all() and np.isfinite(steps).all()
 
 
 # every family's norm is |M x|_p; the non-identity Gram of the goldens and
@@ -101,8 +104,9 @@ FRAME_SPECS = {
 
 
 def images(spec, xs):
-    """M x for each row x, as the kernel forms it: one row-wise product,
-    skipped where M is the identity."""
+    """M x for each row x: one row-wise product, skipped where M is the
+    identity (the kernel takes a diagonal M elementwise, which gives the
+    same functionals, bit for bit; see the test after the next)."""
     m = spec.kernel.m
     return xs if np.array_equal(m, np.eye(len(m))) else _row_apply(xs, m.T)
 
@@ -124,10 +128,7 @@ def test_kernels_are_the_p_norm_of_the_images(name):
     xs, ys = hard_pairs(spec, np.random.default_rng((23, spec.dim)))
     zs, ws = images(spec, xs), images(spec, ys)
     assert bits(k.norm(xs)) == bits(lp_k.norm(zs))
-    # the numeric limit's precision; an extended value's bytes include
-    # padding, so the values are compared
-    ext = xs.astype(np.clongdouble)
-    assert np.array_equal(k.norm(ext), lp_k.norm(images(spec, ext)))
+    assert bits(k.norm_steps(xs, ys, STEPS)) == bits(lp_k.norm_steps(zs, ws, STEPS))
     assert bits(k.rho_plus_pairs(xs, ys)) == bits(lp_k.rho_plus_pairs(zs, ws))
     assert bits(k.rho_inf_pairs(xs, ys)) == bits(lp_k.rho_inf_pairs(zs, ws))
     assert bits(k.bj_slope_pairs(xs, ys)) == bits(lp_k.bj_slope_pairs(zs, ws))
@@ -143,8 +144,7 @@ def test_gram_identity_is_the_two_norm():
     for k in (pd, l2):
         assert k.smooth and k.r_dual == 0.0
     assert bits(pd.norm(xs)) == bits(l2.norm(xs))
-    ext = xs.astype(np.clongdouble)
-    assert np.array_equal(pd.norm(ext), l2.norm(ext))
+    assert bits(pd.norm_steps(xs, ys, STEPS)) == bits(l2.norm_steps(xs, ys, STEPS))
     for method in ("rho_plus_pairs", "rho_inf_pairs", "bj_slope_pairs"):
         assert bits(getattr(pd, method)(xs, ys)) == bits(getattr(l2, method)(xs, ys)), method
     assert bits(pd.norming(xs)) == bits(l2.norming(xs))
@@ -152,6 +152,40 @@ def test_gram_identity_is_the_two_norm():
         assert bits(pd_part) == bits(l2_part)
     for i, (x, y) in enumerate(zip(*unit_rows(nl.lp(2, 3), xs, ys))):
         assert bits(pd.bj_argmin(x, y)) == bits(l2.bj_argmin(x, y)), i
+
+
+def signed_zeros(rng, xs):
+    """xs with about half of its zero real and imaginary parts made -0."""
+    re, im = xs.real.copy(), xs.imag.copy()
+    for part in (re, im):
+        part[(part == 0) & (rng.random(part.shape) < 0.5)] = -0.0
+    out = np.empty_like(xs)
+    out.real, out.imag = re, im
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_a_diagonal_m_acts_elementwise_with_the_products_bits(dim):
+    # wl1's M = diag(w) is applied as x * w.  Its images carry a zero's
+    # sign where the row-by-row product's sum of zeros may give +0 for -0.
+    # On hard pairs with signed zeros every function of the kernel equals
+    # the p-norm's on the product images bit for bit, except that a
+    # minimizer xi = 0 may come back as 0 or -0
+    rng = np.random.default_rng((25, dim))
+    spec = nl.weighted_l1(rng.uniform(0.5, 2.0, dim))
+    k, l1 = spec.kernel, nl.lp(1, dim).kernel
+    xs, ys = (signed_zeros(rng, a) for a in hard_pairs(spec, rng))
+    zs, ws = images(spec, xs), images(spec, ys)
+    assert np.array_equal(xs * spec.weights, zs)  # the values; signs may differ
+    assert bits(k.norm(xs)) == bits(l1.norm(zs))
+    for method in ("rho_plus_pairs", "rho_inf_pairs", "bj_slope_pairs"):
+        assert bits(getattr(k, method)(xs, ys)) == bits(getattr(l1, method)(zs, ws)), method
+    assert bits(k.norming(xs)) == bits(_row_apply(l1.norming(zs), k.m))
+    assert bits(k.norm_steps(xs, ys, STEPS)) == bits(l1.norm_steps(zs, ws, STEPS))
+    for i, (x, y) in enumerate(zip(*unit_rows(spec, xs, ys))):
+        xi = k.bj_argmin(x, y)
+        ref = l1.bj_argmin(images(spec, x), images(spec, y))
+        assert bits(xi) == bits(ref) or xi == ref == 0, i
 
 
 @pytest.mark.parametrize("name", ["poly-3", "poly-rows"])

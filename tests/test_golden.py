@@ -12,23 +12,23 @@ non-identity Gram into lp2, the golden poly into lp:inf, all in dim 2),
 lp:inf eval is the pinned false-convergence reproducer x = 1,1,1), and
 ``eval`` of rho_plus and rho_inf on the non-identity Gram.
 
-The goldens are tied to x86 80-bit extended precision, which the numeric
-limit uses for its difference quotients; elsewhere the test is skipped.
 A change that alters numerics on purpose rewrites them with
 
     PYTHONPATH=src python tests/test_golden.py
 
 which lists on stderr the goldens whose bytes changed and those that did
-not (a new golden counts as changed).
+not (a new golden counts as changed), and prints each changed golden's
+moved lines on stdout, the old lines then the new, as a unified diff
+without context.
 """
 
 import contextlib
+import difflib
 import io
 import sys
 from itertools import zip_longest
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from normlab.cli import main
@@ -133,8 +133,6 @@ def run(argv: list[str]) -> str:
 COMMANDS = commands()
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
-                    reason="goldens were captured with x86 80-bit long double")
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_golden_output(name):
     expected = (GOLDEN / f"{name}.out").read_text(encoding="ascii").splitlines()
@@ -153,7 +151,13 @@ if __name__ == "__main__":
         path = GOLDEN / f"{name}.out"
         text = run(argv)
         old = path.read_text(encoding="ascii") if path.exists() else None
-        (same if text == old else changed).append(name)
+        if text == old:
+            same.append(name)
+        else:
+            changed.append(name)
+            sys.stdout.writelines(difflib.unified_diff(
+                (old or "").splitlines(keepends=True), text.splitlines(keepends=True),
+                f"{name} (old)", f"{name} (new)", n=0))
         path.write_text(text, encoding="ascii")
     print(f"wrote {len(COMMANDS)} goldens to {GOLDEN}", file=sys.stderr)
     print(f"changed ({len(changed)}): {' '.join(changed) or '-'}",

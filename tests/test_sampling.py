@@ -15,9 +15,10 @@ import threading
 import numpy as np
 import pytest
 
+import normlab as nl
 from normlab import cli, sampling
 from normlab.cli import main
-from normlab.sampling import _stream_states, gaussian_draws, rng_for
+from normlab.sampling import _stream_states, gaussian_draws, rng_for, unit_draws
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**70 + 5]
 KEYS = [(), (3,), (1, 2, 3, 4, 5)]
@@ -171,6 +172,39 @@ def test_a_word_order_that_does_not_read_back_raises(monkeypatch):
     monkeypatch.setattr(sampling, "_WORD_ORDERS", ([2, 3, 0, 1],))
     with pytest.raises(RuntimeError, match="word order"):
         sampling._StreamWriter()
+
+
+def test_a_failed_probe_falls_back_to_rng_for(monkeypatch):
+    # a numpy whose state words the probe cannot find: a fresh thread
+    # chooses the fallback once and draws every index through rng_for, with
+    # the bits of the fast path in this thread
+    def fail(self):
+        raise RuntimeError("no known word order")
+
+    spec = nl.lp(2.5, 3)
+    jobs = [(seed, keys, indices) for seed in (0, 2**32, 2**70 + 5)
+            for keys in ((), (3,), (1, 2, 3, 4, 5))
+            for indices in (range(5, 13), [7, 2**32 - 1, 2**32, 2**32 + 5])]
+
+    def draws(job):
+        seed, keys, indices = job
+        return [a.tobytes() for a in (*gaussian_draws(3, seed, keys, indices, extra=2),
+                                      *unit_draws(spec, seed, keys, indices, extra=1))]
+
+    fast = [draws(job) for job in jobs]
+    monkeypatch.setattr(sampling._StreamWriter, "_probe", fail)
+    seen = {}
+
+    def run():
+        seen["draws"] = [draws(job) for job in jobs]
+        seen["writer"] = sampling._stream_writer()
+
+    t = threading.Thread(target=run)
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive()
+    assert seen["writer"] is None
+    assert seen["draws"] == fast
 
 
 # --- the draw scope of a report ---------------------------------------------

@@ -53,16 +53,18 @@ def test_pd_norm_matches_quadratic_form(rng):
 
 def test_kernel_norm_matches_norm_rows(rng):
     # the kernel evaluates over the last axis: single vectors (as in the
-    # Birkhoff-James simplex) and extended-precision rows (as in the
-    # numeric limit) must agree with the float64 batch
+    # Birkhoff-James simplex) must agree with the batch, and so must the
+    # numeric limit's norm_steps, bit for bit
+    ts = 0.1 * 4.0 ** -np.arange(13)
     for spec in family_specs():
         xs = rng.standard_normal((5, spec.dim)) + 1j * rng.standard_normal((5, spec.dim))
+        ys = rng.standard_normal((5, spec.dim)) + 1j * rng.standard_normal((5, spec.dim))
         batched = norm_rows(spec, xs)
-        wide = spec.kernel.norm(xs.astype(np.clongdouble))
-        assert wide.dtype == np.longdouble
+        steps = spec.kernel.norm_steps(xs, ys, ts)
+        assert steps.shape == (ts.size, 5)
         for i in range(5):
             assert float(spec.kernel.norm(xs[i])) == pytest.approx(batched[i], rel=1e-14)
-            assert float(wide[i]) == pytest.approx(batched[i], rel=1e-14)
+            assert steps[:, i].tobytes() == spec.kernel.norm_steps(xs[i], ys[i], ts).tobytes()
 
 
 def test_norm_rows_batches(rng):
