@@ -233,7 +233,7 @@ class MapAnalysis:
     rounding: always where operator_norm_formula has a closed form
     (from an abs-sum domain, lp1 or wl1, into any codomain, from any
     domain into a max-modulus codomain, lp inf or poly, where a poly
-    domain's dual norm is certified to its duality gap, and between pd
+    domain's dual solve settled on the maximizing row, and between pd
     and lp2), and between two norms of one exponent p (smooth
     lp into smooth lp) where the estimate reaches the Riesz-Thorin bound,
     as on scalar multiples of monomial maps (operator_norm_estimate).
@@ -285,30 +285,31 @@ def _ratios(spec_dom: NormSpec, spec_cod: NormSpec, t: np.ndarray,
 def operator_norm_formula(spec_dom: NormSpec, spec_cod: NormSpec, t: np.ndarray):
     """The closed form of |T| = sup |T x|_cod / |x|_dom for a (cod dim, dom
     dim) matrix T: (|T|, a vector x of unit norm with |T x| = |T|, up to
-    rounding), or None where none is known.
+    rounding, and whether the value is exact), or None where none is known.
 
     * An abs-sum domain (lp1, wl1), into any codomain: its unit ball is
       the hull of the e^{it} e_k / w_k, so |T| = max_k |T e_k|_cod / w_k.
     * A max-modulus codomain (lp inf, poly), from any domain: |T| = max_j
       dual_dom(f_j T), and x is the dual point of the maximizing row.  From
-      a poly domain both come from one solve (Kernel.dual), exact to its
-      certified duality gap.
+      a poly domain both come from one solve (Kernel.dual), exact where the
+      maximizing row settled, which certifies its duality gap; elsewhere
+      the value is a lower bound.
     * Euclidean to Euclidean (pd and lp2, p = 2 on both sides): the
       spectral norm of A_cod T A_dom^-1.
     """
     dom, cod = spec_dom.kernel, spec_cod.kernel
     if dom.p == 1.0:
         xs = dom.m_inv.T  # row k is e_k / w_k
-        values = cod.norm(xs @ t.T)
+        values, settled = cod.norm(xs @ t.T), None
     elif np.isinf(cod.p):
-        xs, values = dom.dual(cod.m @ t)  # row j of cod.m @ t is f_j T
+        xs, values, settled = dom.dual(cod.m @ t)  # row j of cod.m @ t is f_j T
     elif dom.p == cod.p == 2.0:
         _, s, vh = np.linalg.svd(cod.m @ t @ dom.m_inv)
-        return float(s[0]), dom.m_inv @ vh[0].conj()
+        return float(s[0]), dom.m_inv @ vh[0].conj(), True
     else:
         return None
     k = int(np.argmax(values))
-    return float(values[k]), xs[k]
+    return float(values[k]), xs[k], settled is None or bool(settled[k])
 
 
 def _certified_floor(spec_dom, spec_cod, t) -> float:
@@ -343,7 +344,7 @@ def _power_ascent(spec_dom, spec_cod, t, xs, ratios, reach):
     for _ in range(ASCENT_STEPS):
         if not live.size:
             break
-        new, _ = dom.dual(_row_apply(cod.norming(_row_apply(xs[live], t.T)), t))
+        new, _, _ = dom.dual(_row_apply(cod.norming(_row_apply(xs[live], t.T)), t))
         r = _ratios(spec_dom, spec_cod, t, new)
         up = r > ratios[live]
         live = live[up]
@@ -368,7 +369,7 @@ def operator_norm_estimate(spec_dom: NormSpec, spec_cod: NormSpec, t,
     scored in one stacked pass.  The best ASCENT_ROWS of them run Boyd's
     power iteration as one stack, each row until its ratio stops rising or
     comes within NORM_BOUND_RTOL of U; on a polyhedral domain the dual map
-    of each step is the kernel's certified solver.  The estimate is the
+    of each step is the kernel's dual solver.  The estimate is the
     best ratio reached; samples and seed matter only there.  Returns
     (estimate, attaining unit vector).
     """
@@ -381,8 +382,7 @@ def _operator_norm(spec_dom, spec_cod, t, samples, seed):
     |T| up to rounding (MapAnalysis.operator_norm_exact)."""
     closed = operator_norm_formula(spec_dom, spec_cod, t)
     if closed is not None:
-        best, x = closed
-        exact = True
+        best, x, exact = closed
     else:
         reach = _certified_floor(spec_dom, spec_cod, t)
         xs = np.eye(spec_dom.dim, dtype=np.complex128)

@@ -29,6 +29,7 @@ from .errors import DimensionMismatchError, NotSmoothError, ZeroBaseError
 from .sampling import gaussian_draws, index_batches
 from .spaces import (
     NormSpec,
+    _power_of_two_scaled,
     check_dim,
     format_cvector,
     is_smooth_family,
@@ -183,24 +184,16 @@ def decomposition_alpha(spec: NormSpec, x, y) -> complex:
 def birkhoff_minimize(spec: NormSpec, x, y) -> tuple[float, complex]:
     """min over complex xi of |x + xi y|, with the minimizing xi.
 
-    The spec's kernel finds xi on the unit-normalized pair: the orthogonal
-    projection for pd, the weighted 1-center of the points -f_j x / f_j y
-    for max-modulus norms, a data point -x_k/y_k where the criterion holds
-    for weighted l1, and otherwise (smooth lp, interior l1 minima) damped
-    Newton on sum_k w_k |x_k + xi y_k|^p.
+    A one-row call of the kernel's bj_argmin_pairs on the unit pair: the
+    orthogonal projection for pd, the dual norm of (1, 0) on the rows (f_j
+    x, f_j y) for max-modulus norms, a data point -x_k/y_k where the
+    criterion holds for weighted l1, and otherwise (smooth lp, interior l1
+    minima) damped Newton on sum_k w_k |x_k + xi y_k|^p.
     """
-    x = vector(x)
-    y = vector(y)
-    check_dim(spec, x)
-    check_dim(spec, y)
-    nx = norm(spec, x)
-    ny = norm(spec, y)
-    if nx == 0.0 or ny == 0.0:
-        return nx, 0j
-    xu = x / nx
-    yu = y / ny
-    z = spec.kernel.bj_argmin(xu, yu)
-    return nx * float(spec.kernel.norm(xu + z * yu)), z * nx / ny
+    x, y = vector(x), vector(y)
+    nx, ny = norm(spec, x), norm(spec, y)
+    xi = complex(_bj_argmin(spec, x[None], y[None], nx)[0]) if nx and ny else 0j
+    return norm(spec, x + xi * y), xi
 
 
 @dataclass(frozen=True)
@@ -246,11 +239,12 @@ def construct_pairs(spec: NormSpec, relation: str, xs: np.ndarray,
     rho_plus uses the real translation shift, rho_inf the decomposition
     scalar, semi the first-slot linearity of the s.i.p., and bj moves x
     to the minimizer of |x + xi y| (the minimizer is then orthogonal to
-    the direction it was minimized along), found pair by pair.  A weighted
-    l1 minimizer often has exact zeros, where its criterion is decided, so
-    coordinates that cancel to rounding are set to 0.  The scalars are
-    divided as Python divides a complex by a float, part by part; numpy
-    would multiply by the reciprocal.
+    the direction it was minimized along), birkhoff_minimize's xi from one
+    stacked bj_argmin_pairs call.  A weighted l1 minimizer often has exact
+    zeros, where its criterion is decided, so coordinates that cancel to
+    rounding are set to 0.  The scalars are divided as Python divides a
+    complex by a float, part by part; numpy would multiply by the
+    reciprocal.
     """
     k = spec.kernel
     nx2 = np.float_power(nx, 2)  # as the float nx ** 2, which ** on arrays is not
@@ -265,45 +259,47 @@ def construct_pairs(spec: NormSpec, relation: str, xs: np.ndarray,
         c.real, c.imag = re / nx2, im / nx2
         return xs, ys - c[:, None] * xs
     if relation == BIRKHOFF_JAMES:
-        # birkhoff_minimize's xi, in its Python arithmetic
-        ny = k.norm(ys)
-        xi = np.array([complex(k.bj_argmin(xu, yu)) * float(n1) / float(n2)
-                       for xu, yu, n1, n2 in zip(xs / nx[:, None], ys / ny[:, None],
-                                                 nx, ny)], dtype=np.complex128)
-        shift = xi[:, None] * ys
+        shift = _bj_argmin(spec, xs, ys, nx)[:, None] * ys
         a = xs + shift
         a[np.abs(a) <= BJ_CANCEL_RTOL * (np.abs(xs) + np.abs(shift))] = 0
         return a, ys
     raise ValueError(f"unknown relation {relation!r}")
 
 
-def _power_of_two_scaled(zs: np.ndarray) -> np.ndarray:
-    """Each row of zs times the power of two that brings its largest real
-    or imaginary part into [0.5, 1): exact, signs of zero included."""
-    _, e = np.frexp(np.maximum(np.abs(zs.real), np.abs(zs.imag)).max(axis=-1))
-    out = np.empty_like(zs)
-    out.real, out.imag = np.ldexp(zs.real, -e[:, None]), np.ldexp(zs.imag, -e[:, None])
-    return out
+def _bj_argmin(spec: NormSpec, xs: np.ndarray, ys: np.ndarray, nx) -> np.ndarray:
+    """birkhoff_minimize's xi for each pair of nonzero rows, nx the norms
+    of xs: the kernel's minimizer on the unit pair of _unit_pairs, times
+    |x| / |y| part by part."""
+    xu, yu, _, _ = _unit_pairs(spec, xs, ys)
+    z, ny = spec.kernel.bj_argmin_pairs(xu, yu), spec.kernel.norm(ys)
+    xi = np.empty_like(z)
+    xi.real, xi.imag = z.real * nx / ny, z.imag * nx / ny
+    return xi
+
+
+_TINY = float(np.finfo(np.float64).tiny)  # the least normal float
 
 
 def _unit_pairs(spec: NormSpec, xs: np.ndarray, ys: np.ndarray):
     """x/|x| and y/|y| row by row, after vector's finiteness check, and
-    which rows have x = 0 and which y = 0.  Where a norm overflows, x/|x|
-    would read 0; the rows are then scaled by powers of two first, which
-    changes no bit of x/|x| on the rows whose norm is finite."""
+    which rows have x = 0 and which y = 0.  numpy divides x by |x| as x
+    times 1/|x|, which reads 0 or overflows unless |x| and 1/|x| are both
+    normal; the rows are then scaled by powers of two first, which changes
+    no bit of x/|x| on the rows where they are."""
     check_dim(spec, xs)
     check_dim(spec, ys)
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("vector components must be finite (no NaN/Inf)")
-    with np.errstate(over="ignore", invalid="ignore"):
-        nx, ny = spec.kernel.norm(xs), spec.kernel.norm(ys)
-    if not (np.isfinite(nx).all() and np.isfinite(ny).all()):
-        xs, ys = _power_of_two_scaled(xs), _power_of_two_scaled(ys)
-        nx, ny = spec.kernel.norm(xs), spec.kernel.norm(ys)
-    x_zero = nx == 0.0
-    y_zero = ny == 0.0
-    # nx + x_zero is exactly nx, or 1 on zero rows
-    return xs / (nx + x_zero)[:, None], ys / (ny + y_zero)[:, None], x_zero, y_zero
+    for scaled in (False, True):
+        with np.errstate(over="ignore", invalid="ignore"):
+            nx, ny = spec.kernel.norm(xs), spec.kernel.norm(ys)
+        x_zero, y_zero = nx == 0.0, ny == 0.0
+        dx, dy = nx + x_zero, ny + y_zero  # exactly the norms, or 1 on zero rows
+        # all normal, with normal reciprocals (a NaN fails both tests)
+        if scaled or (np.minimum(dx, dy).min(initial=1.0) >= _TINY
+                      and np.maximum(dx, dy).max(initial=1.0) * _TINY <= 1.0):
+            return xs / dx[:, None], ys / dy[:, None], x_zero, y_zero
+        (xs, _), (ys, _) = _power_of_two_scaled(xs), _power_of_two_scaled(ys)
 
 
 def _residuals(spec: NormSpec, relation: str, xu: np.ndarray, yu: np.ndarray,

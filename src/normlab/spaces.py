@@ -19,9 +19,10 @@ criterion, a minimizer of |z + xi w| over xi, and the differences
 |z + t w| - |z| of the numeric limit without cancellation.  Each spec's
 Kernel is one object: p, M and M^-1, its core composed with M in _kernel,
 and the dual map and dual norm, from M^-1 and the conjugate core, or for
-a polyhedral M from one _polyhedral_dual solve.  A factory only validates
-its parameters and gives M and the isometry, and no other module branches
-on the family to compute a functional.
+a polyhedral M from one _polyhedral_dual solve, which also gives the
+max-modulus minimizer.  A factory only validates its parameters and gives
+M and the isometry, and no other module branches on the family to compute
+a functional.
 
 Every spec is immutable after construction and all functions here are pure,
 so everything is safe to share across threads.
@@ -33,7 +34,6 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations
 
 import numpy as np
 
@@ -82,6 +82,16 @@ def vector(data) -> np.ndarray:
     return arr
 
 
+def _power_of_two_scaled(zs: np.ndarray):
+    """Each row of zs times the power of two 2^-e that brings its largest
+    real or imaginary part into [0.5, 1), exact, signs of zero included,
+    and e (0 on zero rows)."""
+    _, e = np.frexp(np.maximum(np.abs(zs.real), np.abs(zs.imag)).max(axis=-1))
+    out = np.empty_like(zs)
+    out.real, out.imag = np.ldexp(zs.real, -e[:, None]), np.ldexp(zs.imag, -e[:, None])
+    return out, e
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=np.complex128, copy=True)
     out.setflags(write=False)
@@ -106,7 +116,7 @@ class Core:
     rho_plus_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     rho_inf_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bj_slope_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    bj_argmin: Callable[[np.ndarray, np.ndarray], complex]
+    bj_argmin_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     norm_steps: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -135,16 +145,16 @@ class Kernel:
     orthogonal to y (James 1947: t -> |x + t e^{is} y| is convex, so x
     minimizes along every complex direction iff no one-sided slope is
     negative).  They are the default path of every functional, and a
-    single pair is a one-row call.  bj_argmin(x, y), for x and y of unit
-    norm, is a complex xi minimizing |x + xi y|.  norming(xs) is the
-    duality map J, J_p(M x) M: a functional h with h . x = |x| and dual
-    norm 1 (0 on zero rows).  dual(gs) is the dual map J* with the dual
-    norm: unit points x with g . x = sup over |x| <= 1 of |g . x|, M^-1
-    J_q(g M^-1), and that sup, |g M^-1|_q; for a polyhedral M, whose dual
-    norm is an l1 minimization with no closed form, both come from one
-    _polyhedral_dual solve, to a certified duality gap.  Each row's value,
-    of every function here, does not depend on the rows stacked with it,
-    bit for bit.
+    single pair is a one-row call, as of bj_argmin_pairs: for unit pairs,
+    a complex xi minimizing |x + xi y|.  norming(xs) is the duality map J,
+    J_p(M x) M: a functional h with h . x = |x| and dual norm 1 (0 on zero
+    rows).  dual(gs) is the dual map J* with the dual norm: unit points x
+    with g . x = sup over |x| <= 1 of |g . x|, M^-1 J_q(g M^-1), and that
+    sup, |g M^-1|_q, and which rows settled (all off poly); for a
+    polyhedral M, whose dual norm is an l1 minimization with no closed
+    form, all three come from one _polyhedral_dual solve.  Each row's
+    value, of every function here, does not depend on the rows stacked
+    with it, bit for bit.
 
     isometry(rng) is a linear map that preserves the norm, drawn from rng:
     coordinate phases for every family, then a coordinate permutation for
@@ -163,7 +173,7 @@ class Kernel:
     rho_plus_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     rho_inf_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bj_slope_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    bj_argmin: Callable[[np.ndarray, np.ndarray], complex]
+    bj_argmin_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     norming: Callable[[np.ndarray], np.ndarray]
     norm_steps: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     isometry: Callable[[np.random.Generator], np.ndarray]
@@ -176,12 +186,13 @@ class Kernel:
     def r_dual(self) -> float | None:
         return 0.0 if self.smooth else None if self.m_inv is None else 2.0
 
-    def dual(self, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def dual(self, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self.m_inv is None:
             return _polyhedral_dual(self.m, gs)
         core = _core(_conjugate(self.p))
         hs = _row_apply(gs, self.m_inv)
-        return _row_apply(core.norming(hs), self.m_inv.T), core.norm(hs)
+        return (_row_apply(core.norming(hs), self.m_inv.T), core.norm(hs),
+                np.ones(len(gs), dtype=bool))
 
 
 # Each row of a stacked evaluation must not depend on the rows stacked with
@@ -382,7 +393,7 @@ def _kernel(p: float, m, m_inv, isometry) -> Kernel:
             return _row_apply(core.norming(_row_apply(xs, mt)), m)
 
         return Kernel(p, m, m_inv, core.norm, core.rho_plus_pairs, core.rho_inf_pairs,
-                      core.bj_slope_pairs, core.bj_argmin, norming, core.norm_steps,
+                      core.bj_slope_pairs, core.bj_argmin_pairs, norming, core.norm_steps,
                       isometry)
 
     # image(xs) is M x and pull(hs) is h M, row by row
@@ -404,7 +415,7 @@ def _kernel(p: float, m, m_inv, isometry) -> Kernel:
 
     return Kernel(p, m, m_inv, lambda xs: core.norm(image(xs)),
                   on_images(core.rho_plus_pairs), on_images(core.rho_inf_pairs),
-                  on_images(core.bj_slope_pairs), on_images(core.bj_argmin),
+                  on_images(core.bj_slope_pairs), on_images(core.bj_argmin_pairs),
                   lambda xs: pull(core.norming(image(xs))),
                   lambda xs, ys, ts: core.norm_steps(image(xs), image(ys), ts), isometry)
 
@@ -465,11 +476,14 @@ def _abs_sum_core() -> Core:
         start = cs[k] - 1e-8 * (1.0 + abs(cs[k])) * g / abs(g)
         return _power_sum_argmin(z, w, 1.0, start)
 
+    def bj_argmin_pairs(zs, ws):
+        return np.array([bj_argmin(z, w) for z, w in zip(zs, ws)], dtype=np.complex128)
+
     def norm_steps(zs, ws, ts):
         return _modulus_steps(zs, ws, ts, lambda rise, z, a: rise.sum(axis=0))
 
     return Core(norm, lambda zs: parts(zs)[2], rho_plus_pairs, rho_inf_pairs,
-                bj_slope_pairs, bj_argmin, norm_steps)
+                bj_slope_pairs, bj_argmin_pairs, norm_steps)
 
 
 def _max_modulus_core() -> Core:
@@ -524,55 +538,30 @@ def _max_modulus_core() -> Core:
             out[i] = nz[i, 0] * _envelope_min(c[i][act[i]])
         return out
 
-    def bj_argmin(z, w):
-        live = w != 0  # z_k + xi w_k does not move with xi elsewhere
-        cs = _one_center_candidates(-z[live] / w[live], np.abs(w[live]))
-        return complex(cs[np.argmin(np.abs(z + cs[:, None] * w).max(axis=1))])
+    def bj_argmin_pairs(zs, ws):
+        # xi = xi0 + 2^e zeta: xi0 = -z_k/w_k at the first largest |w_k|, z'
+        # = 2^-e (z + xi0 w) has its largest part in [1/2, 1), and min max_k
+        # |z'_k + zeta w_k| = 1 / max Re s over |z'_k s + w_k zeta'| <= 1 (the
+        # dual norm of (1, 0) on the rows (z'_k, w_k)), zeta = zeta'/s.  As
+        # z'_k = 0 and |w_k| = 1, the columns stay apart; z' = 0 is parallel
+        k = np.argmax(np.abs(ws), axis=-1)[:, None]
+        xi = (-np.take_along_axis(zs, k, -1) / np.take_along_axis(ws, k, -1))[:, 0]
+        zs = zs + xi[:, None] * ws
+        np.put_along_axis(zs, k, 0, -1)
+        solve = zs.any(axis=-1)
+        z, e = _power_of_two_scaled(zs[solve])
+        g = np.broadcast_to(np.array([1.0, 0.0], dtype=np.complex128), (len(z), 2))
+        x, _, _ = _polyhedral_dual(np.stack((z, ws[solve]), axis=-1), g)
+        xi[solve] += x[:, 1] / x[:, 0] * np.ldexp(1.0, e)
+        return xi
 
     def norm_steps(zs, ws, ts):
         # the largest of (a_k - N) + (r_k - a_k) over k
         return _modulus_steps(
             zs, ws, ts, lambda rise, z, a: (rise + _modulus_gaps(z, a)).max(axis=0))
 
-    return Core(norm, norming, rho_plus_pairs, rho_inf_pairs, bj_slope_pairs, bj_argmin,
-                norm_steps)
-
-
-def _one_center_candidates(z: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Every point that can minimize max_j r_j |xi - z_j| over complex xi.
-
-    The minimizer of this weighted 1-center problem is fixed by at most
-    three of the points: it is a z_j, the point (r_j z_j + r_k z_k)/(r_j +
-    r_k) of a segment where two weighted distances agree, or a point where
-    three agree, on two Apollonius circles.  For the triple (i, j, k), with
-    d = z - z_i and xi = z_i + e, s_i |e|^2 = s_j |e - d_j|^2 (s = r^2) is
-    linear in e and q = |e|^2; solving both for e gives e = P - q C, and
-    q = |P - q C|^2 is a quadratic in q.  Candidates that do not exist
-    (collinear points) come out non-finite and are dropped.
-    """
-    iu, ju = np.triu_indices(z.size, 1)
-    pairs = (r[iu] * z[iu] + r[ju] * z[ju]) / (r[iu] + r[ju])
-    tri = np.array(list(combinations(range(z.size), 3)), dtype=int).reshape(-1, 3)
-    s = r * r
-    i, j, k = tri.T
-    dj = z[j] - z[i]
-    dk = z[k] - z[i]
-    cj = s[i] / s[j] - 1.0
-    ck = s[i] / s[k] - 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # e = i (r_k d_j - r_j d_k) / (2 Im(conj(d_j) d_k)) solves
-        # 2 Re(conj(d) e) = r_d for the right-hand sides r_j, r_k
-        den = 2.0 * (dj.conj() * dk).imag
-        p = 1j * (np.abs(dk) ** 2 * dj - np.abs(dj) ** 2 * dk) / den
-        c = 1j * (ck * dj - cj * dk) / den
-        cc = np.abs(c) ** 2
-        half_b = (p.conj() * c).real + 0.5
-        root = np.sqrt(np.maximum(half_b**2 - cc * np.abs(p) ** 2, 0.0))
-        big = half_b + np.copysign(root, half_b)  # no cancellation
-        qs = np.concatenate((big / cc, np.abs(p) ** 2 / big))
-        triples = np.tile(z[i] + p, 2) - qs * np.tile(c, 2)
-    zs = np.concatenate((z, pairs, triples))
-    return zs[np.isfinite(zs)]
+    return Core(norm, norming, rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
+                bj_argmin_pairs, norm_steps)
 
 
 def _envelope_integral(c: np.ndarray) -> complex:
@@ -618,10 +607,15 @@ def _crossings(c: np.ndarray) -> np.ndarray:
 # 20,000 functionals on each of eight polyhedral norms (dims 1-4, 3-10
 # functionals; a tenth with a zero coordinate, a tenth real) every value was
 # certified to 1e-12; on 4,000 per norm the barrier took at most 27 steps
-# and the KKT loop 7.  Stopping at 1e4 left 1 of 80,000 uncertified
+# and the KKT loop 7.  Stopping at 1e4 left 1 of 80,000 uncertified.  A first
+# pass caps the KKT loop at DUAL_KKT_STEPS, and a row it leaves unsettled is
+# solved again with the barrier DUAL_RESOLVE_T times further (at 1e13 its
+# Hessian is singular, and on a face of maximizers it can be at 1e9)
 DUAL_BARRIER_T = 1e5
 DUAL_BARRIER_MU = 5.0
 DUAL_STEPS = 60
+DUAL_KKT_STEPS = 12
+DUAL_RESOLVE_T = 1e4
 # the KKT equations are settled once no residual exceeds DUAL_KKT_RTOL (c
 # scaled to a largest entry of 1), which also marks multipliers negative (of
 # their sum) and functionals violated; DUAL_KKT_SHIFT (of the multipliers'
@@ -630,9 +624,11 @@ DUAL_KKT_RTOL = 1e-14
 DUAL_KKT_SHIFT = 1e-10
 
 
-def _polyhedral_dual(f: np.ndarray, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _polyhedral_dual(f: np.ndarray, gs: np.ndarray):
     """Row by row of gs, the dual map and dual norm of max_k |f_k x| (f_k
-    the rows of f): a unit x maximizing Re(g x), and Re(g x) (0 on zero rows).
+    the rows of f, an (m, d) matrix shared by every row, or an (n, m, d)
+    stack of one matrix per row): a unit x maximizing Re(g x), Re(g x) (0
+    on zero rows), and whether the row settled, which certifies the value.
 
     With u = (Re x, Im x), f_k x has the parts B_k u and Re(g x) = c . u,
     a second-order cone program dual to min sum |lambda_k| subject to sum
@@ -642,18 +638,39 @@ def _polyhedral_dual(f: np.ndarray, gs: np.ndarray) -> tuple[np.ndarray, np.ndar
     the barrier is self-concordant, so steps 1 / (1 + decrement) stay
     inside.  Its multipliers mu_k = 2 / (t s_k), c = sum mu_k B_k^T B_k u,
     above sqrt(2 sum mu / t), between the active and inactive scales, give
-    the active set, and Newton's method on its KKT equations settles u and
-    mu to rounding.  A settled point drops its most negative multiplier,
-    else adds a violated functional; a step that would violate one is not
-    taken and adds it.  Additions go by the barrier's mu_k, largest first,
-    and start from it: the step of a set that lacks one is no guide.
-    lambda_k = mu_k conj(f_k x) certify the value: sum |lambda_k| = c . u.
+    the active set (2d - 1 at most), and Newton's method on its KKT
+    equations settles u and mu to rounding.  A settled point drops its most
+    negative multiplier, else adds a violated functional, and a row with
+    neither is settled; a step that would violate one is not taken and
+    adds it.  Additions go by the barrier's mu_k, largest first, and start
+    from it: the step of a set that lacks one is no guide.  lambda_k = mu_k
+    conj(f_k x) certify the value: sum |lambda_k| = c . u.
     """
-    (m, d), n = f.shape, len(gs)
+    x, settled = _dual_pass(f, gs, DUAL_BARRIER_T, DUAL_KKT_STEPS)
+
+    def resolve(rows):
+        try:
+            x[rows], settled[rows] = _dual_pass(f if f.ndim == 2 else f[rows], gs[rows],
+                                                DUAL_BARRIER_T * DUAL_RESOLVE_T, DUAL_STEPS)
+        except np.linalg.LinAlgError:  # each row alone; one that fails keeps its first pass
+            for i in rows if len(rows) > 1 else ():
+                resolve([i])
+
+    redo = np.flatnonzero(~settled)
+    if redo.size:
+        resolve(redo)
+    return x, _row_dot(gs, x).real, settled
+
+
+def _dual_pass(f, gs, barrier_t: float, kkt_steps: int):
+    """_polyhedral_dual's points and settled rows from one solve: the
+    barrier up to barrier_t times its first t, then kkt_steps at most."""
+    (m, d), n = f.shape[-2:], len(gs)
     e = 2 * d  # the dimension of u
-    b = np.stack((np.hstack((f.real, -f.imag)), np.hstack((f.imag, f.real))), axis=1)
-    bt = b.reshape(2 * m, e).T
-    pk = (b.transpose(0, 2, 1) @ b).reshape(m, -1)  # B_k^T B_k, flattened
+    b = np.stack((np.concatenate((f.real, -f.imag), axis=-1),
+                  np.concatenate((f.imag, f.real), axis=-1)), axis=-2)
+    bt = b.reshape(*f.shape[:-2], 2 * m, e).swapaxes(-1, -2)
+    pk = (b.swapaxes(-1, -2) @ b).reshape(*f.shape[:-2], m, e * e)  # B_k^T B_k, flattened
     c = np.concatenate((gs.real, -gs.imag), axis=-1)
     live = c.any(axis=-1)
     c = c / np.where(live, np.abs(c).max(axis=-1), 1.0)[:, None]
@@ -668,9 +685,10 @@ def _polyhedral_dual(f: np.ndarray, gs: np.ndarray) -> tuple[np.ndarray, np.ndar
         """Per row, the entry of mask with the largest key (rows with one)."""
         return eye[np.argmax(np.where(mask, key, -np.inf), axis=1)] & mask.any(axis=1)[:, None]
 
-    h0c = np.linalg.solve(2.0 * (bt @ bt.T), c[..., None])[..., 0]  # the Hessian at 0
+    hess0 = 2.0 * (bt @ bt.swapaxes(-1, -2))  # the Hessian at 0
+    h0c = np.linalg.solve(hess0, c[..., None])[..., 0]
     t = 1.0 / np.sqrt(np.where(live, _row_dot(c, h0c), 1.0))
-    t_end, u, done = DUAL_BARRIER_T * t, np.zeros((n, e)), ~live
+    t_end, u, done = barrier_t * t, np.zeros((n, e)), ~live
     for _ in range(DUAL_STEPS):
         if done.all():
             break
@@ -689,9 +707,11 @@ def _polyhedral_dual(f: np.ndarray, gs: np.ndarray) -> tuple[np.ndarray, np.ndar
     rank = 2.0 / (t[:, None] * (1.0 - q))
     total = rank.sum(axis=1)[:, None]
     active = rank * rank * t[:, None] >= 2.0 * total
+    if m >= e:  # |f_k x| ignores the phase of x: over e - 1 active, the KKT matrix is singular
+        active &= rank >= np.sort(rank, axis=1)[:, m - e + 1, None]
     mu, done = np.where(active, rank, 0.0), ~live
     kkt = np.zeros((n, e + m, e + m))  # unknowns (u, mu), inactive mu_k held at 0
-    for _ in range(DUAL_STEPS):
+    for _ in range(kkt_steps):
         res = np.concatenate(((mu[..., None] * g).sum(axis=1) - c,
                               np.where(active, 0.5 * (q - 1.0), mu)), axis=1)
         ga = np.where(active[..., None], g, 0.0)
@@ -716,8 +736,8 @@ def _polyhedral_dual(f: np.ndarray, gs: np.ndarray) -> tuple[np.ndarray, np.ndar
         q, g = np.where(move, new_q, q), np.where(move[..., None], new_g, g)
 
     z = u[:, :d] + 1j * u[:, d:]
-    x = z / np.where(live, _core(np.inf).norm(_row_apply(z, f.T)), 1.0)[:, None]
-    return x, _row_dot(gs, x).real
+    x = z / np.where(live, _core(np.inf).norm(_row_apply(z, f.swapaxes(-1, -2))), 1.0)[:, None]
+    return x, done
 
 
 def _power_sum_argmin(x, y, p: float, start: complex) -> complex:
@@ -810,11 +830,11 @@ def _power_gradients(zs: np.ndarray, p: float) -> np.ndarray:
     return np.where(live[..., None], (m * s)[..., None] * u ** (p - 1.0) * sgn, 0)
 
 
-def _smooth_core(p: float, norm, gradients, bj_argmin) -> Core:
+def _smooth_core(p: float, norm, gradients, bj_argmin_pairs) -> Core:
     """The p-norm, 1 < p < inf, differentiable away from 0 with gradient
     functional v = gradients(z), sum_k conj(v_k) z_k = N(z)^2: rho_plus(z,
     w) = Re sum_k conj(v_k) w_k, rho_inf(z, w) = sum_k v_k conj(w_k), and
-    the Birkhoff-James slope is -|rho_inf|.  bj_argmin(z, w,
+    the Birkhoff-James slope is -|rho_inf|.  bj_argmin_pairs(zs, ws,
     rho_inf_pairs) may start from rho_inf."""
 
     def norming(zs):
@@ -832,7 +852,7 @@ def _smooth_core(p: float, norm, gradients, bj_argmin) -> Core:
         return -np.hypot(v.real, v.imag)
 
     return Core(norm, norming, rho_plus_pairs, rho_inf_pairs, bj_slope_pairs,
-                lambda z, w: bj_argmin(z, w, rho_inf_pairs),
+                lambda zs, ws: bj_argmin_pairs(zs, ws, rho_inf_pairs),
                 lambda zs, ws, ts: _power_steps(zs, ws, ts, p))
 
 
@@ -841,13 +861,14 @@ def _power_core(p: float) -> Core:
     modulus m so that every power stays in range: v_k = m |u|^(2-p)
     |u_k|^(p-1) sgn(z_k), u = z/m."""
 
-    def bj_argmin(z, w, rho_inf_pairs):
-        # started at the minimizer of p = 2
-        start = -rho_inf_pairs(z[None], w[None]).item()
-        return _power_sum_argmin(z, w, p, start)
+    def bj_argmin_pairs(zs, ws, rho_inf_pairs):
+        # each row damped Newton, started at the minimizer of p = 2
+        starts = -rho_inf_pairs(zs, ws)
+        return np.array([_power_sum_argmin(z, w, p, complex(start))
+                         for z, w, start in zip(zs, ws, starts)], dtype=np.complex128)
 
     return _smooth_core(p, lambda zs: _power_norm(zs, p),
-                        lambda zs: _power_gradients(zs, p), bj_argmin)
+                        lambda zs: _power_gradients(zs, p), bj_argmin_pairs)
 
 
 def _euclidean_core() -> Core:
@@ -860,12 +881,14 @@ def _euclidean_core() -> Core:
         scaled = zs / np.where(m > 0, m, 1)[..., None]
         return m * np.sqrt((scaled * scaled.conj()).sum(axis=-1).real)
 
-    def bj_argmin(z, w, rho_inf_pairs):
-        # the orthogonal projection: <z + xi w, w> = 0
-        zw, ww = rho_inf_pairs(np.stack((z, w)), np.stack((w, w)))
-        return -complex(zw) / ww.real
+    def bj_argmin_pairs(zs, ws, rho_inf_pairs):
+        # the orthogonal projection, <z + xi w, w> = 0, divided part by part
+        zw, ww = rho_inf_pairs(zs, ws), rho_inf_pairs(ws, ws).real
+        xi = np.empty_like(zw)
+        xi.real, xi.imag = -zw.real / ww, -zw.imag / ww
+        return xi
 
-    return _smooth_core(2.0, norm, lambda zs: zs, bj_argmin)
+    return _smooth_core(2.0, norm, lambda zs: zs, bj_argmin_pairs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ from normlab import checks, cli, derivatives, orthogonality, rho_infinity, sampl
 from normlab.derivatives import NUMERIC_LIMIT, QUADRATURE, STEPS
 from normlab.orthogonality import BJ_CANCEL_RTOL, DEFAULT_TOL, SamplerConfig
 from normlab.sampling import complex_gaussian, rng_for, sample_unit
-from normlab.spaces import _row_apply
+from normlab.spaces import _polyhedral_dual, _row_apply
 
 from conftest import POLY_ROWS, VERDICTS, family_specs, random_pd_gram
 from test_closed_forms import _tie
@@ -132,9 +132,9 @@ def test_kernels_are_the_p_norm_of_the_images(name):
     assert bits(k.rho_plus_pairs(xs, ys)) == bits(lp_k.rho_plus_pairs(zs, ws))
     assert bits(k.rho_inf_pairs(xs, ys)) == bits(lp_k.rho_inf_pairs(zs, ws))
     assert bits(k.bj_slope_pairs(xs, ys)) == bits(lp_k.bj_slope_pairs(zs, ws))
-    for i, (x, y) in enumerate(zip(*unit_rows(spec, xs, ys))):
-        assert bits(k.bj_argmin(x, y)) == bits(
-            lp_k.bj_argmin(images(spec, x), images(spec, y))), i
+    us, vs = unit_rows(spec, xs, ys)
+    assert bits(k.bj_argmin_pairs(us, vs)) == bits(
+        lp_k.bj_argmin_pairs(images(spec, us), images(spec, vs)))
 
 
 def test_gram_identity_is_the_two_norm():
@@ -148,10 +148,10 @@ def test_gram_identity_is_the_two_norm():
     for method in ("rho_plus_pairs", "rho_inf_pairs", "bj_slope_pairs"):
         assert bits(getattr(pd, method)(xs, ys)) == bits(getattr(l2, method)(xs, ys)), method
     assert bits(pd.norming(xs)) == bits(l2.norming(xs))
-    for pd_part, l2_part in zip(pd.dual(xs), l2.dual(xs)):  # points, then values
+    for pd_part, l2_part in zip(pd.dual(xs), l2.dual(xs)):  # points, values, settled
         assert bits(pd_part) == bits(l2_part)
-    for i, (x, y) in enumerate(zip(*unit_rows(nl.lp(2, 3), xs, ys))):
-        assert bits(pd.bj_argmin(x, y)) == bits(l2.bj_argmin(x, y)), i
+    us, vs = unit_rows(nl.lp(2, 3), xs, ys)
+    assert bits(pd.bj_argmin_pairs(us, vs)) == bits(l2.bj_argmin_pairs(us, vs))
 
 
 def signed_zeros(rng, xs):
@@ -182,9 +182,10 @@ def test_a_diagonal_m_acts_elementwise_with_the_products_bits(dim):
         assert bits(getattr(k, method)(xs, ys)) == bits(getattr(l1, method)(zs, ws)), method
     assert bits(k.norming(xs)) == bits(_row_apply(l1.norming(zs), k.m))
     assert bits(k.norm_steps(xs, ys, STEPS)) == bits(l1.norm_steps(zs, ws, STEPS))
-    for i, (x, y) in enumerate(zip(*unit_rows(spec, xs, ys))):
-        xi = k.bj_argmin(x, y)
-        ref = l1.bj_argmin(images(spec, x), images(spec, y))
+    us, vs = unit_rows(spec, xs, ys)
+    xis = k.bj_argmin_pairs(us, vs)
+    refs = l1.bj_argmin_pairs(images(spec, us), images(spec, vs))
+    for i, (xi, ref) in enumerate(zip(xis, refs)):
         assert bits(xi) == bits(ref) or xi == ref == 0, i
 
 
@@ -197,11 +198,30 @@ def test_polyhedral_dual_rows_equal_the_one_row_calls(name):
     gs, _ = hard_pairs(KERNEL_SPECS[name], np.random.default_rng((25, k.m.shape[1])))
     phases = np.exp(1j * np.random.default_rng(26).uniform(0, 2 * np.pi, len(k.m)))
     gs = np.concatenate((gs, phases[:, None] * k.m))
-    xs, values = k.dual(gs)
+    xs, values, settled = k.dual(gs)
+    assert settled.all()
     for i, g in enumerate(gs):
-        x, value = k.dual(g[None])
+        x, value, one_settled = k.dual(g[None])
         assert bits(x) == bits(xs[i:i + 1]), i
         assert bits(value) == bits(values[i:i + 1]), i
+        assert one_settled[0], i
+    # and a stack of one matrix per row, each a copy of the shared one
+    per_row = _polyhedral_dual(np.repeat(k.m[None], len(gs), axis=0), gs)
+    assert bits(per_row[0]) == bits(xs) and bits(per_row[1]) == bits(values)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_bj_argmin_rows_equal_the_one_row_calls(name):
+    # hard pairs, and pairs with y parallel to x up to rounding
+    spec = KERNEL_SPECS[name]
+    k = spec.kernel
+    us, vs = unit_rows(spec, *hard_pairs(spec, np.random.default_rng((27, spec.dim))))
+    us, vs = np.concatenate((us, us[:4])), np.concatenate((vs, (0.6 - 0.8j) * us[:4]))
+    xis = k.bj_argmin_pairs(us, vs)
+    assert xis.dtype == np.complex128 and xis.shape == (len(us),)
+    assert np.isfinite(xis).all()
+    for i, (u, v) in enumerate(zip(us, vs)):
+        assert bits(k.bj_argmin_pairs(u[None], v[None])) == bits(xis[i]), i
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))

@@ -15,7 +15,7 @@ import normlab as nl
 from normlab import analysis, spaces
 from normlab.analysis import NORM_BOUND_RTOL, operator_norm_formula
 from normlab.cli import EXIT_VIOLATION, main
-from normlab.sampling import unit_draws
+from normlab.sampling import gaussian_draws, unit_draws
 from normlab.spaces import _conjugate
 
 from conftest import POLY_ROWS, family_specs, random_pd_gram
@@ -64,7 +64,8 @@ def test_duality_maps(spec):
     h = k.norming(xs)
     assert np.allclose((h * xs).sum(axis=1), nx, rtol=1e-14, atol=0)
     assert np.allclose(k.dual(h)[1], 1.0, rtol=1e-14, atol=0)
-    x, values = k.dual(xs)  # xs as functionals
+    x, values, settled = k.dual(xs)  # xs as functionals
+    assert settled.all()
     assert np.allclose(k.norm(x), 1.0, rtol=1e-14, atol=0)
     assert np.allclose((xs * x).sum(axis=1), values, rtol=1e-14, atol=0)
 
@@ -89,8 +90,20 @@ def test_dual_values_are_the_closed_forms():
 
 # --- the polyhedral dual, certified from outside its solver ------------------
 
+def lpinf_pair_frame(index):
+    """Six functionals on C^2: the 6 x 2 frame [x/|x|, y/|y|] of the lp inf
+    dim-6 pair of stream seed 42 at index."""
+    (x,), (y,) = gaussian_draws(6, 42, (), [index])
+    return nl.polyhedral(np.stack((x / np.abs(x).max(), y / np.abs(y).max()), axis=1))
+
+
+# wide frames, six functionals on C^2: at indices 5 and 16 a single pass of
+# the solver (60 KKT steps, barrier to 1e5) leaves 115 and 318 of the
+# functionals below unsettled, and 16 is the pair of the poly-to-lp inf
+# reproducer below; at 0 every one settles
 POLY_NORMS = {"rows": nl.polyhedral(POLY_ROWS), "golden": GOLDEN_POLY,
-              "family": family_specs()[5]}
+              "family": family_specs()[5],
+              **{f"lpinf6-pair-{i}": lpinf_pair_frame(i) for i in (0, 5, 16)}}
 
 
 def certified_dual(f, g, x):
@@ -115,15 +128,18 @@ def certified_dual(f, g, x):
 
 @pytest.mark.parametrize("name", sorted(POLY_NORMS))
 def test_the_polyhedral_dual_is_certified(name):
-    # 1000 Gaussian functionals and each f_j with a phase, whose dual norm
-    # is exactly 1 (each f_j of these norms attains the maximum somewhere)
+    # 1000 Gaussian functionals, each f_j with a phase, and the coordinate
+    # functionals.  Each f_j of the first three norms attains the maximum
+    # somewhere, so its dual norm is exactly 1; a wide frame has f_j that
+    # attain it nowhere
     spec = POLY_NORMS[name]
     f = spec.functionals
     rng = np.random.default_rng((80, spec.dim))
     gs = rng.standard_normal((1000, spec.dim)) + 1j * rng.standard_normal((1000, spec.dim))
     phased = np.exp(1j * rng.uniform(0, 2 * np.pi, len(f)))[:, None] * f
-    gs = np.concatenate((gs, phased))
-    xs, values = spec.kernel.dual(gs)
+    gs = np.concatenate((gs, phased, np.eye(spec.dim)))
+    xs, values, settled = spec.kernel.dual(gs)
+    assert settled.all()
     assert np.allclose(spec.kernel.norm(xs), 1.0, rtol=1e-15, atol=0)
     for i, (g, x, value) in enumerate(zip(gs, xs, values)):
         lower, upper, least = certified_dual(f, g, x)
@@ -131,7 +147,46 @@ def test_the_polyhedral_dual_is_certified(name):
         # the two sides may cross by rounding, and must meet within 1e-12
         assert max(lower, value) <= upper * (1 + 1e-14), i
         assert upper - min(lower, value) <= 1e-12 * upper, i
-    assert np.abs(values[1000:] - 1.0).max() <= 1e-12
+    if not name.startswith("lpinf6-pair"):
+        assert np.abs(values[1000:1000 + len(f)] - 1.0).max() <= 1e-12
+
+
+def test_the_poly_to_lpinf_reproducer_reaches_the_optimum():
+    # |T| = dual((1, 0)) on the wide frame of index 16: a KKT loop that
+    # kept one of three near-tied functionals active stopped at
+    # 1.2026250375578902, 2.4e-5 low, and called it exact
+    t = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
+    value, _, exact = analysis._operator_norm(lpinf_pair_frame(16), nl.lp(np.inf, 2), t, 30, 0)
+    assert value == pytest.approx(1.2026542534302476, rel=0, abs=1e-10)
+    assert exact
+
+
+def test_an_unsettled_row_is_no_exact_value(monkeypatch):
+    # a row that settles in neither pass keeps a feasible point, whose value
+    # is a lower bound: the closed form and the map analysis do not call it
+    # exact.  A re-solve whose barrier Hessian turns singular raises for
+    # its whole stack; each row then keeps its first pass
+    solve, passes = spaces._dual_pass, []
+
+    def unsettled(f, gs, barrier_t, kkt_steps):
+        passes.append(len(gs))
+        if barrier_t > spaces.DUAL_BARRIER_T:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(f, gs, barrier_t, kkt_steps)[0], np.zeros(len(gs), dtype=bool)
+
+    monkeypatch.setattr(spaces, "_dual_pass", unsettled)
+    t = seeded_map(0, 2, 2)
+    gs = GOLDEN_POLY.functionals @ t
+    xs, values, settled = GOLDEN_POLY.kernel.dual(gs)
+    assert passes == [3, 3, 1, 1, 1]  # the first pass, the stack, then row by row
+    assert not settled.any()
+    assert xs.tobytes() == solve(GOLDEN_POLY.functionals, gs, spaces.DUAL_BARRIER_T,
+                                 spaces.DUAL_KKT_STEPS)[0].tobytes()
+    assert values.tobytes() == (gs * xs).sum(axis=1).real.tobytes()
+    value, _, exact = operator_norm_formula(GOLDEN_POLY, GOLDEN_POLY, t)
+    assert value == values.max() and not exact
+    audit = nl.map_preservation_analysis(GOLDEN_POLY, GOLDEN_POLY, t, samples=4)
+    assert not audit.operator_norm_exact
 
 
 # --- exact where a closed form exists ----------------------------------------

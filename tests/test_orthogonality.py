@@ -8,6 +8,7 @@ import normlab as nl
 from normlab import orthogonality
 from normlab.orthogonality import (BIRKHOFF_JAMES, RHO_INF, RHO_PLUS, SamplerConfig,
                                   relation_compare)
+from normlab.sampling import gaussian_draws
 
 from conftest import (
     POLY_ROWS,
@@ -212,6 +213,39 @@ def test_bj_construction_is_always_accepted(name):
         assert v.residual <= 1e-10, (index, v.residual)
 
 
+# draws of stream seed 42 whose max-modulus minimizer sits where three or
+# more functionals nearly tie, so that a minimizer a little off it gives a
+# construction that fails its own relation: an ill-conditioned three-point
+# fix, or a dual solve whose active set does not settle
+REJECTED_BJ_DRAWS = {
+    "lp:p=inf:dim=3": (9107, 16447),
+    "lp:p=inf:dim=6": (5463, 7830, 9812, 11950, 17124, 19924),
+    "poly:f=1,0;0,1;0.5+0.5i,0.5:dim=2": (7499, 8146, 10242),
+    "rows": (1335, 11140, 12823, 14673, 17128, 11657, 17411),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_BJ_DRAWS))
+def test_bj_construction_at_the_rejected_draws(name):
+    spec = nl.polyhedral(POLY_ROWS) if name == "rows" else nl.parse_norm_spec(name)
+    xs, ys = gaussian_draws(spec.dim, 42, (), REJECTED_BJ_DRAWS[name])
+    a, b = orthogonality.construct_pairs(spec, BIRKHOFF_JAMES, xs, ys, spec.kernel.norm(xs))
+    for i, (x, y) in enumerate(zip(a, b)):
+        v = nl.perp_birkhoff_james(spec, x, y)
+        assert v.orthogonal and v.residual <= 1e-10, (REJECTED_BJ_DRAWS[name][i], v.residual)
+
+
+def test_birkhoff_minimizer_of_parallel_pairs():
+    # where y is parallel to x, x + xi y vanishes; dimension one is the case
+    # of every pair
+    assert nl.birkhoff_minimize(nl.lp(np.inf, 3), [1, 2j, 3], [2, 4j, 6]) == (0.0, -0.5)
+    assert nl.birkhoff_minimize(nl.lp(np.inf, 1), [1 + 2j], [2 - 1j]) == (0.0, -1j)
+    poly = nl.polyhedral(POLY_ROWS)
+    x = np.array([1.0, -0.5j, 0.25 + 1j])
+    m, xi = nl.birkhoff_minimize(poly, x, (0.3 - 0.4j) * x)
+    assert m <= 1e-15 and xi == pytest.approx(-1 / (0.3 - 0.4j), rel=1e-15)
+
+
 def test_bj_residual_is_first_order_like_rho_inf():
     # near a smooth orthogonal pair the BJ residual is the rho_inf residual,
     # not its square: a pair 1e-3 away from rho_inf-orthogonality is
@@ -360,6 +394,45 @@ def test_residuals_where_the_norm_overflows_are_the_unscaled_ones(spec):
         r = orthogonality.relation_residuals(spec, relation, xs, ys).tobytes()
         for a, b in ((big_x, ys), (xs, big_y), (big_x, big_y)):
             assert orthogonality.relation_residuals(spec, relation, a, b).tobytes() == r, relation
+
+
+def binade_shifted(zs, k):
+    """zs times 2^k, part by part, rounded to the subnormals where it lands
+    there."""
+    out = np.empty_like(zs)
+    out.real, out.imag = np.ldexp(zs.real, k), np.ldexp(zs.imag, k)
+    return out
+
+
+@pytest.mark.parametrize("spec", family_specs(2) + family_specs(3), ids=repr)
+def test_residuals_at_a_subnormal_x_are_the_unscaled_ones(spec):
+    # x times 2^-1060 or 2^-1070 is subnormal, and so is |x|: numpy's
+    # x / |x| multiplies by 1 / |x|, which overflows.  The residuals are
+    # those of the same x (rounded to the subnormals) scaled back up
+    rng = np.random.default_rng((35, spec.dim))
+    xs, ys = (rng.standard_normal((2, 100, spec.dim))
+              + 1j * rng.standard_normal((2, 100, spec.dim)))
+    relations = nl.RELATIONS if spec.kernel.smooth else (RHO_INF, RHO_PLUS, BIRKHOFF_JAMES)
+    for k in (-1060, -1070):
+        tiny = binade_shifted(xs, k)
+        unscaled = binade_shifted(tiny, -k)
+        assert (tiny != 0).any(axis=1).all()
+        for relation in relations:
+            r = orthogonality.relation_residuals(spec, relation, unscaled, ys)
+            assert orthogonality.relation_residuals(spec, relation, tiny, ys).tobytes() == (
+                r.tobytes()), (relation, k)
+
+
+@pytest.mark.parametrize("spec", [nl.lp(1, 2), nl.lp(2.5, 2), nl.lp(np.inf, 2),
+                                  nl.weighted_l1([1.5, 1.5]), nl.polyhedral(np.eye(2))],
+                         ids=repr)
+def test_birkhoff_minimize_at_a_subnormal_x(spec):
+    # xi = 0 minimizes |x + xi y| for x = a (1, 1), y = (1, -1) on each of
+    # these norms, also at a = 1e-310
+    x, y = [1e-310, 1e-310], [1, -1]
+    m, xi = nl.birkhoff_minimize(spec, x, y)
+    assert m == pytest.approx(nl.norm(spec, x), rel=1e-12) and np.isfinite(xi)
+    assert nl.perp_birkhoff_james(spec, x, y).orthogonal
 
 
 def test_perp_semi_zero_direction_is_orthogonal():
