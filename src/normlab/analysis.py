@@ -76,15 +76,17 @@ def symmetry_defect(spec: NormSpec, dim: int, samples: int,
     worst = None
     for batch in index_batches(int(samples)):
         x, y = unit_draws(spec, seed, (0,), batch)
-        f = k.rho_inf_pairs(x, y)
-        g = k.rho_inf_pairs(y, x)
+        # both orders in one call; no row depends on the rows stacked with it
+        f, g = k.rho_inf_pairs(np.concatenate((x, y)),
+                               np.concatenate((y, x))).reshape(2, -1)
         d_raw = _modulus(f - g)
         i = _first_max(d_raw, raw)
         if i is not None:
             raw = float(d_raw[i])
             worst = (x[i].copy(), y[i].copy())
         conj = max(conj, float(_modulus(f - g.conj()).max()))
-        sq = [np.float_power(k.norm(z), 2) for z in (x + y, x - y, x, y)]
+        sq = np.float_power(k.norm(np.concatenate((x + y, x - y, x, y))),
+                            2).reshape(4, -1)
         para = max(para, float(np.abs(sq[0] + sq[1] - 2.0 * sq[2]
                                       - 2.0 * sq[3]).max()))
     return SymmetryReport(raw, conj, para, worst, int(samples), int(seed))
@@ -423,7 +425,11 @@ def _map_analyses(spec_dom: NormSpec, spec_cod: NormSpec, maps, samples: int,
                   seed: int, tol: float) -> list[MapAnalysis]:
     """map_preservation_analysis of each map, in one pass over the domain
     samples: every batch draws its samples, evaluates their domain rho_inf
-    and constructs and judges the orthogonal pairs once for all the maps."""
+    and constructs and judges the orthogonal pairs once for all the maps,
+    and judges the images under every map as one stack, the rows of map 0
+    first: one codomain norm, one rho_inf and one residual call per batch.
+    No row depends on the rows stacked with it, so each map's results and
+    its witnesses, in index order, are those of a pass of its own."""
     maps = [_check_map(spec_dom, spec_cod, t) for t in maps]
     _check_samples(samples)
     check_tol(tol)
@@ -432,6 +438,11 @@ def _map_analyses(spec_dom: NormSpec, spec_cod: NormSpec, maps, samples: int,
     iso_defects = [0.0] * len(maps)
     scale_defects = [0.0] * len(maps)
     witnesses: list[list[MapWitness]] = [[] for _ in maps]
+    cod = spec_cod.kernel
+
+    def images(zs):
+        return np.concatenate([_image(t, zs) for t in maps])
+
     for batch in index_batches(int(samples)):
         (xi,) = unit_draws(spec_dom, seed, (4,), batch, count=1)
         xs, ys = unit_draws(spec_dom, seed, (5,), batch)
@@ -442,17 +453,17 @@ def _map_analyses(spec_dom: NormSpec, spec_cod: NormSpec, maps, samples: int,
         x, b = construct_pairs(spec_dom, RHO_INF, x[live], y[live], nx[live])
         res_a = relation_residuals(spec_dom, RHO_INF, x, b)
         ok = np.flatnonzero(res_a <= tol)
-        for m, (t, est) in enumerate(zip(maps, ests)):
-            iso_defects[m] = max(iso_defects[m], float(
-                np.abs(spec_cod.kernel.norm(_image(t, xi)) - est).max()))
-            lhs = spec_cod.kernel.rho_inf_pairs(_image(t, xs), _image(t, ys))
+        norms = cod.norm(images(xi)).reshape(len(maps), -1)
+        lhs = cod.rho_inf_pairs(images(xs), images(ys)).reshape(len(maps), -1)
+        res_b = relation_residuals(spec_cod, RHO_INF, images(x[ok]),
+                                   images(b[ok])).reshape(len(maps), -1)
+        for m, est in enumerate(ests):
+            iso_defects[m] = max(iso_defects[m], float(np.abs(norms[m] - est).max()))
             scale_defects[m] = max(scale_defects[m],
-                                   float(_modulus(lhs - est**2 * rho_dom).max()))
-            res_b = relation_residuals(spec_cod, RHO_INF, _image(t, x[ok]),
-                                       _image(t, b[ok]))
+                                   float(_modulus(lhs[m] - est**2 * rho_dom).max()))
             witnesses[m] += [MapWitness(x[j].copy(), b[j].copy(), float(res_a[j]),
                                         float(r))
-                             for j, r in zip(ok, res_b) if not r <= tol]
+                             for j, r in zip(ok, res_b[m]) if not r <= tol]
     return [MapAnalysis(est, is_exact, float(iso), not found, float(scale), found,
                         int(samples), int(seed), float(tol))
             for est, is_exact, iso, scale, found

@@ -11,15 +11,21 @@ Every suite evaluates its samples a batch at a time
 translation, lp1-closed-form and smooth-equivalence draw a batch with
 unit_draws and evaluate it through the stacked forms, namely the kernels'
 pairs methods, rho_plus_directions (the numeric limit included),
-limit_quotient_tables, rho_n_stack, quadrature_pairs and
-relation_residuals, with the directions taken at one base point in one
-stack; bounds, symmetry-detector and preservation run the batched audits
-of analysis.  Sample i draws x, y and then any scalars from stream
-(seed, i), and every record has the bits of a loop over the samples with
-the single-pair functions; nd1 holds by definition and is not evaluated.
+limit_quotient_tables, rho_n_stack, quadrature_pairs and the relation
+residuals, with the directions taken at one base point in one stack, the
+two sides of homogeneity and translation in one call and the three
+verdicts of smooth-equivalence on one stack of unit pairs; bounds,
+symmetry-detector and preservation run the batched audits of analysis.
+The derived specs (rho-n-props' pd_inner(I), lp1-closed-form's lp(1))
+are built once per dim.  Sample i draws x, y and then any scalars from
+stream (seed, i), and every record has the bits of a loop over the
+samples with the single-pair functions; nd1 holds by definition and is
+not evaluated.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -34,8 +40,9 @@ from .orthogonality import (
     BIRKHOFF_JAMES,
     DEFAULT_TOL,
     RHO_INF,
+    _residuals,
+    _unit_pairs,
     construct_pairs,
-    relation_residuals,
 )
 from .rho_infinity import quadrature_pairs, rho_n_stack
 from .sampling import index_batches, rng_for, unit_draws
@@ -55,6 +62,19 @@ def record(suite: str, assertion: str, lhs: float, rhs: float, tol: float,
     return {"suite": suite, "assertion": assertion, "lhs": float(lhs),
             "rhs": float(rhs), "tol": float(tol), "pass": bool(passed),
             "seed": int(seed)}
+
+
+# a spec is immutable, so one derived spec per dim serves every suite call
+@functools.lru_cache(maxsize=16)
+def _identity_pd(dim: int) -> NormSpec:
+    """pd_inner(I) on C^dim, whose inner product rho-n-props recovers."""
+    return pd_inner(np.eye(dim))
+
+
+@functools.lru_cache(maxsize=16)
+def _l1(dim: int) -> NormSpec:
+    """lp(1, dim), whose closed forms lp1-closed-form checks."""
+    return lp(1.0, dim)
 
 
 def _pairs(spec: NormSpec, seed: int, batch: range, scalars: int = 0):
@@ -132,7 +152,7 @@ def check_rho_n_props(spec: NormSpec, samples: int, seed: int) -> list[dict]:
     suite = "rho-n-props"
     ns = (3, 4, 7, 16)
     d_self = d_bound = d_ip = 0.0
-    pd_spec = spec if spec.gram is not None else pd_inner(np.eye(spec.dim))
+    pd_spec = spec if spec.gram is not None else _identity_pd(spec.dim)
     for batch in index_batches(int(samples)):
         x, y = _pairs(spec, seed, batch)
         u, v = _pairs(pd_spec, seed, batch)
@@ -159,8 +179,9 @@ def _homogeneity_defect(spec: NormSpec, samples: int, seed: int) -> float:
     worst = 0.0
     for batch in index_batches(int(samples)):
         x, y, a, b = _pairs(spec, seed, batch, scalars=2)
-        va = k.rho_inf_pairs(a[:, None] * x, b[:, None] * y)
-        vb = k.rho_inf_pairs(x, y)
+        # both sides in one call; no row depends on the rows stacked with it
+        va, vb = k.rho_inf_pairs(np.concatenate((a[:, None] * x, x)),
+                                 np.concatenate((b[:, None] * y, y))).reshape(2, -1)
         ab = _product(a, b.conj())
         allow = 1e-7 * (1.0 + _modulus(ab))
         worst = max(worst, float((_modulus(va - _product(ab, vb)) / allow).max()))
@@ -172,8 +193,8 @@ def _translation_defect(spec: NormSpec, samples: int, seed: int) -> float:
     worst = 0.0
     for batch in index_batches(int(samples)):
         x, y, a = _pairs(spec, seed, batch, scalars=1)
-        va = k.rho_inf_pairs(x, a[:, None] * x + y)
-        vb = k.rho_inf_pairs(x, y)
+        va, vb = k.rho_inf_pairs(np.concatenate((x, x)),
+                                 np.concatenate((a[:, None] * x + y, y))).reshape(2, -1)
         allow = 1e-7 * (1.0 + _modulus(a)) * 2.0
         worst = max(worst, float((_modulus(va - (a.conj() + vb)) / allow).max()))
     return worst
@@ -210,7 +231,7 @@ def check_bounds(spec: NormSpec, samples: int, seed: int) -> list[dict]:
 def check_lp1_closed_form(spec: NormSpec, samples: int, seed: int) -> list[dict]:
     """Numeric limit and quadrature against the l1 closed forms."""
     suite = "lp1-closed-form"
-    l1 = lp(1.0, spec.dim)
+    l1 = _l1(spec.dim)
     d_plus = d_inf = 0.0
     for batch in index_batches(int(samples)):
         x, y = _pairs(l1, seed, batch)
@@ -245,13 +266,16 @@ def check_smooth_equivalence(spec: NormSpec, samples: int, seed: int) -> list[di
     d_path = 0.0
     for batch in index_batches(int(samples)):
         x, y = _pairs(spec, seed, batch)
-        vi = relation_residuals(spec, RHO_INF, x, y) <= verdict_tol
-        vb = relation_residuals(spec, BIRKHOFF_JAMES, x, y) <= verdict_tol
-        disagreements += int(np.count_nonzero(vi != vb))
-        # constructed rho_inf-orthogonal pair must be BJ-orthogonal too
+        # the constructed rho_inf-orthogonal pair (x, z) must be BJ-orthogonal
+        # too; its unit rows are stacked under those of (x, y), whose two
+        # verdicts judge the same rows
         _, z = construct_pairs(spec, RHO_INF, x, y, spec.kernel.norm(x))
-        disagreements += int(np.count_nonzero(
-            ~(relation_residuals(spec, BIRKHOFF_JAMES, x, z) <= verdict_tol)))
+        units = _unit_pairs(spec, np.concatenate((x, x)), np.concatenate((y, z)))
+        vi = _residuals(spec, RHO_INF, *(u[:len(x)] for u in units)) <= verdict_tol
+        vb, vz = (_residuals(spec, BIRKHOFF_JAMES, *units)
+                  <= verdict_tol).reshape(2, -1)
+        disagreements += int(np.count_nonzero(vi != vb))
+        disagreements += int(np.count_nonzero(~vz))
         closed = spec.kernel.rho_inf_pairs(x, y)
         quad = quadrature_pairs(spec, x, y)[0]
         d_path = max(d_path, float(_modulus(closed - quad).max()))

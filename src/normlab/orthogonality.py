@@ -28,6 +28,7 @@ from .derivatives import CLOSED_FORM, FunctionalValue
 from .errors import DimensionMismatchError, NotSmoothError, ZeroBaseError
 from .sampling import gaussian_draws, index_batches
 from .spaces import (
+    _TINY,
     NormSpec,
     _power_of_two_scaled,
     check_dim,
@@ -275,9 +276,6 @@ def _bj_argmin(spec: NormSpec, xs: np.ndarray, ys: np.ndarray, nx) -> np.ndarray
     xi = np.empty_like(z)
     xi.real, xi.imag = z.real * nx / ny, z.imag * nx / ny
     return xi
-
-
-_TINY = float(np.finfo(np.float64).tiny)  # the least normal float
 
 
 def _unit_pairs(spec: NormSpec, xs: np.ndarray, ys: np.ndarray):

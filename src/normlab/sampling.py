@@ -21,9 +21,14 @@ A report runs several suites on the same streams.  Inside draw_scope, a
 thread's gaussian_draws serves each (seed, keys, index range) from the
 normals it already drew for it: a stream's standard normals come in one
 order, so a narrower request reads a prefix of a wider draw bit for bit,
-and a wider request draws again.  The memo belongs to the scope, holds at
-most DRAW_MEMO_ENTRIES index ranges, hands out fresh arrays and is gone
-when the scope closes; outside any scope nothing is kept.
+and a wider request draws again.  The same entry keeps unit_draws' unit
+rows of each (spec, count), keyed by the spec object, so a second suite
+that draws the same unit pairs reads them instead of normalizing the
+stream again; a wider redraw keeps them, since its first 2 count dim
+normals are unchanged, and a batch with a redrawn row (sample_unit's
+guard) keeps none.  The memo belongs to the scope, holds at most
+DRAW_MEMO_ENTRIES index ranges, hands out fresh arrays and is gone when
+the scope closes; outside any scope nothing is kept.
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ UNIT_MIN_NORM = 1e-8
 BATCH_ROWS = 1024
 
 # most index ranges a draw_scope keeps, the least recently used going
-# first; a report draws 6, and the cap bounds the memo whatever the
-# sample count
+# first, each with its unit rows; a report draws 6, and the cap bounds
+# the memo whatever the sample count
 DRAW_MEMO_ENTRIES = 8
 
 
@@ -293,7 +298,8 @@ def index_batches(samples: int, doubling: bool = False) -> Iterator[range]:
 def draw_scope():
     """Share this thread's draws within the with block (see the module
     docstring); a nested scope starts empty, and the outer one's memo is
-    back when it closes."""
+    back when it closes.  unit_draws keeps each batch's unit rows per
+    spec and count beside its normals, so a batch is normalized once."""
     outer = getattr(_per_thread, "memo", None)
     _per_thread.memo = {}
     try:
@@ -327,21 +333,39 @@ def _draw_normals(seed: int, keys: Sequence[int], indices: Sequence[int],
 
 
 def _normals(seed: int, keys: Sequence[int], indices: Sequence[int],
-             width: int) -> np.ndarray:
-    """_draw_normals, or at least its width columns: inside a draw_scope
-    an index range is served from the widest draw of it so far.  The
-    result may be the memo's own array, so the caller only reads it."""
+             width: int) -> tuple[np.ndarray, dict | None]:
+    """_draw_normals, or at least its width columns, and the dict of unit
+    rows kept with them: inside a draw_scope an index range is served from
+    the widest draw of it so far, with its memo entry's dict; outside one
+    the dict is None.  The normals may be the memo's own array, so the
+    caller only reads them."""
     memo = getattr(_per_thread, "memo", None)
     if memo is None or not isinstance(indices, range):
-        return _draw_normals(seed, keys, indices, width)
+        return _draw_normals(seed, keys, indices, width), None
     key = (int(seed), tuple(map(int, keys)), indices)
-    g = memo.pop(key, None)
+    g, units = memo.pop(key, (None, {}))
     if g is None or g.shape[1] < width:
+        # a wider draw keeps the unit rows: its first columns are unchanged
         g = _draw_normals(seed, keys, indices, width)
         if len(memo) >= DRAW_MEMO_ENTRIES:
             del memo[next(iter(memo))]
-    memo[key] = g  # the most recently used is last
-    return g
+    memo[key] = g, units  # the most recently used is last
+    return g, units
+
+
+def _complex_draws(g: np.ndarray, count: int, dim: int) -> list[np.ndarray]:
+    """The first count complex_gaussian draws of each row of normals."""
+    z = g[:, :2 * count * dim].reshape(-1, count, 2, dim)
+    z = z[:, :, 0] + 1j * z[:, :, 1]
+    return [np.ascontiguousarray(z[:, j]) for j in range(count)]
+
+
+def _extra_normals(g: np.ndarray, width: int, extra: int) -> list[np.ndarray]:
+    """The extra normals after the first width of each row, as a new
+    array, or no array when extra is 0."""
+    # a copy: on one row the slice is contiguous already, and
+    # ascontiguousarray would return a view of g
+    return [g[:, width:width + extra].copy()] if extra else []
 
 
 def gaussian_draws(dim: int, seed: int, keys: Sequence[int],
@@ -356,15 +380,8 @@ def gaussian_draws(dim: int, seed: int, keys: Sequence[int],
     complex_gaussian calls and then standard_normal(extra) on that stream.
     """
     width = 2 * count * dim
-    g = _normals(seed, keys, indices, width + extra)
-    z = g[:, :width].reshape(-1, count, 2, dim)
-    z = z[:, :, 0] + 1j * z[:, :, 1]
-    draws = [np.ascontiguousarray(z[:, j]) for j in range(count)]
-    if extra:
-        # a copy: on one row the slice is contiguous already, and
-        # ascontiguousarray would return a view of g
-        draws.append(g[:, width:width + extra].copy())
-    return draws
+    g, _ = _normals(seed, keys, indices, width + extra)
+    return _complex_draws(g, count, dim) + _extra_normals(g, width, extra)
 
 
 def unit_draws(spec: NormSpec, seed: int, keys: Sequence[int],
@@ -372,21 +389,30 @@ def unit_draws(spec: NormSpec, seed: int, keys: Sequence[int],
                extra: int = 0) -> list[np.ndarray]:
     """The first count sample_unit draws of stream (seed, *keys, i) for
     each i in indices, and the extra standard normals drawn after them,
-    stacked as in gaussian_draws.
+    stacked as in gaussian_draws.  Every array is new.
 
     An index where a draw falls at or below UNIT_MIN_NORM is drawn again
     with sample_unit, whose redraw shifts the rest of that stream, its
-    extra normals included.
+    extra normals included.  Inside a draw_scope the unit rows of a batch
+    with no redrawn index are kept for the next call with the same spec
+    and count.
     """
-    drawn = gaussian_draws(spec.dim, seed, keys, indices, count, extra)
-    zs, extras = drawn[:count], drawn[count:]
+    width = 2 * count * spec.dim
+    g, kept = _normals(seed, keys, indices, width + extra)
+    units = None if kept is None else kept.get((spec, count))
+    if units is not None:
+        return [u.copy() for u in units] + _extra_normals(g, width, extra)
+    zs = _complex_draws(g, count, spec.dim)
     norms = [spec.kernel.norm(z) for z in zs]
     ok = np.logical_and.reduce([n > UNIT_MIN_NORM for n in norms])
     units = [z / np.where(ok, n, 1.0)[:, None] for z, n in zip(zs, norms)]
+    extras = _extra_normals(g, width, extra)
     for k in np.flatnonzero(~ok):
         rng = rng_for(seed, *keys, indices[k])
         for u in units:
             u[k] = sample_unit(spec, rng)
         for e in extras:
             e[k] = rng.standard_normal(extra)
+    if kept is not None and ok.all():
+        kept[spec, count] = [u.copy() for u in units]
     return units + extras

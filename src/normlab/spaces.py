@@ -82,6 +82,9 @@ def vector(data) -> np.ndarray:
     return arr
 
 
+_TINY = float(np.finfo(np.float64).tiny)  # the least normal float
+
+
 def _power_of_two_scaled(zs: np.ndarray):
     """Each row of zs times the power of two 2^-e that brings its largest
     real or imaginary part into [0.5, 1), exact, signs of zero included,
@@ -878,6 +881,13 @@ def _euclidean_core() -> Core:
         # scaling by the largest coordinate keeps the sum of squares from
         # overflowing for very large vectors
         m = np.abs(zs).max(axis=-1)
+        if np.any((m > 0) & (m < _TINY)):
+            # numpy divides by m through 1/m, which overflows where m is
+            # subnormal: the rows are first scaled by powers of two, exact,
+            # which changes no bit of a row whose m is normal ([()] gives
+            # a scalar again on 1-D zs)
+            z, e = _power_of_two_scaled(zs.reshape(-1, zs.shape[-1]))
+            return np.ldexp(norm(z), e).reshape(np.shape(m))[()]
         scaled = zs / np.where(m > 0, m, 1)[..., None]
         return m * np.sqrt((scaled * scaled.conj()).sum(axis=-1).real)
 

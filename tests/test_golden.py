@@ -3,7 +3,8 @@
 Each command runs in-process through ``normlab.cli.main``; its stdout plus a
 trailing ``# exit <code>`` line is compared with ``tests/golden/<name>.out``.
 The set covers ``report`` on every family (pd twice: Gram I and a
-non-identity Gram), ``search`` between the
+non-identity Gram) at 6 samples, and on lp2.5 at 30, the benchmark's
+report size, ``search`` between the
 Birkhoff-James and rho_inf relations on lp1, lp:inf and poly and from
 rho_plus to semi on lp3, ``analyze-map`` of diag(1, 2) on lp1, lp2.5 and
 the golden poly and across two frames (wl1 into the golden poly, a
@@ -88,6 +89,9 @@ def commands() -> dict[str, list[str]]:
     for key, text in REPORT_NORMS.items():
         cmds[f"report-{key}"] = ["report", "--norm", text, "--samples", "6",
                                  "--seed", "7", "--format", "jsonl"]
+    cmds["report-lp2.5-samples30"] = ["report", "--norm", REPORT_NORMS["lp2.5"],
+                                      "--samples", "30", "--seed", "7",
+                                      "--format", "jsonl"]
     for a, b, key, samples in SEARCHES:
         cmds[f"search-{key}-{a}-{b}"] = [
             "search", "--norm", SEARCH_NORMS[key], "--a", a, "--b", b,

@@ -424,7 +424,8 @@ def test_residuals_at_a_subnormal_x_are_the_unscaled_ones(spec):
 
 
 @pytest.mark.parametrize("spec", [nl.lp(1, 2), nl.lp(2.5, 2), nl.lp(np.inf, 2),
-                                  nl.weighted_l1([1.5, 1.5]), nl.polyhedral(np.eye(2))],
+                                  nl.weighted_l1([1.5, 1.5]), nl.polyhedral(np.eye(2)),
+                                  nl.lp(2, 2), nl.pd_inner(np.eye(2))],
                          ids=repr)
 def test_birkhoff_minimize_at_a_subnormal_x(spec):
     # xi = 0 minimizes |x + xi y| for x = a (1, 1), y = (1, -1) on each of

@@ -18,7 +18,15 @@ import pytest
 import normlab as nl
 from normlab import cli, sampling
 from normlab.cli import main
-from normlab.sampling import _stream_states, gaussian_draws, rng_for, unit_draws
+from normlab.sampling import (
+    _stream_states,
+    gaussian_draws,
+    rng_for,
+    sample_unit,
+    unit_draws,
+)
+
+from test_golden import REPORT_NORMS
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**70 + 5]
 KEYS = [(), (3,), (1, 2, 3, 4, 5)]
@@ -251,6 +259,58 @@ def test_a_check_hashes_its_stream_batch_once(hashed, capsys, monkeypatch):
     assert main(argv) == 0
     assert capsys.readouterr().out == scoped
     assert hashed.count((42, (), range(0, 30))) == 2
+
+
+@pytest.mark.parametrize("norm", REPORT_NORMS.values(), ids=REPORT_NORMS.keys())
+def test_a_report_prints_the_same_without_its_scope(norm, capsys, monkeypatch):
+    # inside the scope its suites read shared normals and unit rows;
+    # without it every draw is made and normalized again, with the same bits
+    argv = ["report", "--norm", norm, "--samples", "30", "--seed", "7",
+            "--format", "jsonl"]
+    code = main(argv)
+    scoped = capsys.readouterr().out
+    monkeypatch.setattr(cli, "draw_scope", contextlib.nullcontext)
+    assert main(argv) == code
+    assert capsys.readouterr().out == scoped
+
+
+def reference_units(spec, seed, keys, indices, count, extra):
+    """unit_draws(spec, seed, keys, indices, count, extra) as bytes, each
+    index through sample_unit on its rng_for stream."""
+    rows = []
+    for i in indices:
+        rng = rng_for(seed, *keys, i)
+        rows.append([sample_unit(spec, rng) for _ in range(count)]
+                    + ([rng.standard_normal(extra)] if extra else []))
+    return [np.array(col).tobytes() for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("redraw", [False, True], ids=["kept", "redrawn"])
+def test_unit_rows_in_a_scope_have_the_bits_of_fresh_ones(redraw, monkeypatch):
+    # counts 1 and 2 with 0, 2 and then 4 extra normals: the first call of
+    # each count normalizes and keeps the rows, the later ones read them,
+    # also after the wider draw of extra 4.  With a redrawn index (norm at
+    # or below UNIT_MIN_NORM) the batch keeps no unit rows
+    spec, seed, keys, indices = nl.lp(2.5, 2), 11, (2,), range(3, 43)
+    if redraw:
+        monkeypatch.setattr(sampling, "UNIT_MIN_NORM", 0.9)
+        z = gaussian_draws(2, seed, keys, indices, count=2)
+        assert 0 < sum((spec.kernel.norm(u) <= 0.9).sum() for u in z) < 20
+    calls = [(count, extra) for count in (1, 2) for extra in (0, 2, 4)]
+    want = {call: reference_units(spec, seed, keys, indices, *call) for call in calls}
+    for call in calls:
+        got = unit_draws(spec, seed, keys, indices, *call)
+        assert [a.tobytes() for a in got] == want[call], call
+    with sampling.draw_scope():
+        for _ in range(2):
+            for call in calls:
+                got = unit_draws(spec, seed, keys, indices, *call)
+                assert [a.tobytes() for a in got] == want[call], call
+                # every returned array is new: writes do not reach the memo
+                for a in got:
+                    a[...] = np.nan
+        (_, kept), = sampling._per_thread.memo.values()
+        assert sorted(count for _, count in kept) == ([] if redraw else [1, 2])
 
 
 def test_a_scope_serves_prefixes_and_redraws_wider(hashed):

@@ -16,6 +16,39 @@ def test_norm_examples():
         assert nl.norm(spec, np.zeros(3)) == 0.0
 
 
+def test_euclidean_norm_at_a_subnormal_vector():
+    # the norm divides by the largest modulus, which numpy does through its
+    # reciprocal; at a subnormal vector that overflowed and gave NaN
+    for spec in (nl.lp(2, 2), nl.parse_norm_spec("pd:gram=I:dim=2")):
+        assert nl.norm(spec, (1e-310, 1e-310)) == np.hypot(1e-310, 1e-310)
+    assert nl.norm(nl.pd_inner(np.diag([2.0, 3.0])), (1e-310, 0)) == pytest.approx(
+        np.sqrt(2.0) * 1e-310, rel=1e-9)
+
+
+@pytest.mark.parametrize("spec", [nl.lp(2, 3), nl.pd_inner(np.eye(3))], ids=repr)
+def test_euclidean_norm_rows_scaled_into_the_subnormals(spec, rng):
+    # x times 2^k, rounded to the subnormals, has the norm of the same x
+    # scaled back up, times 2^k, bit for bit; the rows stacked with it
+    # keep the bits they have alone
+    xs = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
+    alone = spec.kernel.norm(xs)
+    for k in (-1030, -1060, -1070):
+        tiny = np.empty_like(xs)
+        tiny.real, tiny.imag = np.ldexp(xs.real, k), np.ldexp(xs.imag, k)
+        back = np.empty_like(xs)
+        back.real, back.imag = np.ldexp(tiny.real, -k), np.ldexp(tiny.imag, -k)
+        assert spec.kernel.norm(tiny).tobytes() == np.ldexp(
+            spec.kernel.norm(back), k).tobytes(), k
+        mixed = np.concatenate((xs, tiny[:1], np.zeros((1, 3))))
+        got = spec.kernel.norm(mixed)
+        assert got[:50].tobytes() == alone.tobytes()
+        assert got[50] == np.ldexp(spec.kernel.norm(back[0]), k) and got[51] == 0.0
+        # one vector gives a scalar, and leading axes are kept
+        assert np.ndim(spec.kernel.norm(tiny[0])) == 0
+        assert spec.kernel.norm(tiny.reshape(5, 10, 3)).tobytes() == (
+            spec.kernel.norm(tiny).tobytes())
+
+
 @pytest.mark.parametrize("spec", family_specs(), ids=lambda s: s.family + str(s.p or ""))
 def test_triangle_and_homogeneity(spec, rng):
     for _ in range(40):
