@@ -19,7 +19,18 @@ import numpy as np
 
 from .errors import DimensionMismatchError, RUnknownError, ZeroMapError
 from .orthogonality import RHO_INF, check_tol, construct_pairs, relation_residuals
-from .sampling import gaussian_draws, index_batches, unit_draws
+from .sampling import (
+    BOUNDS_KEY,
+    EQUIVALENCE_KEY,
+    MAP_CONSTRUCT_KEY,
+    MAP_PAIR_KEY,
+    MAP_POINT_KEY,
+    OPERATOR_NORM_KEY,
+    SYMMETRY_KEY,
+    gaussian_draws,
+    index_batches,
+    unit_draws,
+)
 from .spaces import NormSpec, _modulus, _row_apply, dual_segment_constant, format_cvector
 
 UNIVERSAL_4_OVER_PI = "4_over_pi"
@@ -75,7 +86,7 @@ def symmetry_defect(spec: NormSpec, dim: int, samples: int,
     raw = conj = para = -1.0
     worst = None
     for batch in index_batches(int(samples)):
-        x, y = unit_draws(spec, seed, (0,), batch)
+        x, y = unit_draws(spec, seed, SYMMETRY_KEY, batch)
         # both orders in one call; no row depends on the rows stacked with it
         f, g = k.rho_inf_pairs(np.concatenate((x, y)),
                                np.concatenate((y, x))).reshape(2, -1)
@@ -135,7 +146,7 @@ def cs_bound_audit(spec: NormSpec, dim: int, samples: int, seed: int,
     max_ratio = -1.0
     worst = None
     for batch in index_batches(int(samples)):
-        x, y = unit_draws(spec, seed, (1,), batch)
+        x, y = unit_draws(spec, seed, BOUNDS_KEY, batch)
         ratio = _modulus(spec.kernel.rho_inf_pairs(x, y))
         i = _first_max(ratio, max_ratio)
         if i is not None:
@@ -175,7 +186,7 @@ def norm_equivalence_constant(spec1: NormSpec, spec2: NormSpec, dim: int,
     m_est = np.inf
     big_m_est = 0.0
     for batch in index_batches(int(samples)):
-        x, y = gaussian_draws(dim, seed, (2,), batch)
+        x, y = gaussian_draws(dim, seed, EQUIVALENCE_KEY, batch)
         n1x, n1y = spec1.kernel.norm(x), spec1.kernel.norm(y)
         n2x, n2y = spec2.kernel.norm(x), spec2.kernel.norm(y)
         live = np.minimum(np.minimum(n1x, n1y), np.minimum(n2x, n2y)) >= 1e-12
@@ -390,7 +401,8 @@ def _operator_norm(spec_dom, spec_cod, t, samples, seed):
         xs = np.eye(spec_dom.dim, dtype=np.complex128)
         ratios = _ratios(spec_dom, spec_cod, t, xs)
         if ratios.max() < reach:
-            (drawn,) = unit_draws(spec_dom, seed, (3,), range(int(samples)), count=1)
+            (drawn,) = unit_draws(spec_dom, seed, OPERATOR_NORM_KEY, range(int(samples)),
+                                  count=1)
             xs = np.concatenate((xs, drawn))
             ratios = np.concatenate((ratios, _ratios(spec_dom, spec_cod, t, drawn)))
             top = np.argsort(-ratios, kind="stable")[:ASCENT_ROWS]
@@ -444,10 +456,10 @@ def _map_analyses(spec_dom: NormSpec, spec_cod: NormSpec, maps, samples: int,
         return np.concatenate([_image(t, zs) for t in maps])
 
     for batch in index_batches(int(samples)):
-        (xi,) = unit_draws(spec_dom, seed, (4,), batch, count=1)
-        xs, ys = unit_draws(spec_dom, seed, (5,), batch)
+        (xi,) = unit_draws(spec_dom, seed, MAP_POINT_KEY, batch, count=1)
+        xs, ys = unit_draws(spec_dom, seed, MAP_PAIR_KEY, batch)
         rho_dom = spec_dom.kernel.rho_inf_pairs(xs, ys)
-        x, y = gaussian_draws(spec_dom.dim, seed, (6,), batch)
+        x, y = gaussian_draws(spec_dom.dim, seed, MAP_CONSTRUCT_KEY, batch)
         nx = spec_dom.kernel.norm(x)
         live = nx >= 1e-8
         x, b = construct_pairs(spec_dom, RHO_INF, x[live], y[live], nx[live])

@@ -45,7 +45,7 @@ from .orthogonality import (
     construct_pairs,
 )
 from .rho_infinity import quadrature_pairs, rho_n_stack
-from .sampling import index_batches, rng_for, unit_draws
+from .sampling import PAIRS_KEY, index_batches, rng_for, unit_draws
 from .spaces import (
     NormSpec,
     _modulus,
@@ -82,7 +82,7 @@ def _pairs(spec: NormSpec, seed: int, batch: range, scalars: int = 0):
     (seed, i), followed by `scalars` complex scalars per sample, each
     complex(re, im) of the next two standard normals of its stream, as
     (len(batch),) arrays."""
-    x, y, *extra = unit_draws(spec, seed, (), batch, extra=2 * scalars)
+    x, y, *extra = unit_draws(spec, seed, PAIRS_KEY, batch, extra=2 * scalars)
     out = [x, y]
     for k in range(scalars):
         z = np.empty(len(batch), dtype=np.complex128)  # complex(re, im)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .derivatives import CLOSED_FORM, FunctionalValue
 from .errors import DimensionMismatchError, NotSmoothError, ZeroBaseError
-from .sampling import gaussian_draws, index_batches
+from .sampling import PAIRS_KEY, gaussian_draws, index_batches
 from .spaces import (
     _TINY,
     NormSpec,
@@ -361,7 +361,7 @@ def relation_compare(spec: NormSpec, relation_a: str, relation_b: str,
     limit = config.max_witnesses
     witnesses: list[Witness] = []
     for batch in index_batches(config.samples, doubling=limit is not None):
-        xs, ys = gaussian_draws(spec.dim, config.seed, (), batch)
+        xs, ys = gaussian_draws(spec.dim, config.seed, PAIRS_KEY, batch)
         nx = spec.kernel.norm(xs)
         ny = spec.kernel.norm(ys)
         live = (nx >= 1e-8) & (ny >= 1e-8)

@@ -7,28 +7,34 @@ order-independent no matter how the sample loop is scheduled.
 
 The sampled audits draw a batch of indices at once (gaussian_draws,
 unit_draws), with the same numbers as complex_gaussian and sample_unit on
-each index's stream.  rng_for stays the definition of a stream.  The
-batch runs numpy's SeedSequence hash on every index at once and returns,
-per index, the PCG64 words one LCG step before the seeded state
-(_stream_states).  Each thread keeps one PCG64, built on its first draw,
-whose state words it writes in place; numpy's own step (one random_raw
-call) then finishes the seeding, so no index builds a generator, sets a
-state dict or multiplies 128-bit ints in Python.  A thread whose numpy
-keeps the words where the writer's probe cannot find them draws each index
-through rng_for instead: the same numbers, only slower.
+each index's stream.  rng_for stays the definition of a stream.  One
+_stream_states call runs numpy's SeedSequence hash on every index of one
+or more streams at once and returns, per stream and index, the PCG64
+words one LCG step before the seeded state.  Each thread keeps one
+PCG64, built on its first draw, whose 32 state bytes it overwrites with
+one bytes slice per index; numpy's own step (one random_raw call) then
+finishes the seeding, so no index builds a generator, sets a state dict
+or multiplies 128-bit ints in Python.  A thread whose numpy keeps the
+words where the writer's probe cannot find them draws each index through
+rng_for instead: the same numbers, only slower.
 
-A report runs several suites on the same streams.  Inside draw_scope, a
-thread's gaussian_draws serves each (seed, keys, index range) from the
-normals it already drew for it: a stream's standard normals come in one
-order, so a narrower request reads a prefix of a wider draw bit for bit,
-and a wider request draws again.  The same entry keeps unit_draws' unit
-rows of each (spec, count), keyed by the spec object, so a second suite
-that draws the same unit pairs reads them instead of normalizing the
-stream again; a wider redraw keeps them, since its first 2 count dim
-normals are unchanged, and a batch with a redrawn row (sample_unit's
-guard) keeps none.  The memo belongs to the scope, holds at most
-DRAW_MEMO_ENTRIES index ranges, hands out fresh arrays and is gone when
-the scope closes; outside any scope nothing is kept.
+The audits' streams are named by their keys (PAIRS_KEY ...), and a report
+draws those of STREAM_KEYS.  Inside draw_scope, the first draw of a
+(seed, index range) from a STREAM_KEYS stream hashes all of them over
+that range in one call, and the later draws of the range read their
+states from it; an index list or another key hashes its own stream per
+draw, as every draw does outside a scope.  A thread's gaussian_draws
+serves each (seed, keys, index range) from the normals it already drew
+for it: a stream's standard normals come in one order, so a narrower
+request reads a prefix of a wider draw bit for bit, and a wider request
+draws again.  The same entry keeps unit_draws' unit rows of each (spec,
+count), keyed by the spec object, so a second suite that draws the same
+unit pairs reads them instead of normalizing the stream again; a wider
+redraw keeps them, since its first 2 count dim normals are unchanged,
+and a batch with a redrawn row (sample_unit's guard) keeps none.  The
+memo belongs to the scope, holds at most DRAW_MEMO_ENTRIES index ranges
+of normals and as many of states, hands out fresh arrays and is gone
+when the scope closes; outside any scope nothing is kept.
 """
 
 from __future__ import annotations
@@ -51,10 +57,25 @@ UNIT_MIN_NORM = 1e-8
 # memory of a batch, which otherwise grows with the sample count
 BATCH_ROWS = 1024
 
-# most index ranges a draw_scope keeps, the least recently used going
-# first, each with its unit rows; a report draws 6, and the cap bounds
-# the memo whatever the sample count
+# most index ranges a draw_scope keeps the normals of, each with its unit
+# rows, and the stacked states of, the least recently used going first; a
+# report draws 6 streams of each range, and the cap bounds the memo
+# whatever the sample count
 DRAW_MEMO_ENTRIES = 8
+
+# the keys of the audits' streams: sample i of an audit draws from stream
+# (seed, *key, i)
+PAIRS_KEY = ()  # the checks' unit pairs and the relation searches
+SYMMETRY_KEY = (0,)  # symmetry_defect
+BOUNDS_KEY = (1,)  # cs_bound_audit
+EQUIVALENCE_KEY = (2,)  # norm_equivalence_constant
+OPERATOR_NORM_KEY = (3,)  # the sampled operator-norm estimate of a map
+MAP_POINT_KEY = (4,)  # preservation: the points of the isometry defect
+MAP_PAIR_KEY = (5,)  # preservation: the pairs of the scale identity
+MAP_CONSTRUCT_KEY = (6,)  # preservation: the orthogonal pairs constructed
+# the streams a report draws, which a draw_scope hashes together
+STREAM_KEYS = (PAIRS_KEY, SYMMETRY_KEY, BOUNDS_KEY, MAP_POINT_KEY,
+               MAP_PAIR_KEY, MAP_CONSTRUCT_KEY)
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64 seeding:
@@ -124,12 +145,13 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ r >> _XSHIFT
 
 
-def _mixed_pool(entropy: np.ndarray, words: np.ndarray) -> np.ndarray:
+def _mixed_pool(entropy: np.ndarray, words: np.ndarray | None) -> np.ndarray:
     """SeedSequence's mix_entropy on each column of a (rows, n) array,
     whose column j holds words[j] entropy words and zeros below them.
 
     A zero in the pool is hashed as SeedSequence hashes its padding, so
-    only the rows past the pool need the word counts.
+    only the rows past the pool need the word counts; without such rows
+    words may be None.
     """
     rows = len(entropy)
     # row r >= 4 is hashed after _POOL_SIZE * r hashmix calls
@@ -137,10 +159,20 @@ def _mixed_pool(entropy: np.ndarray, words: np.ndarray) -> np.ndarray:
     a = (_MIX_CONSTANTS if needed <= len(_MIX_CONSTANTS)
          else _hash_constants(_INIT_A, _MULT_A, needed))
     pool = _hashmix(entropy[:_POOL_SIZE], a[:_POOL_SIZE], a[1:_POOL_SIZE + 1])
+    h, mixed = np.empty_like(pool), np.empty_like(pool)
     for src, (xor, mult) in enumerate(_MIX_ROUNDS):
-        mixed = _mix(pool, _hashmix(pool[src], xor, mult))
+        # in place: h = _hashmix(pool[src], xor, mult), mixed = _mix(pool, h)
+        np.bitwise_xor(pool[src], xor, out=h)
+        np.multiply(h, mult, out=h)
+        np.right_shift(h, _XSHIFT, out=mixed)
+        np.bitwise_xor(h, mixed, out=h)
+        np.multiply(h, _MIX_MULT_R, out=h)
+        np.multiply(pool, _MIX_MULT_L, out=mixed)
+        np.subtract(mixed, h, out=mixed)
+        np.right_shift(mixed, _XSHIFT, out=h)
+        np.bitwise_xor(mixed, h, out=mixed)
         mixed[src] = pool[src]
-        pool = mixed
+        pool, mixed = mixed, pool
     for r in range(_POOL_SIZE, rows):
         k = _POOL_SIZE * r
         h = _hashmix(entropy[r], a[k:k + _POOL_SIZE], a[k + 1:k + _POOL_SIZE + 1])
@@ -148,11 +180,12 @@ def _mixed_pool(entropy: np.ndarray, words: np.ndarray) -> np.ndarray:
     return pool
 
 
-def _stream_states(seed: int, keys: Sequence[int],
+def _stream_states(seed: int, streams: Sequence[Sequence[int]],
                    indices: Sequence[int]) -> np.ndarray:
-    """The PCG64 words of rng_for(seed, *keys, i) for each i in indices
-    (each below 2**63), computed for all indices at once, as an (n, 4)
-    uint64 array: the low and high words of S + inc, then of inc.
+    """The PCG64 words of rng_for(seed, *keys, i) for each keys in streams
+    and each i in indices (each below 2**63), all hashed at once, as a
+    (len(streams), len(indices), 4) uint64 array: the low and high words
+    of S + inc, then of inc.
 
     PCG64 seeds the 128-bit words (S, q) of generate_state(4, uint64) as
     inc = 2q + 1 and state = (S + inc) * M + inc (mod 2**128), so S + inc
@@ -162,27 +195,38 @@ def _stream_states(seed: int, keys: Sequence[int],
     if idx.size and idx.min() < 0:
         raise ValueError(f"stream seeds, keys and indices must be >= 0, "
                          f"got {int(idx.min())}")
-    shared = [w for v in (seed, *keys) for w in _uint32_words(v)]
-    m = len(shared)
-    # an index is one word, or two when it reaches 2**32
-    entropy = np.zeros((max(m + 2, _POOL_SIZE), len(idx)), dtype=np.uint32)
-    entropy[:m] = np.array(shared, dtype=np.uint32)[:, None]
-    entropy[m] = idx & _MASK32
-    entropy[m + 1] = idx >> 32
-    pool = _mixed_pool(entropy, m + 1 + (idx > _MASK32))
+    seed_words = _uint32_words(seed)
+    shared = [seed_words + [w for v in keys for w in _uint32_words(v)]
+              for keys in streams]
+    # entropy[:, k, j] is that of stream k at index j: its shared words,
+    # the low and high words of the index, then zeros; an index is one
+    # word, or two when it reaches 2**32
+    rows = max(max(map(len, shared)) + 2, _POOL_SIZE)
+    entropy = np.empty((rows, len(shared), len(idx)), dtype=np.uint32)
+    entropy[...] = np.array([words + [0] * (rows - len(words)) for words in shared],
+                            dtype=np.uint32).T[:, :, None]
+    lo_hi = idx.astype("<u8").view("<u4").reshape(-1, 2).T
+    for k, words in enumerate(shared):
+        entropy[len(words):len(words) + 2, k] = lo_hi
+    # only the rows past the pool read each column's word count
+    counts = None
+    if rows > _POOL_SIZE:
+        counts = np.add.outer([len(words) + 1 for words in shared],
+                              idx > _MASK32).reshape(-1)
+    pool = _mixed_pool(entropy.reshape(rows, -1), counts)
     # generate_state(4, uint64): little-endian pairs of the 8 hashed words,
     # S_hi, S_lo, q_hi, q_lo; reversed, each pair is low word first
     out = _hashmix(pool, _STATE_XOR, _STATE_MULT)
     u64 = np.ascontiguousarray(out.reshape(8, -1).T, dtype="<u4").view("<u8")
     q, s = u64[:, :1:-1], u64[:, 1::-1]
-    words = np.empty((len(idx), 4), dtype=np.uint64)
-    pre, inc = words[:, :2], words[:, 2:]
+    states = np.empty((len(u64), 4), dtype=np.uint64)
+    pre, inc = states[:, :2], states[:, 2:]
     np.left_shift(q, 1, out=inc)
     inc[:, 0] |= 1
     inc[:, 1] |= q[:, 0] >> 63
     np.add(s, inc, out=pre)
     pre[:, 1] += pre[:, 0] < s[:, 0]  # the carry out of the low word
-    return words
+    return states.reshape(len(shared), len(idx), 4)
 
 
 # the orders numpy may keep the 4 words of _stream_states in, as the word
@@ -227,8 +271,9 @@ class _StreamWriter:
                 and address + 32 <= start + sys.getsizeof(self.bit_generator)):
             raise RuntimeError("the PCG64 state words are not inside the bit "
                                "generator: this numpy's layout is not supported")
-        # the view does not own its memory; the PCG64 kept beside it does
+        # the views do not own their memory; the PCG64 kept beside them does
         self.words = np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
+        self.word_bytes = memoryview(self.words).cast("B")
         self.order = self._probe()
 
     def _probe(self) -> np.ndarray:
@@ -298,14 +343,39 @@ def index_batches(samples: int, doubling: bool = False) -> Iterator[range]:
 def draw_scope():
     """Share this thread's draws within the with block (see the module
     docstring); a nested scope starts empty, and the outer one's memo is
-    back when it closes.  unit_draws keeps each batch's unit rows per
-    spec and count beside its normals, so a batch is normalized once."""
-    outer = getattr(_per_thread, "memo", None)
-    _per_thread.memo = {}
+    back when it closes.  The first draw of a (seed, index range) hashes
+    every STREAM_KEYS stream of it at once.  unit_draws keeps each batch's
+    unit rows per spec and count beside its normals, so a batch is
+    normalized once."""
+    outer = getattr(_per_thread, "memo", None), getattr(_per_thread, "states", None)
+    _per_thread.memo, _per_thread.states = {}, {}
     try:
         yield
     finally:
-        _per_thread.memo = outer
+        _per_thread.memo, _per_thread.states = outer
+
+
+def _remember(memo: dict, key, value) -> None:
+    """Put value into memo under key as its most recently used entry, the
+    least recently used going first past DRAW_MEMO_ENTRIES."""
+    if memo.pop(key, None) is None and len(memo) >= DRAW_MEMO_ENTRIES:
+        del memo[next(iter(memo))]
+    memo[key] = value
+
+
+def _states(seed: int, keys: tuple[int, ...], indices: Sequence[int]) -> np.ndarray:
+    """The _stream_states rows of stream (seed, *keys) at indices.  Inside
+    a draw_scope, a STREAM_KEYS stream over an index range reads them from
+    one hash of every STREAM_KEYS stream of that range, kept in the scope."""
+    kept = getattr(_per_thread, "states", None)
+    if kept is None or not isinstance(indices, range) or keys not in STREAM_KEYS:
+        return _stream_states(seed, [keys], indices)[0]
+    key = (seed, indices)
+    states = kept.get(key)
+    if states is None:
+        states = dict(zip(STREAM_KEYS, _stream_states(seed, STREAM_KEYS, indices)))
+    _remember(kept, key, states)
+    return states[keys]
 
 
 def _draw_normals(seed: int, keys: Sequence[int], indices: Sequence[int],
@@ -320,13 +390,15 @@ def _draw_normals(seed: int, keys: Sequence[int], indices: Sequence[int],
         for row, i in zip(g, indices):
             row[:] = rng_for(seed, *keys, i).standard_normal(width)
         return g
-    view, raw = writer.words, writer.bit_generator.random_raw
+    target, raw = writer.word_bytes, writer.bit_generator.random_raw
     normal = writer.generator.standard_normal
-    # each index: write the words one step before its seeded state, let
-    # random_raw take numpy's LCG step onto it, then draw (the generator
-    # never draws 32-bit values, so has_uint32 stays 0)
-    for row, words in zip(g, _stream_states(seed, keys, indices)[:, writer.order]):
-        view[:] = words
+    states = _states(int(seed), tuple(map(int, keys)), indices)
+    words = states.take(writer.order, axis=1).tobytes()
+    # each index: write the 32 bytes of the words one step before its
+    # seeded state, let random_raw take numpy's LCG step onto it, then draw
+    # (the generator never draws 32-bit values, so has_uint32 stays 0)
+    for start, row in zip(range(0, len(words), 32), g):
+        target[:] = words[start:start + 32]
         raw()
         normal(out=row)
     return g
@@ -343,13 +415,11 @@ def _normals(seed: int, keys: Sequence[int], indices: Sequence[int],
     if memo is None or not isinstance(indices, range):
         return _draw_normals(seed, keys, indices, width), None
     key = (int(seed), tuple(map(int, keys)), indices)
-    g, units = memo.pop(key, (None, {}))
+    g, units = memo.get(key, (None, {}))
     if g is None or g.shape[1] < width:
         # a wider draw keeps the unit rows: its first columns are unchanged
         g = _draw_normals(seed, keys, indices, width)
-        if len(memo) >= DRAW_MEMO_ENTRIES:
-            del memo[next(iter(memo))]
-    memo[key] = g, units  # the most recently used is last
+    _remember(memo, key, (g, units))
     return g, units
 
 

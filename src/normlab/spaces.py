@@ -1032,9 +1032,6 @@ def gram_inner(spec: NormSpec, x, y) -> complex:
 
 # --- dual geometry -----------------------------------------------------------
 
-TABLE = "table"
-UNKNOWN = "unknown"
-
 
 @dataclass(frozen=True)
 class DualInfo:
@@ -1045,7 +1042,6 @@ class DualInfo:
     """
 
     r_dual: float | None
-    provenance: str
 
     def __post_init__(self):
         if self.r_dual is not None and not (0.0 <= self.r_dual <= 2.0):
@@ -1056,10 +1052,7 @@ def dual_segment_constant(spec: NormSpec) -> DualInfo:
     """R(X*) as the kernel reads it from p and M^-1 (unknown on polyhedral
     norms), and 0 in dimension one, where every norm is a multiple of the
     modulus."""
-    if spec.dim == 1:
-        return DualInfo(0.0, TABLE)
-    k = spec.kernel
-    return DualInfo(k.r_dual, UNKNOWN if k.r_dual is None else TABLE)
+    return DualInfo(0.0 if spec.dim == 1 else spec.kernel.r_dual)
 
 
 def is_smooth_family(spec: NormSpec) -> bool:

@@ -4,7 +4,8 @@ Each command runs in-process through ``normlab.cli.main``; its stdout plus a
 trailing ``# exit <code>`` line is compared with ``tests/golden/<name>.out``.
 The set covers ``report`` on every family (pd twice: Gram I and a
 non-identity Gram) at 6 samples, and on lp2.5 at 30, the benchmark's
-report size, ``search`` between the
+report size, ``check`` of preservation on lp2.5 and of symmetry-detector
+on lp:inf at 30 samples, ``search`` between the
 Birkhoff-James and rho_inf relations on lp1, lp:inf and poly and from
 rho_plus to semi on lp3, ``analyze-map`` of diag(1, 2) on lp1, lp2.5 and
 the golden poly and across two frames (wl1 into the golden poly, a
@@ -62,6 +63,10 @@ EVAL_PAIRS_GRAM = {"pdG": (REPORT_NORMS["pdG"], *EVAL_PAIRS["pd"][1:])}
 
 SEARCH_NORMS = {**REPORT_NORMS, "lp3": "lp:p=3:dim=3"}
 
+# (suite, key in CHECK_NORMS): check opens a draw scope, as report does
+CHECK_NORMS = {"lp2.5": REPORT_NORMS["lp2.5"], "lpinf": REPORT_NORMS["lpinf"]}
+CHECKS = (("preservation", "lp2.5"), ("symmetry-detector", "lpinf"))
+
 # (relation a, relation b, key in SEARCH_NORMS, samples)
 SEARCHES = (
     ("rho_inf", "bj", "lp1", 200),
@@ -92,6 +97,10 @@ def commands() -> dict[str, list[str]]:
     cmds["report-lp2.5-samples30"] = ["report", "--norm", REPORT_NORMS["lp2.5"],
                                       "--samples", "30", "--seed", "7",
                                       "--format", "jsonl"]
+    for suite, key in CHECKS:
+        cmds[f"check-{suite}-{key}"] = ["check", "--suite", suite, "--norm",
+                                        CHECK_NORMS[key], "--samples", "30",
+                                        "--seed", "7", "--format", "jsonl"]
     for a, b, key, samples in SEARCHES:
         cmds[f"search-{key}-{a}-{b}"] = [
             "search", "--norm", SEARCH_NORMS[key], "--a", a, "--b", b,

@@ -3,9 +3,11 @@
 gaussian_draws hashes every index's SeedSequence at once and writes each
 index's PCG64 words into its thread's generator in turn; rng_for(seed,
 *keys, i) is the definition of the stream it must reproduce.  The seeds,
-keys and indices cover every entropy layout the hash distinguishes: one- and multi-word seeds, entropy
-shorter than the 4-word pool and longer (keys (1, 2, 3, 4, 5)), past the
-precomputed hash constants (40 keys), and indices on both sides of 2**32.
+keys and indices cover every entropy layout the hash distinguishes: one-
+and multi-word seeds, entropy shorter than the 4-word pool and longer
+(keys (1, 2, 3, 4, 5)), past the precomputed hash constants (40 keys),
+and indices on both sides of 2**32.  Each layout is also hashed in one
+call stacked with the others, as a draw scope hashes its streams.
 """
 
 import contextlib
@@ -56,10 +58,16 @@ def seeded_state(words):
 
 def check_streams(seed, keys, indices):
     indices = list(indices)
-    words = _stream_states(seed, keys, indices)
-    assert words.shape == (len(indices), 4) and words.dtype == np.uint64
-    assert [seeded_state(w) for w in words] == [
-        reference_state(seed, keys, i) for i in indices]
+    # alone, and stacked in one call with streams of every other layout
+    # (() beside (k,), entropy inside the pool and past it)
+    stacked = [keys, *(k for k in KEYS if k != keys)]
+    for streams in ([keys], stacked):
+        words = _stream_states(seed, streams, indices)
+        assert words.shape == (len(streams), len(indices), 4)
+        assert words.dtype == np.uint64
+        for keys_k, words_k in zip(streams, words):
+            assert [seeded_state(w) for w in words_k] == [
+                reference_state(seed, keys_k, i) for i in indices], keys_k
     for count in (1, 2):
         dim = 3
         got = gaussian_draws(dim, seed, keys, indices, count)
@@ -86,7 +94,7 @@ def test_entropy_past_the_precomputed_constants():
 
 
 def test_no_indices_give_empty_draws():
-    assert _stream_states(1, (2,), []).shape == (0, 4)
+    assert _stream_states(1, [(2,)], []).shape == (1, 0, 4)
     (z,) = gaussian_draws(3, 1, (2,), [], count=1)
     assert z.shape == (0, 3)
 
@@ -100,7 +108,9 @@ def test_no_indices_give_empty_draws():
 def test_negative_seeds_keys_and_indices_raise(seed, keys, indices):
     # a bare 32-bit split would turn -1 into a valid stream silently
     with pytest.raises(ValueError, match=">= 0"):
-        _stream_states(seed, keys, indices)
+        _stream_states(seed, [keys], indices)
+    with pytest.raises(ValueError, match=">= 0"):
+        _stream_states(seed, [(), keys], indices)
     with pytest.raises(ValueError):
         rng_for(seed, *keys, *indices)
 
@@ -154,7 +164,7 @@ def test_probed_word_order_reads_back_in_a_fresh_thread():
     def run():
         writer = sampling._stream_writer()
         seen["kept"] = writer is sampling._stream_writer()
-        words = _stream_states(9, (4,), [17])[0]
+        words = _stream_states(9, [(4,)], [17])[0, 0]
         writer.words[:] = words[writer.order]
         state = writer.bit_generator.state
         pre_lo, pre_hi, inc_lo, inc_hi = map(int, words)
@@ -220,52 +230,64 @@ def test_a_failed_probe_falls_back_to_rng_for(monkeypatch):
 
 @pytest.fixture
 def hashed(monkeypatch):
-    """The (seed, keys, indices) of every _stream_states call, in order."""
+    """The (seed, streams, indices) of every _stream_states call, in order."""
     calls = []
 
-    def counting(seed, keys, indices):
-        calls.append((seed, tuple(keys), indices))
-        return _stream_states(seed, keys, indices)
+    def counting(seed, streams, indices):
+        calls.append((seed, tuple(map(tuple, streams)), indices))
+        return _stream_states(seed, streams, indices)
 
     monkeypatch.setattr(sampling, "_stream_states", counting)
     return calls
 
 
 def test_a_report_hashes_each_stream_batch_once(hashed, capsys):
-    # its suites draw 12 times, from 6 stream batches: 7 draws of stream
-    # (seed, i) and one of each key of the bounds and preservation audits
+    # its suites draw 12 times, from 6 stream batches of one index range:
+    # 7 draws of stream (seed, i) and one of each key of the symmetry,
+    # bounds and preservation audits; one call hashes all 6
+    assert set(sampling.STREAM_KEYS) == {(), (0,), (1,), (4,), (5,), (6,)}
     argv = ["report", "--norm", "lp:p=2.5:dim=4", "--samples", "30", "--seed", "7"]
     assert main(argv) == 0
     first = capsys.readouterr().out
-    assert len(hashed) == len(set(hashed)) == 6
+    assert hashed == [(7, sampling.STREAM_KEYS, range(0, 30))]
     # nothing outlives the report: the next one hashes every stream again
     assert getattr(sampling._per_thread, "memo", None) is None
+    assert getattr(sampling._per_thread, "states", None) is None
     assert main(argv) == 0
     assert capsys.readouterr().out == first
-    assert hashed[6:] == hashed[:6]
+    assert hashed[1:] == hashed[:1]
 
 
 def test_a_check_hashes_its_stream_batch_once(hashed, capsys, monkeypatch):
     # rho-n-props draws x, y on the spec and u, v on its pd spec from the
-    # batch of stream (seed, i); check opens a scope, as report does
+    # batch of stream (seed, i); check opens a scope, as report does, and
+    # its one hash covers every registered stream of the range
     argv = ["check", "--suite", "rho-n-props", "--norm", "lp:p=2.5:dim=4",
             "--samples", "30", "--seed", "42"]
     assert main(argv) == 0
     scoped = capsys.readouterr().out
-    assert hashed.count((42, (), range(0, 30))) == 1
-    # without the scope each draw hashes again, and prints the same
+    assert hashed == [(42, sampling.STREAM_KEYS, range(0, 30))]
+    # without the scope each draw hashes its own stream again, and prints
+    # the same
     monkeypatch.setattr(cli, "draw_scope", contextlib.nullcontext)
     hashed.clear()
     assert main(argv) == 0
     assert capsys.readouterr().out == scoped
-    assert hashed.count((42, (), range(0, 30))) == 2
+    assert hashed == [(42, (sampling.PAIRS_KEY,), range(0, 30))] * 2
 
 
-@pytest.mark.parametrize("norm", REPORT_NORMS.values(), ids=REPORT_NORMS.keys())
-def test_a_report_prints_the_same_without_its_scope(norm, capsys, monkeypatch):
-    # inside the scope its suites read shared normals and unit rows;
-    # without it every draw is made and normalized again, with the same bits
-    argv = ["report", "--norm", norm, "--samples", "30", "--seed", "7",
+# every report golden's norm at 30 samples, one batch, and one norm at
+# 1100, two batches: the scope hashes the streams of each range together
+SCOPE_CASES = {key: (norm, 30) for key, norm in REPORT_NORMS.items()}
+SCOPE_CASES["lp2.5-samples1100"] = (REPORT_NORMS["lp2.5"], 1100)
+
+
+@pytest.mark.parametrize("norm, samples", SCOPE_CASES.values(), ids=SCOPE_CASES.keys())
+def test_a_report_prints_the_same_without_its_scope(norm, samples, capsys, monkeypatch):
+    # inside the scope its suites read shared states, normals and unit
+    # rows; without it every draw is hashed, made and normalized again,
+    # with the same bits
+    argv = ["report", "--norm", norm, "--samples", str(samples), "--seed", "7",
             "--format", "jsonl"]
     code = main(argv)
     scoped = capsys.readouterr().out
@@ -314,27 +336,40 @@ def test_unit_rows_in_a_scope_have_the_bits_of_fresh_ones(redraw, monkeypatch):
 
 
 def test_a_scope_serves_prefixes_and_redraws_wider(hashed):
-    # outside a scope nothing is kept: the narrow draw hashes again
-    wide = [z.tobytes() for z in gaussian_draws(2, 5, (3,), range(6), extra=7)]
-    narrow = [z.tobytes() for z in gaussian_draws(3, 5, (3,), range(6), count=1)]
-    assert len(hashed) == 2
+    key, other = sampling.SYMMETRY_KEY, sampling.MAP_PAIR_KEY
+    # outside a scope nothing is kept: the narrow draw hashes again, and
+    # each call hashes its own stream
+    wide = [z.tobytes() for z in gaussian_draws(2, 5, key, range(6), extra=7)]
+    narrow = [z.tobytes() for z in gaussian_draws(3, 5, key, range(6), count=1)]
+    assert hashed == [(5, (key,), range(6))] * 2
+    hashed.clear()
     with sampling.draw_scope():
-        # count 1 of dim 3 reads the first 6 of the 15 normals of dim 2
-        assert [z.tobytes() for z in gaussian_draws(2, 5, (3,), range(6), extra=7)] == wide
-        assert [z.tobytes() for z in gaussian_draws(3, 5, (3,), range(6), count=1)] == narrow
-        assert len(hashed) == 3
-        # a wider request draws again; other keys and ranges are their own
-        z, g = gaussian_draws(1, 5, (3,), range(6), count=1, extra=15)
-        want = np.array([rng_for(5, 3, i).standard_normal(17) for i in range(6)])
+        # count 1 of dim 3 reads the first 6 of the 15 normals of dim 2;
+        # the first draw hashed every registered stream of the range
+        assert [z.tobytes() for z in gaussian_draws(2, 5, key, range(6), extra=7)] == wide
+        assert [z.tobytes() for z in gaussian_draws(3, 5, key, range(6), count=1)] == narrow
+        assert hashed == [(5, sampling.STREAM_KEYS, range(6))]
+        # a wider request draws again, and another registered stream of
+        # the range is drawn, both from the states kept
+        z, g = gaussian_draws(1, 5, key, range(6), count=1, extra=15)
+        want = np.array([rng_for(5, *key, i).standard_normal(17) for i in range(6)])
         assert z.tobytes() == (want[:, :1] + 1j * want[:, 1:2]).tobytes()
         assert g.tobytes() == want[:, 2:].tobytes()
-        serial_draws(5, (4,), range(6))
-        serial_draws(5, (3,), range(1, 6))
-        # an index list is drawn every time
-        serial_draws(5, (3,), [0, 1])
-        serial_draws(5, (3,), [0, 1])
-        assert len(hashed) == 8
+        assert serial_draws(5, other, range(6)) == stream_draws(5, other, range(6))
+        assert len(hashed) == 1
+        # another range hashes its registered streams together; a key
+        # that is not registered hashes its own stream, and an index list
+        # is hashed and drawn every time
+        serial_draws(5, key, range(1, 6))
+        serial_draws(5, (9,), range(6))
+        serial_draws(5, (9,), range(6))
+        serial_draws(5, key, [0, 1])
+        assert serial_draws(5, key, [0, 1]) == stream_draws(5, key, [0, 1])
+        assert hashed[1:] == [(5, sampling.STREAM_KEYS, range(1, 6)),
+                              (5, ((9,),), range(6)),
+                              (5, (key,), [0, 1]), (5, (key,), [0, 1])]
     assert sampling._per_thread.memo is None
+    assert sampling._per_thread.states is None
 
 
 def test_a_scope_keeps_at_most_its_entry_cap(hashed):
@@ -343,47 +378,59 @@ def test_a_scope_keeps_at_most_its_entry_cap(hashed):
         for start in range(cap + 3):
             gaussian_draws(3, 1, (), range(start, start + 2))
         assert len(sampling._per_thread.memo) == cap
+        assert len(sampling._per_thread.states) == cap
         # the least recently used went first: the last cap ranges are kept
         for start in range(3, cap + 3):
             gaussian_draws(3, 1, (), range(start, start + 2))
         assert len(hashed) == cap + 3
+        # each range's registered streams were hashed in one call
+        assert {streams for _, streams, _ in hashed} == {sampling.STREAM_KEYS}
         gaussian_draws(3, 1, (), range(0, 2))
         assert len(hashed) == cap + 4
 
 
 def test_a_nested_scope_restores_the_outer_memo(hashed):
     with sampling.draw_scope():
-        outer = sampling._per_thread.memo
+        outer = sampling._per_thread.memo, sampling._per_thread.states
         serial_draws(2, (), range(3))
         with sampling.draw_scope():
+            # the inner scope starts empty: it hashes the range again
             serial_draws(2, (), range(3))
-        assert sampling._per_thread.memo is outer
+            serial_draws(2, (0,), range(3))
+        assert (sampling._per_thread.memo, sampling._per_thread.states) == outer
         serial_draws(2, (), range(3))
-    assert len(hashed) == 2
+        serial_draws(2, (1,), range(3))
+    assert hashed == [(2, sampling.STREAM_KEYS, range(3))] * 2
 
 
 def test_each_thread_has_its_own_memo(hashed):
     seen = {}
 
     def run():
-        seen["outside"] = getattr(sampling._per_thread, "memo", None)
-        serial_draws(0, (2,), range(5))
+        seen["outside"] = (getattr(sampling._per_thread, "memo", None),
+                           getattr(sampling._per_thread, "states", None))
+        serial_draws(0, (), range(5))
         with sampling.draw_scope():
-            serial_draws(0, (2,), range(5))
-            seen["own"] = sampling._per_thread.memo
+            serial_draws(0, (), range(5))
+            seen["own"] = sampling._per_thread.memo, sampling._per_thread.states
 
     with sampling.draw_scope():
-        serial_draws(0, (2,), range(5))
+        serial_draws(0, (), range(5))
         t = threading.Thread(target=run)
         t.start()
         t.join(timeout=60)
         assert not t.is_alive()
-        # this thread's memo is untouched, and still serves its draw
-        mine = sampling._per_thread.memo
-        assert seen["outside"] is None and seen["own"] is not mine
-        assert list(mine) == [(0, (2,), range(5))]
-        serial_draws(0, (2,), range(5))
-    assert len(hashed) == 3
+        # this thread's memo is untouched, and still serves its draws
+        mine = sampling._per_thread.memo, sampling._per_thread.states
+        assert seen["outside"] == (None, None)
+        assert seen["own"][0] is not mine[0] and seen["own"][1] is not mine[1]
+        assert list(mine[0]) == [(0, (), range(5))]
+        assert list(mine[1]) == [(0, range(5))]
+        serial_draws(0, (), range(5))
+        serial_draws(0, (4,), range(5))
+    # this scope, the other thread's own draw and its scope
+    assert sorted(hashed, key=str) == sorted(
+        [(0, sampling.STREAM_KEYS, range(5))] * 2 + [(0, ((),), range(5))], key=str)
 
 
 @pytest.mark.parametrize("indices", [range(1), range(3, 8)], ids=["one-row", "five-rows"])
